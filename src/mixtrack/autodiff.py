@@ -454,14 +454,30 @@ def concat(tensors, axis=0):
     return _record("concat", out, tuple(tensors), vjp)
 
 
+def _has_int_array(idx):
+    """Whether an index holds an integer array, whose entries may repeat."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return any(
+        isinstance(p, (list, np.ndarray)) and np.asarray(p).dtype.kind in "iu"
+        for p in parts
+    )
+
+
 def take(x, idx):
-    """Basic slicing/indexing; gradient scatters back into a zero array."""
+    """Slicing or indexing; gradient scatters back into a zero array.
+
+    An integer-array index may name an element more than once, so its
+    gradient accumulates with ``np.add.at``; basic slices assign directly.
+    """
     x = as_tensor(x)
     out = Tensor(x.data[idx])
 
     def vjp(g):
         gx = np.zeros_like(x.data)
-        gx[idx] = g
+        if _has_int_array(idx):
+            np.add.at(gx, idx, g)
+        else:
+            gx[idx] = g
         return (gx,)
 
     return _record("take", out, (x,), vjp)

@@ -45,17 +45,21 @@ def _axis_weights(lo, hi, extent, grid):
 def roi_tokens(search_feat, box, grid=4):
     """Bilinear ROI pooling of [C, h, w] features onto a grid*grid token set.
 
-    ``box`` is plain-float corners in [0, 1] over the map (clamped here).
-    Returns [grid*grid, C]; rows scan the grid in row-major order.  The box
-    takes no gradient; features do.
+    ``box`` is plain-float corners in [0, 1] over the map (clamped here);
+    a non-finite corner raises ShapeError.  Returns [grid*grid, C]; rows
+    scan the grid in row-major order.  The box takes no gradient; features
+    do.
     """
     feat = as_tensor(search_feat)
     if feat.ndim != 3:
         raise ShapeError(f"search features must be [C, h, w], got {feat.shape}")
     if grid < 1:
         raise ConfigError(f"roi grid must be >= 1, got {grid}")
+    corners = [float(v) for v in box]
+    if not all(np.isfinite(corners)):
+        raise ShapeError(f"roi box must be finite, got {tuple(corners)}")
     c, h, w = feat.shape
-    x0, y0, x1, y1 = (min(max(float(v), 0.0), 1.0) for v in box)
+    x0, y0, x1, y1 = (min(max(v, 0.0), 1.0) for v in corners)
     wx = _axis_weights(x0, x1, w, grid)
     wy = _axis_weights(y0, y1, h, grid)
     # [g, g, h, w] sample weights -> [g*g, h*w]

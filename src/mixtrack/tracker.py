@@ -62,15 +62,29 @@ class Affine:
         )
 
 
+def _frame_mean(frame):
+    """Per-channel float64 mean of a [H, W, 3] uint8 frame.
+
+    Every partial sum is an exact integer below 2**53, so this equals
+    ``frame.mean(axis=(0, 1), dtype=np.float64)`` bit for bit without
+    converting the frame to floats.
+    """
+    h, w = frame.shape[:2]
+    # uint32 column sums stay exact while H < 2**32 / 255 (about 16.8M rows)
+    cols = frame.reshape(h, w * 3).sum(axis=0, dtype=np.uint32)
+    sums = cols.reshape(w, 3).sum(axis=0, dtype=np.int64)
+    return sums.astype(np.float64) / (h * w)
+
+
 def _bilinear_crop(frame, left, top, side, out_size):
     """Sample an out_size x out_size patch over the given frame square.
 
     frame is [H, W, 3] uint8; the result is [3, out, out] float32 in [0, 1].
-    Samples outside the frame blend toward the per-channel mean color.
+    Only the 2*out x 2*out taps the patch samples are read and converted.
+    Taps outside the frame take the exact per-channel mean color, which is
+    computed only when some tap falls outside.
     """
-    img = frame.astype(np.float32) / 255.0
-    h, w = img.shape[:2]
-    mean = (frame.mean(axis=(0, 1), dtype=np.float64) / 255.0).astype(np.float32)
+    h, w = frame.shape[:2]
     step = side / out_size
     # patch pixel centers in frame pixel-index space
     xs = left + (np.arange(out_size, dtype=np.float64) + 0.5) * step - 0.5
@@ -80,22 +94,23 @@ def _bilinear_crop(frame, left, top, side, out_size):
     fx = (xs - x0).astype(np.float32)
     fy = (ys - y0).astype(np.float32)
 
-    def gather(yi, xi):
-        out = np.empty((out_size, out_size, 3), dtype=np.float32)
-        out[:] = mean
-        yy, xx = np.broadcast_arrays(yi[:, None], xi[None, :])
-        mask = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        out[mask] = img[yy[mask], xx[mask]]
-        return out
+    # tap rows are [y0, y0 + 1] and columns [x0, x0 + 1]
+    rows = np.concatenate([y0, y0 + 1])
+    cols = np.concatenate([x0, x0 + 1])
+    flat = np.clip(rows, 0, h - 1)[:, None] * w + np.clip(cols, 0, w - 1)
+    taps = frame.reshape(-1, 3).take(flat, axis=0).astype(np.float32) / 255.0
+    rows_out = (rows < 0) | (rows >= h)
+    cols_out = (cols < 0) | (cols >= w)
+    if rows_out.any() or cols_out.any():
+        mean = (_frame_mean(frame) / 255.0).astype(np.float32)
+        taps[rows_out] = mean
+        taps[:, cols_out] = mean
 
-    g00 = gather(y0, x0)
-    g01 = gather(y0, x0 + 1)
-    g10 = gather(y0 + 1, x0)
-    g11 = gather(y0 + 1, x0 + 1)
+    n = out_size
     wx = fx[None, :, None]
     wy = fy[:, None, None]
-    top_row = g00 * (1 - wx) + g01 * wx
-    bot_row = g10 * (1 - wx) + g11 * wx
+    top_row = taps[:n, :n] * (1 - wx) + taps[:n, n:] * wx
+    bot_row = taps[n:, :n] * (1 - wx) + taps[n:, n:] * wx
     patch = top_row * (1 - wy) + bot_row * wy
     return np.ascontiguousarray(patch.transpose(2, 0, 1))
 
@@ -237,18 +252,25 @@ class Tracker:
         patch_box = tuple(v * s_size for v in norm)
         frame_box = affine.box_to_frame(patch_box)
         frame_box = boxes.clamp_box(frame_box, float(fw), float(fh))
-        crop = crop_template(
-            frame, frame_box, self.params.template_factor,
-            self.model.config.template_size[0],
-        )
-        self._advance(state, crop, score, frame_box)
+
+        def candidate():
+            return crop_template(
+                frame, frame_box, self.params.template_factor,
+                self.model.config.template_size[0],
+            )
+
+        self._advance(state, candidate, score, frame_box)
         return frame_box, score
 
-    def _advance(self, state, candidate_crop, score, frame_box):
-        """Shared bookkeeping for real and scripted steps."""
+    def _advance(self, state, candidate, score, frame_box):
+        """Shared bookkeeping for real and scripted steps.
+
+        ``candidate()`` returns the frame's template crop; it is called only
+        when the score beats the interval's best, the one case that keeps it.
+        """
         state.frame_index += 1
         if state.best_candidate is None or score > state.best_candidate[1]:
-            state.best_candidate = (candidate_crop, score, state.frame_index)
+            state.best_candidate = (candidate(), score, state.frame_index)
         state.interval_counter += 1
         if state.interval_counter >= self.update_interval:
             maybe_update_template(state, self.score_threshold)
@@ -263,7 +285,7 @@ class Tracker:
         """
         if frame_box is None:
             frame_box = state.prev_box
-        self._advance(state, candidate_crop, score, frame_box)
+        self._advance(state, lambda: candidate_crop, score, frame_box)
         return state
 
     def track(self, sequence, on_frame=None):

@@ -308,6 +308,20 @@ def test_getitem_scatters_grad():
     np.testing.assert_array_equal(x.grad, want)
 
 
+def test_getitem_repeated_index_accumulates_grad():
+    x = Tensor(np.zeros(3), dtype=np.float64, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_(x[[0, 0, 1]]))
+    np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0])
+
+
+def test_getitem_repeated_index_pairs_accumulate_grad():
+    x = Tensor(np.zeros((2, 3)), dtype=np.float64, requires_grad=True)
+    with Tape() as tape:
+        tape.backward(ad.sum_(x[np.array([1, 1, 0]), 1:]))
+    np.testing.assert_array_equal(x.grad, [[0, 1, 1], [0, 2, 2]])
+
+
 # ---------------------------------------------------------------------------
 # conv2d against the loop oracle
 
@@ -421,6 +435,10 @@ def _fd_case(name):
     if name == "take":
         a = t((4, 5))
         return {"a": a}, lambda: ad.sum_(ad.mul(y := a[1:3, ::2], y))
+    if name == "take_repeated":
+        a = t((4, 5))
+        rows, cols = [2, 0, 2, 3, 2], np.array([1, 4, 1, 1, 0])
+        return {"a": a}, lambda: ad.sum_(ad.mul(y := a[rows, cols], y))
     if name == "softmax":
         a = t((3, 5), lo=-2.0, hi=2.0)
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.softmax(a, axis=-1), y))
@@ -456,7 +474,7 @@ ALL_OPS = [
     "add", "sub", "mul", "div", "maximum", "minimum", "neg", "exp", "log",
     "sqrt", "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
     "sum_keepdims", "mean", "reshape", "transpose", "concat", "take",
-    "softmax", "layer_norm", "batch_norm_frozen", "conv2d",
+    "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "conv2d",
     "depthwise_conv2d", "matmul",
 ]
 

@@ -59,6 +59,12 @@ class TestRoiTokens:
         with pytest.raises(ShapeError):
             spm.roi_tokens(Tensor(np.zeros((4, 4))), (0, 0, 1, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_box_raises_shape_error(self, bad):
+        feat = Tensor(np.zeros((1, 4, 4)))
+        with pytest.raises(ShapeError, match="finite"):
+            spm.roi_tokens(feat, (0.1, bad, 0.8, 0.9))
+
     def test_gradient_flows_to_features(self):
         rng = np.random.default_rng(3)
         feat = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)

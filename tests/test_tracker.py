@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mixtrack import data, model as mdl, tracker as trk
-from mixtrack.errors import ConfigError, UsageError
+from mixtrack.autodiff import Tensor
+from mixtrack.errors import ConfigError, ShapeError, UsageError
 
 
 def tiny_tracker(**kw):
@@ -85,6 +86,92 @@ class TestCropping:
         patch = trk.crop_template(frame, (2.0, 2.0, 10.0, 10.0), 2.0, 32)
         assert patch.shape == (3, 32, 32)
         assert patch.dtype == np.float32
+
+
+def reference_bilinear_crop(frame, left, top, side, out_size):
+    """The whole-frame crop that _bilinear_crop replaced, kept as its oracle.
+
+    frame is [H, W, 3] uint8; the result is [3, out, out] float32 in [0, 1].
+    Samples outside the frame blend toward the per-channel mean color.
+    """
+    img = frame.astype(np.float32) / 255.0
+    h, w = img.shape[:2]
+    mean = (frame.mean(axis=(0, 1), dtype=np.float64) / 255.0).astype(np.float32)
+    step = side / out_size
+    # patch pixel centers in frame pixel-index space
+    xs = left + (np.arange(out_size, dtype=np.float64) + 0.5) * step - 0.5
+    ys = top + (np.arange(out_size, dtype=np.float64) + 0.5) * step - 0.5
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = (xs - x0).astype(np.float32)
+    fy = (ys - y0).astype(np.float32)
+
+    def gather(yi, xi):
+        out = np.empty((out_size, out_size, 3), dtype=np.float32)
+        out[:] = mean
+        yy, xx = np.broadcast_arrays(yi[:, None], xi[None, :])
+        mask = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        out[mask] = img[yy[mask], xx[mask]]
+        return out
+
+    g00 = gather(y0, x0)
+    g01 = gather(y0, x0 + 1)
+    g10 = gather(y0 + 1, x0)
+    g11 = gather(y0 + 1, x0 + 1)
+    wx = fx[None, :, None]
+    wy = fy[:, None, None]
+    top_row = g00 * (1 - wx) + g01 * wx
+    bot_row = g10 * (1 - wx) + g11 * wx
+    patch = top_row * (1 - wy) + bot_row * wy
+    return np.ascontiguousarray(patch.transpose(2, 0, 1))
+
+
+def crop_squares(h, w, rng):
+    """(left, top, side) squares over an h x w frame: inside, across each
+    edge and corner, fully outside on each side, and below one pixel."""
+    side = rng.uniform(0.3, 0.6) * min(h, w)
+    mid_x, mid_y = (w - side) / 2, (h - side) / 2
+    lo, hi_x, hi_y = -side / 3, w - 2 * side / 3, h - 2 * side / 3
+    placed = [
+        (mid_x, mid_y), (lo, mid_y), (hi_x, mid_y), (mid_x, lo), (mid_x, hi_y),
+        (lo, lo), (hi_x, lo), (lo, hi_y), (hi_x, hi_y),
+        (-side - 2, mid_y), (w + 2, mid_y), (mid_x, -side - 2), (mid_x, h + 2),
+    ]
+    squares = [(x + rng.uniform(-1, 1), y + rng.uniform(-1, 1), side)
+               for x, y in placed]
+    tiny = rng.uniform(0.2, 0.9)
+    squares += [(rng.uniform(0, w - 1), rng.uniform(0, h - 1), tiny),
+                (-tiny / 2, h - tiny / 2, tiny)]
+    return squares
+
+
+def uint8_frame(shape, fill, rng):
+    if fill == "random":
+        return rng.integers(0, 256, shape, dtype=np.uint8)
+    return np.full(shape, fill, dtype=np.uint8)
+
+
+class TestCropMatchesWholeFrameOracle:
+    @pytest.mark.parametrize("out_size", [32, 64])
+    @pytest.mark.parametrize("shape, fill", [((480, 640, 3), "random"),
+                                             ((96, 128, 3), "random"),
+                                             ((96, 128, 3), 255)])
+    def test_patch_is_bit_identical(self, shape, fill, out_size):
+        rng = np.random.default_rng(7)
+        frame = uint8_frame(shape, fill, rng)
+        for left, top, side in crop_squares(shape[0], shape[1], rng):
+            want = reference_bilinear_crop(frame, left, top, side, out_size)
+            got = trk._bilinear_crop(frame, left, top, side, out_size)
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert np.array_equal(got, want), (left, top, side)
+
+    @pytest.mark.parametrize("shape", [(480, 640, 3), (96, 128, 3),
+                                       (200_000, 2, 3)])
+    @pytest.mark.parametrize("fill", ["random", 0, 255])
+    def test_frame_mean_is_exact(self, shape, fill):
+        frame = uint8_frame(shape, fill, np.random.default_rng(11))
+        want = frame.mean(axis=(0, 1), dtype=np.float64)
+        assert np.array_equal(trk._frame_mean(frame), want)
 
 
 class TestInit:
@@ -209,6 +296,50 @@ class TestTracking:
         cached, _ = tiny_tracker(use_template_cache=True).track(seq)
         for a, b in zip(plain, cached):
             assert np.allclose(a, b, atol=0.1)
+
+    def test_candidate_cropped_only_when_kept(self, monkeypatch):
+        t = tiny_tracker(update_interval=3, score_threshold=0.0)
+        seq = small_sequence(frames=8)
+        real_crop, crops = trk.crop_template, []
+
+        def counting_crop(*args):
+            crops.append(real_crop(*args))
+            return crops[-1]
+
+        monkeypatch.setattr(trk, "crop_template", counting_crop)
+        state = t.init(seq.frames[0], seq.gt_corners(0))
+        kept, best = 0, None
+        for i in range(1, len(seq.frames)):
+            box, score = t.step(state, seq.frames[i])
+            if best is None or score > best:
+                kept, best = kept + 1, score
+                want = real_crop(seq.frames[i], box, t.params.template_factor,
+                                 t.model.config.template_size[0])
+                assert np.array_equal(crops[-1], want)
+            if i % 3 == 0:
+                best = None
+        # one crop at init, then one per kept candidate, and some frames
+        # kept none
+        assert len(crops) == 1 + kept
+        assert kept < len(seq.frames) - 1
+
+    def test_non_finite_prediction_raises_and_keeps_state(self, monkeypatch):
+        t = tiny_tracker()
+        seq = small_sequence(frames=3)
+        forward_box = t.model.forward_box
+
+        def nan_box(*args):
+            box, feat, tmpl = forward_box(*args)
+            return Tensor(np.full(box.shape, np.nan, np.float32)), feat, tmpl
+
+        state = t.init(seq.frames[0], seq.gt_corners(0))
+        t.step(state, seq.frames[1])
+        before = (state.prev_box, state.frame_index, state.best_candidate[2])
+        monkeypatch.setattr(t.model, "forward_box", nan_box)
+        with pytest.raises(ShapeError, match="finite"):
+            t.step(state, seq.frames[2])
+        assert (state.prev_box, state.frame_index,
+                state.best_candidate[2]) == before
 
     def test_scores_in_unit_interval(self):
         t = tiny_tracker()
