@@ -180,18 +180,6 @@ def asymmetric_attention(q_t, k_t, v_t, q_s, k_s, v_s, d=None, want_weights=Fals
     return at, as_
 
 
-def conv_projection(feat_map, role, weights):
-    """Depth-wise projection of one region map for role q, k or v.
-
-    ``weights`` is a MixedAttention module; the role picks the stride-1 query
-    kernel or the stride-2 key/value kernels.
-    """
-    convs = {"q": weights.dw_q, "k": weights.dw_k, "v": weights.dw_v}
-    if role not in convs:
-        raise ConfigError(f"role must be q, k or v, got {role!r}")
-    return convs[role](feat_map)
-
-
 def split_heads(x, heads):
     """[B, L, D] -> [B, H, L, D/H]."""
     b, n, dim = x.shape

@@ -15,6 +15,7 @@ Float32 is the working precision; build inputs and parameters as float64 when
 running finite-difference checks.
 """
 
+import itertools
 import threading
 
 import numpy as np
@@ -437,18 +438,23 @@ def reshape(x, shape):
 def transpose(x, axes=None):
     x = as_tensor(x)
     axes = tuple(axes) if axes else tuple(reversed(range(x.ndim)))
-    out = Tensor(np.transpose(x.data, axes))
-    inv = tuple(np.argsort(axes))
-    return _record("transpose", out, (x,), lambda g: (np.transpose(g, inv),))
+    out = Tensor(x.data.transpose(axes))
+
+    def vjp(g):
+        inv = [0] * len(axes)
+        for i, a in enumerate(axes):
+            inv[a] = i  # a negative axis counts from the end, as in numpy
+        return (g.transpose(inv),)
+
+    return _record("transpose", out, (x,), vjp)
 
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        splits = list(itertools.accumulate(t.data.shape[axis] for t in tensors[:-1]))
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _record("concat", out, tuple(tensors), vjp)
@@ -592,11 +598,28 @@ def _conv_out_extent(n, k, stride, pad):
 
 
 def _patches(x, kh, kw, stride, pad):
-    """Strided view of all kernel windows: [B, C, H', W', kh, kw]."""
+    """Read-only strided view of all kernel windows: [B, C, H', W', kh, kw].
+
+    Padding zero-fills a buffer of the padded shape and assigns the input
+    into its interior; an unpadded input is used as it is, or copied once
+    if it is not C-contiguous.  One view over that buffer then steps
+    ``stride`` pixels between windows and one pixel inside a window, so no
+    window is copied until the caller gathers them.
+    """
+    b, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride], x.shape
+        h, w = h + 2 * pad, w + 2 * pad
+        buf = np.zeros((b, c, h, w), dtype=x.dtype)
+        buf[:, :, pad:-pad, pad:-pad] = x
+    else:
+        buf = np.ascontiguousarray(x)
+    s0, s1, s2, s3 = buf.strides
+    win = np.ndarray(
+        (b, c, (h - kh) // stride + 1, (w - kw) // stride + 1, kh, kw),
+        buf.dtype, buf, 0, (s0, s1, s2 * stride, s3 * stride, s2, s3),
+    )
+    win.flags.writeable = False
+    return win, buf.shape
 
 
 def _scatter_windows(gwin, padded_shape, kh, kw, stride, pad, out_h, out_w):

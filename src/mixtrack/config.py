@@ -15,7 +15,7 @@ from .model import HEAD_TYPES, build_model
 from .tracker import CropParams
 from .train import TrainConfig
 
-PRESETS = ("mixformer", "mixformer_l", "tiny")
+PRESETS = bb.PRESET_NAMES
 
 _BOOL_WORDS = {
     "true": True, "false": False, "yes": True, "no": False,

@@ -15,7 +15,7 @@ HEAD_TYPES = ("corner", "query")
 
 
 class TrackModel(nn.Module):
-    def __init__(self, bb_config, head_type, rng, roi_grid=4):
+    def __init__(self, bb_config, head_type, rng):
         if head_type not in HEAD_TYPES:
             raise ConfigError(
                 f"head must be one of {HEAD_TYPES}, got {head_type!r}"
@@ -58,8 +58,8 @@ class TrackModel(nn.Module):
         )
 
 
-def build_model(preset="mixformer", head="corner", mode="asymmetric", templates=2, seed=0, roi_grid=4):
+def build_model(preset="mixformer", head="corner", mode="asymmetric", templates=2, seed=0):
     """Construct a TrackModel with deterministic initialization."""
     cfg = bb.preset(preset, templates=templates, mode=mode)
     rng = np.random.default_rng(np.random.SeedSequence([0x6D6978, int(seed)]))
-    return TrackModel(cfg, head, rng, roi_grid=roi_grid)
+    return TrackModel(cfg, head, rng)

