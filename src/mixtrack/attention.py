@@ -1,4 +1,4 @@
-"""Mixed attention over concatenated template and search tokens.
+"""Mixed attention over template and search tokens.
 
 A token sequence carries T template grids followed by one search grid
 (``TokenLayout`` describes the split).  Queries, keys and values are produced
@@ -11,6 +11,12 @@ queries attend the whole (template + search) key set.  In the asymmetric mode
 template queries attend template keys only, which makes every template output
 independent of the search region and lets a tracker reuse template features
 across frames.
+
+``MixedAttention`` has one attention method for every pass.  It projects the
+regions present, template and/or search, with one per-region helper, takes
+the template's fresh rows or its cached keys and values, and returns its
+output with the template keys and values it used.  ``MAMBlock`` wraps it in
+the pre-norm residual block and has one entry likewise.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .errors import ConfigError, LayoutError, ShapeError, UsageError
+from .errors import ConfigError, LayoutError, UsageError
 
 FULL_MIXED = "full"
 ASYMMETRIC = "asymmetric"
@@ -87,46 +93,26 @@ class TokenLayout:
         )
 
 
-def split_and_reshape(tokens, layout):
-    """[L, dim] -> (templates [T, dim, t_h, t_w], search [dim, s_h, s_w])."""
-    tokens = ad.as_tensor(tokens)
-    if tokens.ndim != 2 or tokens.shape != (layout.total, layout.dim):
-        raise LayoutError(
-            f"token sequence {tokens.shape} does not match layout "
-            f"[{layout.total}, {layout.dim}]"
-        )
-    t = tokens[: layout.template_total]
-    s = tokens[layout.template_total :]
-    templates = ad.transpose(
-        ad.reshape(t, (layout.templates, layout.t_h, layout.t_w, layout.dim)),
-        (0, 3, 1, 2),
-    )
-    search = ad.transpose(
-        ad.reshape(s, (layout.s_h, layout.s_w, layout.dim)), (2, 0, 1)
-    )
-    return templates, search
-
-
-def flatten_and_concat(templates, search, layout):
-    """Exact inverse of split_and_reshape."""
-    templates = ad.as_tensor(templates)
-    search = ad.as_tensor(search)
-    want_t = (layout.templates, layout.dim, layout.t_h, layout.t_w)
-    want_s = (layout.dim, layout.s_h, layout.s_w)
-    if templates.shape != want_t:
-        raise LayoutError(f"template maps {templates.shape}, expected {want_t}")
-    if search.shape != want_s:
-        raise LayoutError(f"search map {search.shape}, expected {want_s}")
-    t = ad.reshape(
-        ad.transpose(templates, (0, 2, 3, 1)), (layout.template_total, layout.dim)
-    )
-    s = ad.reshape(ad.transpose(search, (1, 2, 0)), (layout.search_total, layout.dim))
-    return ad.concat([t, s], axis=0)
-
-
 def _swap_last(x):
     axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
     return ad.transpose(x, axes)
+
+
+def _part(x, start, stop, axis):
+    """x[start:stop] along ``axis``; x itself when that is all of it."""
+    if start == 0 and stop == x.shape[axis]:
+        return x
+    return x[(slice(None),) * axis + (slice(start, stop),)]
+
+
+def _cat(parts, axis):
+    """Concatenation of parts along ``axis``; a lone part as it is."""
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=axis)
+
+
+def _tokens_to_map(tokens, b, n_maps, h, w, d):
+    """[B, n_maps*h*w, d] tokens -> [B*n_maps, d, h, w] maps."""
+    return ad.transpose(ad.reshape(tokens, (b * n_maps, h, w, d)), (0, 3, 1, 2))
 
 
 def _attend(q, k, v, d, want_weights=False):
@@ -134,50 +120,6 @@ def _attend(q, k, v, d, want_weights=False):
     w = ad.softmax(logits, axis=-1)
     out = ad.matmul(w, v)
     return (out, w) if want_weights else (out, None)
-
-
-def _check_streams(q_t, k_t, v_t, q_s, k_s, v_s, d):
-    streams = (q_t, k_t, v_t, q_s, k_s, v_s)
-    dims = tuple(t.shape[-1] for t in streams)
-    if d is None:
-        d = dims[0]
-    if any(dim != d for dim in dims):
-        raise ShapeError(f"key dims differ: {dims} vs d={d}")
-    if k_t.shape[-2] != v_t.shape[-2] or k_s.shape[-2] != v_s.shape[-2]:
-        raise ShapeError(
-            f"key/value token counts disagree: template {k_t.shape[-2]}/"
-            f"{v_t.shape[-2]}, search {k_s.shape[-2]}/{v_s.shape[-2]}"
-        )
-    return d
-
-
-def mixed_attention(q_t, k_t, v_t, q_s, k_s, v_s, d=None, want_weights=False):
-    """Both branches attend the concatenated template+search key set.
-
-    Returns (attention_t, attention_s); with want_weights also the two
-    softmax matrices.
-    """
-    d = _check_streams(q_t, k_t, v_t, q_s, k_s, v_s, d)
-    k_m = ad.concat([k_t, k_s], axis=-2)
-    v_m = ad.concat([v_t, v_s], axis=-2)
-    at, wt = _attend(q_t, k_m, v_m, d, want_weights)
-    as_, ws = _attend(q_s, k_m, v_m, d, want_weights)
-    if want_weights:
-        return at, as_, wt, ws
-    return at, as_
-
-
-def asymmetric_attention(q_t, k_t, v_t, q_s, k_s, v_s, d=None, want_weights=False):
-    """Template branch attends template keys only; search branch as in
-    mixed_attention."""
-    d = _check_streams(q_t, k_t, v_t, q_s, k_s, v_s, d)
-    at, wt = _attend(q_t, k_t, v_t, d, want_weights)
-    k_m = ad.concat([k_t, k_s], axis=-2)
-    v_m = ad.concat([v_t, v_s], axis=-2)
-    as_, ws = _attend(q_s, k_m, v_m, d, want_weights)
-    if want_weights:
-        return at, as_, wt, ws
-    return at, as_
 
 
 def split_heads(x, heads):
@@ -209,122 +151,82 @@ class MixedAttention(nn.Module):
         self.wv = nn.Linear(dim, dim, rng)
         self.wo = nn.Linear(dim, dim, rng)
 
-    def _region_conv(self, tokens, n_maps, h, w, conv):
-        """Tokens of one region -> 2-D maps -> conv -> tokens again."""
+    def _qkv(self, tokens, n_maps, h, w):
+        """One region's tokens [B, n_maps*h*w, dim] -> its q, k and v token
+        streams: 2-D maps, depth-wise conv per role, tokens again."""
         b = tokens.shape[0]
-        maps = ad.transpose(
-            ad.reshape(tokens, (b * n_maps, h, w, self.dim)), (0, 3, 1, 2)
-        )
-        out = conv(maps)
-        oh, ow = out.shape[2], out.shape[3]
-        back = ad.reshape(
-            ad.transpose(out, (0, 2, 3, 1)), (b, n_maps * oh * ow, self.dim)
-        )
-        return back
-
-    def _projected_streams(self, x, layout, extra):
-        """Split x into regions, conv-project per role, return token streams."""
-        lt = layout.template_total
-        t_tok = x[:, :lt]
-        s_tok = x[:, lt : layout.total]
-        q_parts = [
-            self._region_conv(t_tok, layout.templates, layout.t_h, layout.t_w, self.dw_q),
-            self._region_conv(s_tok, 1, layout.s_h, layout.s_w, self.dw_q),
-        ]
-        if extra:
-            q_parts.append(x[:, layout.total :])
-        k_parts = [
-            self._region_conv(t_tok, layout.templates, layout.t_h, layout.t_w, self.dw_k),
-            self._region_conv(s_tok, 1, layout.s_h, layout.s_w, self.dw_k),
-        ]
-        v_parts = [
-            self._region_conv(t_tok, layout.templates, layout.t_h, layout.t_w, self.dw_v),
-            self._region_conv(s_tok, 1, layout.s_h, layout.s_w, self.dw_v),
-        ]
-        q = split_heads(self.wq(ad.concat(q_parts, axis=1)), self.heads)
-        k = split_heads(self.wk(ad.concat(k_parts, axis=1)), self.heads)
-        v = split_heads(self.wv(ad.concat(v_parts, axis=1)), self.heads)
-        return q, k, v
-
-    def __call__(self, x, layout, extra=0, want_weights=False):
-        """x: [B, layout.total + extra, dim]; extra tokens query all keys but
-        are never keys themselves."""
-        if x.ndim != 3 or x.shape[1] != layout.total + extra or x.shape[2] != self.dim:
-            raise LayoutError(
-                f"tokens {x.shape} do not match layout total {layout.total} "
-                f"+ extra {extra}, dim {self.dim}"
+        maps = _tokens_to_map(tokens, b, n_maps, h, w, self.dim)
+        streams = []
+        for conv in (self.dw_q, self.dw_k, self.dw_v):
+            out = conv(maps)
+            n = n_maps * out.shape[2] * out.shape[3]
+            streams.append(
+                ad.reshape(ad.transpose(out, (0, 2, 3, 1)), (b, n, self.dim))
             )
-        half = layout.halved()
-        lt = layout.template_total
-        kt = half.template_total
-        q, k, v = self._projected_streams(x, layout, extra)
-        dh = self.dim // self.heads
-        attend = mixed_attention if self.mode == FULL_MIXED else asymmetric_attention
-        out = attend(
-            q[:, :, :lt],
-            k[:, :, :kt],
-            v[:, :, :kt],
-            q[:, :, lt:],
-            k[:, :, kt:],
-            v[:, :, kt:],
-            d=dh,
-            want_weights=want_weights,
+        return streams
+
+    def __call__(self, x, layout, extra=0, kv=None, search=True, want_weights=False):
+        """Attention over the regions that x holds, in this order.
+
+        x is [B, rows, dim]: the template rows, unless ``kv`` holds their
+        cached head-split keys and values; the search rows, unless ``search``
+        is false; then ``extra`` rows that query every key but are never keys
+        themselves.  Template queries attend every key in full mode and the
+        template keys only in asymmetric mode, the one mode that allows a
+        template-only or a cached pass.
+
+        Returns (y, (k_t, v_t)) with the template's head-split keys and
+        values; with want_weights also the softmax matrices of the template
+        queries and of the others, those present.
+        """
+        if (kv is not None or not search) and self.mode != ASYMMETRIC:
+            raise ConfigError("template caching requires asymmetric attention")
+        lt = layout.template_total if kv is None else 0
+        ls = layout.search_total if search else 0
+        n_q = lt + ls + extra
+        if x.ndim != 3 or x.shape[1] != n_q or x.shape[2] != self.dim:
+            raise LayoutError(
+                f"tokens {x.shape} do not match {lt} template + {ls} search "
+                f"+ {extra} extra rows of dim {self.dim}"
+            )
+        regions = []
+        if lt:
+            t_tok = _part(x, 0, lt, 1)
+            regions.append(self._qkv(t_tok, layout.templates, layout.t_h, layout.t_w))
+        if ls:
+            s_tok = _part(x, lt, lt + ls, 1)
+            regions.append(self._qkv(s_tok, 1, layout.s_h, layout.s_w))
+        q_parts, k_parts, v_parts = (list(p) for p in zip(*regions))
+        if extra:
+            q_parts.append(x[:, lt + ls :])
+        q, k, v = (
+            split_heads(proj(_cat(parts, 1)), self.heads)
+            for proj, parts in ((self.wq, q_parts), (self.wk, k_parts), (self.wv, v_parts))
         )
-        at, as_ = out[0], out[1]
-        y = self.wo(merge_heads(ad.concat([at, as_], axis=2)))
+        if kv is not None:
+            (k_t, v_t), k_s, v_s = kv, k, v
+        elif ls:
+            kt = layout.halved().template_total
+            k_t, k_s = k[:, :, :kt], k[:, :, kt:]
+            v_t, v_s = v[:, :, :kt], v[:, :, kt:]
+        else:
+            k_t, v_t = k, v
+        if ls:
+            # search queries attend one C-order copy of the template then the
+            # search keys in every pass; attending the uncut projections gives
+            # the same forward bits but other gradient bits
+            k, v = ad.concat([k_t, k_s], axis=-2), ad.concat([v_t, v_s], axis=-2)
+        d = self.dim // self.heads
+        outs = []
+        if lt:
+            keys = (k_t, v_t) if self.mode == ASYMMETRIC else (k, v)
+            outs.append(_attend(_part(q, 0, lt, 2), *keys, d, want_weights))
+        if n_q > lt:
+            outs.append(_attend(_part(q, lt, n_q, 2), k, v, d, want_weights))
+        y = self.wo(merge_heads(_cat([out for out, _ in outs], 2)))
         if want_weights:
-            return y, (out[2], out[3])
-        return y
-
-    def forward_template(self, x, layout):
-        """Template-only pass; asymmetric mode only.
-
-        x is [B, layout.template_total, dim].  Returns (y_t, (k_t, v_t)) with
-        the head-split key/value streams for reuse by forward_search.
-        """
-        if self.mode != ASYMMETRIC:
-            raise ConfigError("template-only pass requires asymmetric attention")
-        if x.ndim != 3 or x.shape[1] != layout.template_total or x.shape[2] != self.dim:
-            raise LayoutError(
-                f"template tokens {x.shape} do not match layout "
-                f"[{layout.template_total}, {self.dim}]"
-            )
-        args = (layout.templates, layout.t_h, layout.t_w)
-        q = split_heads(self.wq(self._region_conv(x, *args, self.dw_q)), self.heads)
-        k = split_heads(self.wk(self._region_conv(x, *args, self.dw_k)), self.heads)
-        v = split_heads(self.wv(self._region_conv(x, *args, self.dw_v)), self.heads)
-        at, _ = _attend(q, k, v, self.dim // self.heads)
-        return self.wo(merge_heads(at)), (k, v)
-
-    def forward_search(self, x, layout, kv, extra=0):
-        """Search-only pass against cached template keys/values.
-
-        x is [B, layout.search_total + extra, dim]; kv the pair returned by
-        forward_template with the same batch size.
-        """
-        if x.ndim != 3 or x.shape[1] != layout.search_total + extra or x.shape[2] != self.dim:
-            raise LayoutError(
-                f"search tokens {x.shape} do not match layout "
-                f"[{layout.search_total} + {extra}, {self.dim}]"
-            )
-        k_t, v_t = kv
-        s_tok = x[:, : layout.search_total]
-        q_tok = self._region_conv(s_tok, 1, layout.s_h, layout.s_w, self.dw_q)
-        if extra:
-            q_tok = ad.concat([q_tok, x[:, layout.search_total :]], axis=1)
-        q = split_heads(self.wq(q_tok), self.heads)
-        k_s = split_heads(
-            self.wk(self._region_conv(s_tok, 1, layout.s_h, layout.s_w, self.dw_k)),
-            self.heads,
-        )
-        v_s = split_heads(
-            self.wv(self._region_conv(s_tok, 1, layout.s_h, layout.s_w, self.dw_v)),
-            self.heads,
-        )
-        k_m = ad.concat([k_t, k_s], axis=-2)
-        v_m = ad.concat([v_t, v_s], axis=-2)
-        as_, _ = _attend(q, k_m, v_m, self.dim // self.heads)
-        return self.wo(merge_heads(as_))
+            return y, (k_t, v_t), tuple(w for _, w in outs)
+        return y, (k_t, v_t)
 
 
 class MAMBlock(nn.Module):
@@ -336,23 +238,24 @@ class MAMBlock(nn.Module):
         self.norm2 = nn.LayerNorm(dim)
         self.mlp = nn.Mlp(dim, mlp_ratio, rng)
 
-    def __call__(self, x, layout, extra=0):
-        x = ad.add(x, self.attn(self.norm1(x), layout, extra))
-        return ad.add(x, self.mlp(self.norm2(x)))
+    def __call__(self, x, layout, extra=0, kv=None, search=True):
+        """One block over the regions x holds (see ``MixedAttention``).
 
-    def attention_weights(self, x, layout, extra=0):
-        """Softmax matrices of this block's attention at input x."""
-        _, weights = self.attn(self.norm1(x), layout, extra, want_weights=True)
-        return weights
-
-    def forward_template(self, x, layout):
-        a, kv = self.attn.forward_template(self.norm1(x), layout)
+        Returns (y, (k_t, v_t)) with the template keys and values of its
+        attention, which a template-only pass caches.
+        """
+        a, kv = self.attn(self.norm1(x), layout, extra, kv=kv, search=search)
         x = ad.add(x, a)
         return ad.add(x, self.mlp(self.norm2(x))), kv
 
-    def forward_search(self, x, layout, kv, extra=0):
-        x = ad.add(x, self.attn.forward_search(self.norm1(x), layout, kv, extra))
-        return ad.add(x, self.mlp(self.norm2(x)))
+    # The template-only and cached passes run the same entry; the names stay
+    # because the benchmark tracer (perfbench/tracing.py) wraps them.
+    forward_template = forward_search = __call__
+
+    def attention_weights(self, x, layout, extra=0):
+        """Softmax matrices of this block's attention at input x."""
+        _, _, weights = self.attn(self.norm1(x), layout, extra, want_weights=True)
+        return weights
 
 
 def attention_weights_dump(block, tokens, layout, names=None):

@@ -551,7 +551,9 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
     var = (xc * xc).mean(axis=axis, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    # C order whatever the input's layout, so a later reduction along the
+    # rows sums in one order whether they came from a strided view or a concat
+    out = Tensor(np.ascontiguousarray(xhat * gain.data + bias.data))
 
     def vjp(g):
         gxh = g * gain.data

@@ -7,10 +7,13 @@ boundaries convert tokens back to 2-D maps for the next embedding.  The final
 stage can carry one extra regression token, and a layer norm is applied to
 the full output sequence before heads consume it.
 
-In asymmetric mode the template half of the computation never reads search
-tokens, so ``forward_template`` can run the template trunk once and cache
-per-block key/value streams; ``forward_search`` then tracks frames against
-the cache.
+One stage loop, ``Backbone._run``, does this for every pass, over the regions
+it is given.  ``forward`` runs templates and search as one sequence per stage,
+and ``final_block_tokens`` runs the same up to the last block.  In asymmetric
+mode the template half never reads search tokens, so ``forward_template``
+runs the template trunk alone and caches each block's template keys and
+values, and ``forward_search`` runs the search rows alone against the cache,
+with the same bits as ``forward``.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .attention import ASYMMETRIC, MAMBlock, TokenLayout, check_mode
+from .attention import (
+    ASYMMETRIC, MAMBlock, TokenLayout, _cat, _part, _tokens_to_map, check_mode,
+)
 from .autodiff import Tensor, _conv_out_extent
 from .errors import ConfigError, ShapeError
 
@@ -180,15 +185,16 @@ class PatchEmbed(nn.Module):
         self.norm = nn.LayerNorm(stage.dim)
 
     def __call__(self, x):
-        """[B, C, H, W] -> ([B, H'*W', D], (H', W'))."""
+        """[B, C, H, W] -> [B, H'*W', D]."""
         y = self.conv(x)
         b, d, h, w = y.shape
         tok = ad.reshape(ad.transpose(y, (0, 2, 3, 1)), (b, h * w, d))
-        return self.norm(tok), (h, w)
+        return self.norm(tok)
 
 
 class Stage(nn.Module):
-    def __init__(self, c_in, cfg, rng, mode):
+    def __init__(self, c_in, cfg, layout, rng, mode):
+        self.layout = layout
         self.embed = PatchEmbed(c_in, cfg, rng)
         self.block = [
             MAMBlock(cfg.dim, cfg.heads, cfg.mlp_ratio, rng, mode=mode)
@@ -196,10 +202,7 @@ class Stage(nn.Module):
         ]
 
 
-def _tokens_to_map(tokens, b, n_maps, h, w, d):
-    return ad.transpose(ad.reshape(tokens, (b * n_maps, h, w, d)), (0, 3, 1, 2))
-
-
+@dataclass(frozen=True)
 class TemplateCache:
     """Frozen template-side state for asymmetric tracking.
 
@@ -208,10 +211,8 @@ class TemplateCache:
     template sequence.
     """
 
-    def __init__(self, kv, template_tokens, templates):
-        self.kv = kv
-        self.template_tokens = template_tokens
-        self.templates = templates
+    kv: list
+    template_tokens: Tensor
 
 
 class Backbone(nn.Module):
@@ -220,9 +221,10 @@ class Backbone(nn.Module):
     def __init__(self, config, rng):
         self.config = config
         s1, s2, s3 = config.stages
-        self.stage1 = Stage(3, s1, rng, config.mode)
-        self.stage2 = Stage(s1.dim, s2, rng, config.mode)
-        self.stage3 = Stage(s2.dim, s3, rng, config.mode)
+        l1, l2, l3 = config.stage_layouts()
+        self.stage1 = Stage(3, s1, l1, rng, config.mode)
+        self.stage2 = Stage(s1.dim, s2, l2, rng, config.mode)
+        self.stage3 = Stage(s2.dim, s3, l3, rng, config.mode)
         self.norm = nn.LayerNorm(s3.dim)
 
     def _stages(self):
@@ -250,6 +252,71 @@ class Backbone(nn.Module):
             )
         return t, s
 
+    def _run(self, templates=None, search=None, cache=None, reg_token=None,
+             last_block=True):
+        """The one stage loop, over the regions given.
+
+        ``templates`` is [B, T, 3, H, W], or None when ``cache`` holds the
+        template side; ``search`` is [B, 3, H, W], or None for a
+        template-only pass.  Each stage embeds the maps present,
+        concatenates their tokens (template rows, search rows, then the
+        regression token in stage 3) and runs its blocks; between stages the
+        rows become maps again.  ``last_block=False`` stops before the last
+        stage-3 block.
+
+        Returns the last token sequence, before the final norm, and per
+        stage the template (k, v) of each block.
+        """
+        n_t = self.config.templates
+        b = (templates if search is None else search).shape[0]
+        t_maps, s_map = templates, search
+        if templates is not None:
+            t_maps = ad.reshape(templates, (b * n_t,) + templates.shape[2:])
+        kv_all = []
+        for i, stage in enumerate(self._stages()):
+            layout = stage.layout
+            lt = layout.template_total if t_maps is not None else 0
+            ls = layout.search_total if s_map is not None else 0
+            parts = []
+            if lt:
+                parts.append(ad.reshape(stage.embed(t_maps), (b, lt, layout.dim)))
+            if ls:
+                parts.append(stage.embed(s_map))
+            extra = 0
+            if i == 2 and reg_token is not None:
+                reg = ad.reshape(reg_token, (1, 1, layout.dim))
+                parts.append(ad.add(reg, Tensor(np.zeros((b, 1, layout.dim), dtype=np.float32))))
+                extra = 1
+            x = _cat(parts, 1)
+            blocks = stage.block if last_block or i < 2 else stage.block[:-1]
+            kvs = cache.kv[i] if cache is not None else [None] * len(blocks)
+            kv_all.append([])
+            for blk, kv in zip(blocks, kvs):
+                x, kv = blk(x, layout, extra, kv=kv, search=bool(ls))
+                kv_all[-1].append(kv)
+            if i < 2 and lt:
+                t_maps = _tokens_to_map(
+                    _part(x, 0, lt, 1), b, n_t, layout.t_h, layout.t_w, layout.dim
+                )
+            if i < 2 and ls:
+                s_map = _tokens_to_map(
+                    _part(x, lt, lt + ls, 1), b, 1, layout.s_h, layout.s_w, layout.dim
+                )
+        return x, kv_all
+
+    def _search_outputs(self, x, start, reg_token):
+        """(search_feat [B, D, h, w], reg_out [B, D] or None) from the normed
+        final sequence x whose search rows begin at row ``start``."""
+        layout = self.stage3.layout
+        b = x.shape[0]
+        stop = start + layout.search_total
+        s_out = _part(x, start, stop, 1)
+        search_feat = _tokens_to_map(s_out, b, 1, layout.s_h, layout.s_w, layout.dim)
+        reg_out = None
+        if reg_token is not None:
+            reg_out = ad.reshape(x[:, stop:], (b, layout.dim))
+        return search_feat, reg_out
+
     def forward(self, templates, search, reg_token=None):
         """templates [B, T, 3, H_t, W_t], search [B, 3, H_s, W_s].
 
@@ -257,105 +324,30 @@ class Backbone(nn.Module):
         reg_out [B, D] or None).
         """
         templates, search = self._check_inputs(templates, search)
-        cfg = self.config
-        b = search.shape[0]
-        n_t = cfg.templates
-        t_maps = ad.reshape(templates, (b * n_t,) + templates.shape[2:])
-        s_map = search
-        layouts = cfg.stage_layouts()
-        x = None
-        for i, (stage, layout) in enumerate(zip(self._stages(), layouts)):
-            t_tok, _ = stage.embed(t_maps)
-            s_tok, _ = stage.embed(s_map)
-            t_tok = ad.reshape(t_tok, (b, layout.template_total, layout.dim))
-            parts = [t_tok, s_tok]
-            extra = 0
-            if i == 2 and reg_token is not None:
-                reg = ad.reshape(reg_token, (1, 1, layout.dim))
-                parts.append(ad.add(reg, Tensor(np.zeros((b, 1, layout.dim), dtype=np.float32))))
-                extra = 1
-            x = ad.concat(parts, axis=1)
-            for blk in stage.block:
-                x = blk(x, layout, extra=extra)
-            if i < 2:
-                lt = layout.template_total
-                t_maps = _tokens_to_map(
-                    x[:, :lt], b, n_t, layout.t_h, layout.t_w, layout.dim
-                )
-                s_map = _tokens_to_map(
-                    x[:, lt : layout.total], b, 1, layout.s_h, layout.s_w, layout.dim
-                )
+        x, _ = self._run(templates, search, reg_token=reg_token)
         x = self.norm(x)
-        layout = layouts[-1]
-        lt = layout.template_total
+        lt = self.stage3.layout.template_total
         template_tokens = x[:, :lt]
-        s_out = x[:, lt : layout.total]
-        search_feat = _tokens_to_map(s_out, b, 1, layout.s_h, layout.s_w, layout.dim)
-        reg_out = None
-        if reg_token is not None:
-            reg_out = ad.reshape(x[:, layout.total :], (b, layout.dim))
+        search_feat, reg_out = self._search_outputs(x, lt, reg_token)
         return search_feat, template_tokens, reg_out
 
     def final_block_tokens(self, templates, search):
-        """Token sequence entering the last stage-3 block, with its layout.
-
-        Mirrors forward up to that block; used to dump attention weights.
-        """
+        """Token sequence entering the last stage-3 block, with its layout;
+        used to dump attention weights."""
         templates, search = self._check_inputs(templates, search)
-        cfg = self.config
-        b = search.shape[0]
-        n_t = cfg.templates
-        t_maps = ad.reshape(templates, (b * n_t,) + templates.shape[2:])
-        s_map = search
-        layouts = cfg.stage_layouts()
-        x = None
-        for i, (stage, layout) in enumerate(zip(self._stages(), layouts)):
-            t_tok, _ = stage.embed(t_maps)
-            s_tok, _ = stage.embed(s_map)
-            t_tok = ad.reshape(t_tok, (b, layout.template_total, layout.dim))
-            x = ad.concat([t_tok, s_tok], axis=1)
-            blocks = stage.block if i < 2 else stage.block[:-1]
-            for blk in blocks:
-                x = blk(x, layout)
-            if i < 2:
-                lt = layout.template_total
-                t_maps = _tokens_to_map(
-                    x[:, :lt], b, n_t, layout.t_h, layout.t_w, layout.dim
-                )
-                s_map = _tokens_to_map(
-                    x[:, lt : layout.total], b, 1, layout.s_h, layout.s_w, layout.dim
-                )
-        return x, layouts[-1]
+        x, _ = self._run(templates, search, last_block=False)
+        return x, self.stage3.layout
 
     # ------------------------------------------------------------------
     # asymmetric-mode template caching
 
     def forward_template(self, templates):
         """Run the template trunk alone and cache per-block k/v streams."""
-        if self.config.mode != ASYMMETRIC:
-            raise ConfigError("template caching requires asymmetric attention")
-        cfg = self.config
         templates = ad.as_tensor(templates)
         if templates.ndim == 4:
             templates = ad.reshape(templates, (1,) + templates.shape)
-        b, n_t = templates.shape[0], cfg.templates
-        t_maps = ad.reshape(templates, (b * n_t,) + templates.shape[2:])
-        layouts = cfg.stage_layouts()
-        kv_all = []
-        x = None
-        for i, (stage, layout) in enumerate(zip(self._stages(), layouts)):
-            t_tok, _ = stage.embed(t_maps)
-            x = ad.reshape(t_tok, (b, layout.template_total, layout.dim))
-            stage_kv = []
-            for blk in stage.block:
-                x, kv = blk.forward_template(x, layout)
-                stage_kv.append(kv)
-            kv_all.append(stage_kv)
-            if i < 2:
-                t_maps = _tokens_to_map(
-                    x, b, n_t, layout.t_h, layout.t_w, layout.dim
-                )
-        return TemplateCache(kv_all, self.norm(x), n_t)
+        x, kv = self._run(templates)
+        return TemplateCache(kv, self.norm(x))
 
     def forward_search(self, search, cache, reg_token=None):
         """Track one search crop against cached template features.
@@ -363,32 +355,9 @@ class Backbone(nn.Module):
         Returns the same triple as ``forward`` (template tokens come from the
         cache).
         """
-        cfg = self.config
         search = ad.as_tensor(search)
         if search.ndim == 3:
             search = ad.reshape(search, (1,) + search.shape)
-        b = search.shape[0]
-        s_map = search
-        layouts = cfg.stage_layouts()
-        x = None
-        for i, (stage, layout) in enumerate(zip(self._stages(), layouts)):
-            s_tok, _ = stage.embed(s_map)
-            extra = 0
-            if i == 2 and reg_token is not None:
-                reg = ad.reshape(reg_token, (1, 1, layout.dim))
-                reg = ad.add(reg, Tensor(np.zeros((b, 1, layout.dim), dtype=np.float32)))
-                s_tok = ad.concat([s_tok, reg], axis=1)
-                extra = 1
-            x = s_tok
-            for blk, kv in zip(stage.block, cache.kv[i]):
-                x = blk.forward_search(x, layout, kv, extra=extra)
-            if i < 2:
-                s_map = _tokens_to_map(x, b, 1, layout.s_h, layout.s_w, layout.dim)
-        x = self.norm(x)
-        layout = layouts[-1]
-        s_out = x[:, : layout.search_total]
-        search_feat = _tokens_to_map(s_out, b, 1, layout.s_h, layout.s_w, layout.dim)
-        reg_out = None
-        if reg_token is not None:
-            reg_out = ad.reshape(x[:, layout.search_total :], (b, layout.dim))
+        x, _ = self._run(search=search, cache=cache, reg_token=reg_token)
+        search_feat, reg_out = self._search_outputs(self.norm(x), 0, reg_token)
         return search_feat, cache.template_tokens, reg_out

@@ -30,18 +30,20 @@ class TrackModel(nn.Module):
             self.head = QueryHead(dim, rng)
         self.score = ScorePredictor(dim, rng)
 
-    def forward_box(self, templates, search):
+    def forward_box(self, templates, search, cache=None):
         """Predict [B, 4] normalized corner boxes over the search crop.
 
+        With a ``TemplateCache`` from ``backbone.forward_template`` the
+        templates are not read and the search runs against the cache.
         Returns (boxes, search_feat, template_tokens); the extras feed the
         score predictor.
         """
         reg = self.head.token if self.head_type == "query" else None
-        feat, tmpl, reg_out = self.backbone.forward(templates, search, reg_token=reg)
-        if self.head_type == "query":
-            box = self.head(reg_out)
+        if cache is None:
+            feat, tmpl, reg_out = self.backbone.forward(templates, search, reg_token=reg)
         else:
-            box = self.head(feat)
+            feat, tmpl, reg_out = self.backbone.forward_search(search, cache, reg_token=reg)
+        box = self.head(reg_out if self.head_type == "query" else feat)
         return box, feat, tmpl
 
     def tokens_per_template(self):

@@ -221,23 +221,13 @@ class Tracker:
         return np.stack(stack)[None]
 
     def _forward(self, state, patch):
-        model = self.model
+        templates = self._templates(state)
         if self.use_template_cache:
-            templates = self._templates(state)
             key = templates.tobytes()
             if self._cache_key != key:
-                self._cache = model.backbone.forward_template(templates)
+                self._cache = self.model.backbone.forward_template(templates)
                 self._cache_key = key
-            reg = model.head.token if model.head_type == "query" else None
-            feat, tmpl, reg_out = model.backbone.forward_search(
-                patch[None], self._cache, reg_token=reg
-            )
-            if model.head_type == "query":
-                box = model.head(reg_out)
-            else:
-                box = model.head(feat)
-            return box, feat, tmpl
-        return model.forward_box(self._templates(state), patch[None])
+        return self.model.forward_box(templates, patch[None], self._cache)
 
     def step(self, state, frame):
         """One frame: returns (box in frame pixels, score)."""

@@ -207,6 +207,25 @@ def test_layer_norm_constant_vector_is_zero():
     )
 
 
+def test_layer_norm_of_a_transposed_view_is_c_contiguous():
+    # the patch-embedding tokens are a channel-major view; the norm returns
+    # the same values in C order, so later reductions over its rows sum in
+    # the order they would over rows copied out of a concat
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 16, 4, 8)).astype(np.float32)
+    x = x.transpose(0, 2, 3, 1).reshape(2, 32, 16)
+    assert not x.flags.c_contiguous
+    gain = rng.standard_normal(16).astype(np.float32)
+    bias = rng.standard_normal(16).astype(np.float32)
+    got = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).numpy()
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    want = xc * inv * gain + bias
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_layer_norm_bad_eps_raises():
     x = Tensor(np.zeros((1, 4)))
     one = Tensor(np.ones(4))

@@ -109,15 +109,14 @@ class TestPatchEmbed:
         stage = bb.StageConfig(7, 4, 8, 1, 1, 4)
         pe = bb.PatchEmbed(3, stage, np.random.default_rng(0))
         x = np.zeros((1, 3, 128, 128), dtype=np.float32)
-        tok, (h, w) = pe(x)
-        assert (h, w) == (32, 32)
-        assert tok.shape == (1, 1024, 8)
+        tok = pe(x)
+        assert tok.shape == (1, 32 * 32, 8)
 
     def test_tokens_are_normalized_per_position(self):
         stage = bb.StageConfig(3, 2, 6, 1, 1, 4)
         pe = bb.PatchEmbed(3, stage, np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((1, 3, 8, 8)).astype(np.float32)
-        tok, _ = pe(x)
+        tok = pe(x)
         m = tok.numpy().mean(axis=-1)
         assert np.abs(m).max() < 1e-5
 
@@ -198,15 +197,33 @@ class TestForward:
 
 class TestTemplateCache:
     def test_cached_matches_full_forward(self):
+        # bit for bit, without and with the regression token, at B=1 and B=4
+        cfg, net = tiny_net()
+        token = Tensor(np.random.default_rng(9).standard_normal(64).astype(np.float32))
+        for batch in (1, 4):
+            t, s = tiny_inputs(cfg, batch=batch)
+            cache = net.forward_template(t)
+            for reg_token in (None, token):
+                full = net.forward(t, s, reg_token=reg_token)
+                cached = net.forward_search(s, cache, reg_token=reg_token)
+                for a, b in zip(full, cached):
+                    if a is None:
+                        assert b is None
+                    else:
+                        assert np.array_equal(a.numpy(), b.numpy())
+
+    def test_final_block_tokens_feed_the_last_block(self):
         cfg, net = tiny_net()
         t, s = tiny_inputs(cfg)
-        token = Tensor(np.random.default_rng(9).standard_normal(64).astype(np.float32))
-        feat, tmpl, reg = net.forward(t, s, reg_token=token)
-        cache = net.forward_template(t)
-        feat_c, tmpl_c, reg_c = net.forward_search(s, cache, reg_token=token)
-        assert np.allclose(feat.numpy(), feat_c.numpy(), atol=1e-5)
-        assert np.allclose(tmpl.numpy(), tmpl_c.numpy(), atol=1e-5)
-        assert np.allclose(reg.numpy(), reg_c.numpy(), atol=1e-5)
+        x, layout = net.final_block_tokens(t, s)
+        assert layout == cfg.stage_layouts()[-1]
+        y, _ = net.stage3.block[-1](x, layout)
+        y = net.norm(y).numpy()
+        feat, tmpl, _ = net.forward(t, s)
+        lt = layout.template_total
+        assert np.array_equal(y[:, :lt], tmpl.numpy())
+        search = y[:, lt:].reshape(1, layout.s_h, layout.s_w, layout.dim)
+        assert np.array_equal(search.transpose(0, 3, 1, 2), feat.numpy())
 
     def test_template_recompute_is_bit_identical(self):
         cfg, net = tiny_net()
