@@ -3,8 +3,11 @@
 A token sequence carries T template grids followed by one search grid
 (``TokenLayout`` describes the split).  Queries, keys and values are produced
 by depth-wise convolutions applied to each region's 2-D map separately, then
-shared linear projections.  Keys and values are convolved with stride 2, so
-the attended key set is a quarter the size of the query set.
+shared linear projections.  A region's tokens are row-major over its grid
+with channels last, so they reshape into the channels-last maps the
+convolutions take, and the outputs reshape back, without a transpose.  Keys
+and values are convolved with stride 2, so the attended key set is a quarter
+the size of the query set.
 
 Two attention modes exist.  In full mixed attention both template and search
 queries attend the whole (template + search) key set.  In the asymmetric mode
@@ -153,16 +156,16 @@ class MixedAttention(nn.Module):
 
     def _qkv(self, tokens, n_maps, h, w):
         """One region's tokens [B, n_maps*h*w, dim] -> its q, k and v token
-        streams: 2-D maps, depth-wise conv per role, tokens again."""
+        streams: the tokens reshaped to channels-last maps [B*n_maps, h, w,
+        dim], a depth-wise conv per role, and each output reshaped straight
+        back to tokens."""
         b = tokens.shape[0]
-        maps = _tokens_to_map(tokens, b, n_maps, h, w, self.dim)
+        maps = ad.reshape(tokens, (b * n_maps, h, w, self.dim))
         streams = []
         for conv in (self.dw_q, self.dw_k, self.dw_v):
             out = conv(maps)
-            n = n_maps * out.shape[2] * out.shape[3]
-            streams.append(
-                ad.reshape(ad.transpose(out, (0, 2, 3, 1)), (b, n, self.dim))
-            )
+            n = n_maps * out.shape[1] * out.shape[2]
+            streams.append(ad.reshape(out, (b, n, self.dim)))
         return streams
 
     def __call__(self, x, layout, extra=0, kv=None, search=True, want_weights=False):

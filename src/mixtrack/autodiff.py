@@ -26,15 +26,15 @@ from .errors import ConfigError, GradCheckError, ShapeError, UsageError
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-_tls = threading.local()
+
+class _ThreadTapes(threading.local):
+    """Per-thread stack of active tapes, created empty on each thread."""
+
+    def __init__(self):
+        self.stack = []
 
 
-def _tape_stack():
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
+_tls = _ThreadTapes()
 
 
 class Tape:
@@ -49,16 +49,16 @@ class Tape:
         self.check_finite = check_finite
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _tls.stack.pop()
         return False
 
     @staticmethod
     def active():
-        stack = _tape_stack()
+        stack = _tls.stack
         return stack[-1] if stack else None
 
     def __len__(self):
@@ -225,10 +225,10 @@ def _coerce_pair(a, b):
 
 
 def _record(name, out, inputs, vjp):
-    tape = Tape.active()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    stack = _tls.stack
+    if stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(name, out, inputs, vjp)
+        stack[-1].record(name, out, inputs, vjp)
     return out
 
 
@@ -254,7 +254,10 @@ def add(a, b):
     out = Tensor(a.data + b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _record("add", out, (a, b), vjp)
 
@@ -264,7 +267,10 @@ def sub(a, b):
     out = Tensor(a.data - b.data)
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+        )
 
     return _record("sub", out, (a, b), vjp)
 
@@ -275,8 +281,8 @@ def mul(a, b):
 
     def vjp(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return _record("mul", out, (a, b), vjp)
@@ -507,9 +513,12 @@ def matmul(a, b):
     out = Tensor(np.matmul(a.data, b.data))
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return ga, gb
 
     return _record("matmul", out, (a, b), vjp)
 
@@ -546,9 +555,11 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=axis, keepdims=True)
+    # np.add.reduce / n equals ndarray.mean bit for bit, without its wrapper
+    n = x.data.shape[axis]
+    mu = np.add.reduce(x.data, axis=axis, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=axis, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     # C order whatever the input's layout, so a later reduction along the
@@ -557,8 +568,8 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
 
     def vjp(g):
         gxh = g * gain.data
-        m1 = gxh.mean(axis=axis, keepdims=True)
-        m2 = (gxh * xhat).mean(axis=axis, keepdims=True)
+        m1 = np.add.reduce(gxh, axis=axis, keepdims=True) / n
+        m2 = np.add.reduce(gxh * xhat, axis=axis, keepdims=True) / n
         gx = inv * (gxh - m1 - xhat * m2)
         ggain = _unbroadcast(g * xhat, gain.data.shape)
         gbias = _unbroadcast(g, bias.data.shape)
@@ -663,12 +674,15 @@ def conv2d(x, w, b=None, stride=1, pad=0):
         gflat = np.ascontiguousarray(
             g.transpose(0, 2, 3, 1).reshape(bsz, out_h * out_w, cout)
         )
-        gw = np.matmul(
-            gflat.reshape(-1, cout).T, cols.reshape(-1, cols.shape[-1])
-        ).reshape(w.shape)
-        gcols = np.matmul(gflat, wm)
-        gwin = gcols.reshape(bsz, out_h, out_w, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gx = _scatter_windows(gwin, padded_shape, kh, kw, stride, pad, out_h, out_w)
+        gx = gw = None
+        if w.requires_grad:
+            gw = np.matmul(
+                gflat.reshape(-1, cout).T, cols.reshape(-1, cols.shape[-1])
+            ).reshape(w.shape)
+        if x.requires_grad:
+            gcols = np.matmul(gflat, wm)
+            gwin = gcols.reshape(bsz, out_h, out_w, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+            gx = _scatter_windows(gwin, padded_shape, kh, kw, stride, pad, out_h, out_w)
         if b is None:
             return gx, gw
         return gx, gw, gflat.sum(axis=(0, 1))
@@ -676,15 +690,35 @@ def conv2d(x, w, b=None, stride=1, pad=0):
     return _record("conv2d", out, inputs, vjp)
 
 
+def _tap_views(buf, kh, kw, stride, out_h, out_w):
+    """Per kernel tap, in row-major order, the strided view of the
+    channels-last ``buf`` [B, H, W, C] that the tap reads for every output
+    position: [B, out_h, out_w, C]."""
+    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    return [
+        buf[:, i : i + span_h : stride, j : j + span_w : stride]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
 def depthwise_conv2d(x, w, b=None, stride=1, pad=0):
-    """Per-channel 2-D convolution: x [B,C,H,W] or [C,H,W], w [C,kh,kw]."""
+    """Per-channel 2-D convolution over channels-last maps.
+
+    x is [B, H, W, C] and w is [C, kh, kw]; the output is [B, H', W', C], so
+    a token sequence reshapes into and out of it without a transpose.  The
+    input is zero-padded into one buffer, and the output sums, tap by tap in
+    row-major kernel order, one strided view of that buffer times the tap's
+    per-channel weights; the bias is added last.  The gradient walks the same
+    views: the input's accumulates g times each tap's weights, and each
+    tap's weight gradient reduces g times its view over every position.
+    """
     x, w = as_tensor(x), as_tensor(w)
-    if x.ndim == 3:
-        y = depthwise_conv2d(
-            reshape(x, (1,) + x.shape), w, b, stride=stride, pad=pad
+    if x.ndim != 4:
+        raise ShapeError(
+            f"depthwise_conv2d needs [B, H, W, C] maps, got shape {x.shape}"
         )
-        return reshape(y, y.shape[1:])
-    bsz, c, h, wd = x.shape
+    bsz, h, wd, c = x.shape
     c_w, kh, kw = w.shape
     if c != c_w:
         raise ShapeError(
@@ -692,26 +726,43 @@ def depthwise_conv2d(x, w, b=None, stride=1, pad=0):
         )
     out_h = _conv_out_extent(h, kh, stride, pad)
     out_w = _conv_out_extent(wd, kw, stride, pad)
-    win, padded_shape = _patches(x.data, kh, kw, stride, pad)
-    npos, ktap = out_h * out_w, kh * kw
-    win4 = np.ascontiguousarray(win.reshape(bsz, c, npos, ktap))
-    y = np.matmul(win4, w.data.reshape(c, ktap, 1))[..., 0].reshape(
-        bsz, c, out_h, out_w
-    )
+    if pad:
+        buf = np.zeros((bsz, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)
+        buf[:, pad:-pad, pad:-pad] = x.data
+    else:
+        buf = x.data
+    taps = np.ascontiguousarray(w.data.reshape(c, kh * kw).T)
+    views = _tap_views(buf, kh, kw, stride, out_h, out_w)
+    y = views[0] * taps[0]
+    tmp = np.empty_like(y)
+    for view, tap in zip(views[1:], taps[1:]):
+        y += np.multiply(view, tap, out=tmp)
     if b is not None:
-        y = y + as_tensor(b).data.reshape(1, -1, 1, 1)
+        y += as_tensor(b).data
     out = Tensor(y)
     inputs = (x, w) if b is None else (x, w, as_tensor(b))
 
     def vjp(g):
-        g4 = g.reshape(bsz, c, npos, 1)
-        gw = np.matmul(g4.transpose(0, 1, 3, 2), win4).sum(axis=0).reshape(w.shape)
-        gwin = np.matmul(g4, w.data.reshape(c, 1, ktap))
-        gwin = gwin.reshape(bsz, c, out_h, out_w, kh, kw)
-        gx = _scatter_windows(gwin, padded_shape, kh, kw, stride, pad, out_h, out_w)
+        # sums over every position as one row-vector product, which is far
+        # cheaper than a reduction down the long axis of a [N, C] array
+        ones = np.ones((1, bsz * out_h * out_w), dtype=g.dtype)
+        prod = np.empty(g.shape, dtype=g.dtype)
+        gx = gw = None
+        if w.requires_grad:
+            gw = np.empty((kh * kw, c), dtype=g.dtype)
+            for t, view in enumerate(views):
+                np.multiply(g, view, out=prod)
+                np.matmul(ones, prod.reshape(-1, c), out=gw[t : t + 1])
+            gw = np.ascontiguousarray(gw.T).reshape(w.shape)
+        if x.requires_grad:
+            gbuf = np.zeros(buf.shape, dtype=g.dtype)
+            gviews = _tap_views(gbuf, kh, kw, stride, out_h, out_w)
+            for gview, tap in zip(gviews, taps):
+                gview += np.multiply(g, tap, out=prod)
+            gx = np.ascontiguousarray(gbuf[:, pad:-pad, pad:-pad]) if pad else gbuf
         if b is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, np.matmul(ones, g.reshape(-1, c)).reshape(c)
 
     return _record("depthwise_conv2d", out, inputs, vjp)
 

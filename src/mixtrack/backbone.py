@@ -230,9 +230,24 @@ class Backbone(nn.Module):
     def _stages(self):
         return (self.stage1, self.stage2, self.stage3)
 
+    def _check_search(self, search, batch):
+        """The search crops as a Tensor, checked to be [batch, 3, H, W] at
+        the configured search size."""
+        size = tuple(self.config.search_size)
+        s = ad.as_tensor(search)
+        if s.ndim != 4 or s.shape[1] != 3 or s.shape[2:] != size:
+            raise ShapeError(
+                f"search must be [B, 3, {size[0]}, {size[1]}], got {s.shape}"
+            )
+        if s.shape[0] != batch:
+            raise ShapeError(
+                f"batch mismatch: {batch} templates vs {s.shape[0]} search"
+            )
+        return s
+
     def _check_inputs(self, templates, search):
         cfg = self.config
-        t, s = ad.as_tensor(templates), ad.as_tensor(search)
+        t = ad.as_tensor(templates)
         if t.ndim != 5 or t.shape[1] != cfg.templates or t.shape[2] != 3:
             raise ShapeError(
                 f"templates must be [B, {cfg.templates}, 3, H, W], got {t.shape}"
@@ -241,16 +256,7 @@ class Backbone(nn.Module):
             raise ShapeError(
                 f"template size {t.shape[3:]} != configured {cfg.template_size}"
             )
-        if s.ndim != 4 or s.shape[1] != 3 or s.shape[2:] != tuple(cfg.search_size):
-            raise ShapeError(
-                f"search must be [B, 3, {cfg.search_size[0]}, "
-                f"{cfg.search_size[1]}], got {s.shape}"
-            )
-        if t.shape[0] != s.shape[0]:
-            raise ShapeError(
-                f"batch mismatch: {t.shape[0]} templates vs {s.shape[0]} search"
-            )
-        return t, s
+        return t, self._check_search(search, t.shape[0])
 
     def _run(self, templates=None, search=None, cache=None, reg_token=None,
              last_block=True):
@@ -358,6 +364,7 @@ class Backbone(nn.Module):
         search = ad.as_tensor(search)
         if search.ndim == 3:
             search = ad.reshape(search, (1,) + search.shape)
+        search = self._check_search(search, cache.template_tokens.shape[0])
         x, _ = self._run(search=search, cache=cache, reg_token=reg_token)
         search_feat, reg_out = self._search_outputs(self.norm(x), 0, reg_token)
         return search_feat, cache.template_tokens, reg_out

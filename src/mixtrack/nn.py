@@ -103,9 +103,10 @@ class LayerNorm(Module):
 class DepthwiseConv(Module):
     """Per-channel 3x3 projection, initialized near identity.
 
-    The center tap starts at one so the projection begins as (sub)sampling and
-    learns local mixing from there; there is no norm layer between this and
-    the linear projection that follows it.
+    It maps channels-last maps [B, H, W, dim] to [B, H', W', dim]; the kernel
+    is [dim, 3, 3].  The center tap starts at one so the projection begins as
+    (sub)sampling and learns local mixing from there; there is no norm layer
+    between this and the linear projection that follows it.
     """
 
     def __init__(self, dim, rng, kernel=3, stride=1, pad=1, dtype=np.float32):

@@ -66,10 +66,14 @@ def test_layout_rejects_bad_extents():
 def test_conv_projection_extents():
     rng = np.random.default_rng(1)
     attn = att.MixedAttention(dim=4, heads=1, rng=rng)
-    m = Tensor(rng.normal(size=(4, 20, 20)).astype(np.float32))
-    assert attn.dw_q(m).shape == (4, 20, 20)
-    assert attn.dw_k(m).shape == (4, 10, 10)
-    assert attn.dw_v(m).shape == (4, 10, 10)
+    m = Tensor(rng.normal(size=(2, 20, 20, 4)).astype(np.float32))
+    assert attn.dw_q(m).shape == (2, 20, 20, 4)
+    assert attn.dw_k(m).shape == (2, 10, 10, 4)
+    assert attn.dw_v(m).shape == (2, 10, 10, 4)
+    tokens = Tensor(rng.normal(size=(2, 3 * 400, 4)).astype(np.float32))
+    q, k, v = attn._qkv(tokens, 3, 20, 20)
+    assert q.shape == (2, 3 * 400, 4)
+    assert k.shape == v.shape == (2, 3 * 100, 4)
 
 
 def test_template_projections_independent():

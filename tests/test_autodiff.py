@@ -1,4 +1,5 @@
 import itertools
+import threading
 import zlib
 
 import numpy as np
@@ -31,18 +32,19 @@ def conv2d_loops(x, w, b, stride, pad):
 
 
 def depthwise_loops(x, k, b, stride, pad):
-    bsz, c, h, wd = x.shape
+    """Channels-last oracle: x [B, H, W, C], k [C, kh, kw]."""
+    bsz, h, wd, c = x.shape
     _, kh, kw = k.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (wd + 2 * pad - kw) // stride + 1
-    y = np.zeros((bsz, c, oh, ow), dtype=x.dtype)
+    y = np.zeros((bsz, oh, ow, c), dtype=x.dtype)
     for bi in range(bsz):
         for ci in range(c):
             for i in range(oh):
                 for j in range(ow):
-                    patch = xp[bi, ci, i * stride : i * stride + kh, j * stride : j * stride + kw]
-                    y[bi, ci, i, j] = (patch * k[ci]).sum() + b[ci]
+                    patch = xp[bi, i * stride : i * stride + kh, j * stride : j * stride + kw, ci]
+                    y[bi, i, j, ci] = (patch * k[ci]).sum() + b[ci]
     return y
 
 
@@ -148,7 +150,7 @@ def test_softmax_rows_sum_to_one():
 
 def test_depthwise_identity_kernel():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
+    x = rng.normal(size=(2, 5, 5, 3)).astype(np.float32)
     k = np.ones((3, 1, 1), dtype=np.float32)
     y = ad.depthwise_conv2d(Tensor(x), Tensor(k))
     np.testing.assert_array_equal(y.numpy(), x)
@@ -156,21 +158,21 @@ def test_depthwise_identity_kernel():
 
 def test_depthwise_all_ones_interior():
     c = 1.5
-    x = np.full((2, 6, 6), c, dtype=np.float32)
+    x = np.full((1, 6, 6, 2), c, dtype=np.float32)
     k = np.ones((2, 3, 3), dtype=np.float32)
     y = ad.depthwise_conv2d(Tensor(x), Tensor(k), pad=1).numpy()
-    assert y.shape == (2, 6, 6)
+    assert y.shape == (1, 6, 6, 2)
     np.testing.assert_allclose(y[:, 1:-1, 1:-1], 9 * c, rtol=1e-6)
 
 
 def test_depthwise_stride2_extents():
-    x = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
+    x = Tensor(np.zeros((1, 16, 16, 1), dtype=np.float32))
     k = Tensor(np.zeros((1, 3, 3), dtype=np.float32))
-    assert ad.depthwise_conv2d(x, k, stride=2, pad=1).shape == (1, 1, 8, 8)
+    assert ad.depthwise_conv2d(x, k, stride=2, pad=1).shape == (1, 8, 8, 1)
 
 
 def test_depthwise_bad_extent_raises():
-    x = Tensor(np.zeros((1, 1, 2, 2), dtype=np.float32))
+    x = Tensor(np.zeros((1, 2, 2, 1), dtype=np.float32))
     k = Tensor(np.zeros((1, 5, 5), dtype=np.float32))
     with pytest.raises(ConfigError):
         ad.depthwise_conv2d(x, k)
@@ -179,19 +181,35 @@ def test_depthwise_bad_extent_raises():
 def test_depthwise_channel_mismatch_raises():
     with pytest.raises(ShapeError):
         ad.depthwise_conv2d(
-            Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 3, 3)))
+            Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 3, 3)))
         )
+    with pytest.raises(ShapeError):
+        ad.depthwise_conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 3))))
 
 
 def test_depthwise_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 4, 9, 7)).astype(np.float64)
+    x = rng.normal(size=(2, 9, 7, 4)).astype(np.float64)
     k = rng.normal(size=(4, 3, 3)).astype(np.float64)
     b = rng.normal(size=4).astype(np.float64)
     for stride, pad in [(1, 1), (2, 1), (1, 0), (3, 2)]:
         got = ad.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, pad=pad)
         want = depthwise_loops(x, k, b, stride, pad)
         np.testing.assert_allclose(got.numpy(), want, rtol=1e-12)
+
+
+def test_depthwise_float32_is_within_summation_error_of_the_oracle():
+    # the taps are summed one by one in float32, then the bias: each of the
+    # kh*kw + 1 additions rounds once, relative to the sum of magnitudes
+    rng = np.random.default_rng(29)
+    x, k, b = (rng.normal(size=shape).astype(np.float32)
+               for shape in ((2, 9, 7, 4), (4, 3, 3), (4,)))
+    for stride, pad in [(1, 1), (2, 1), (1, 0)]:
+        got = ad.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, pad=pad)
+        assert got.dtype == np.float32
+        want = depthwise_loops(*(a.astype(np.float64) for a in (x, k, b)), stride, pad)
+        scale = depthwise_loops(*(np.abs(a).astype(np.float64) for a in (x, k, b)), stride, pad)
+        assert np.all(np.abs(got.numpy() - want) <= 10 * np.finfo(np.float32).eps * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +242,42 @@ def test_layer_norm_of_a_transposed_view_is_c_contiguous():
     want = xc * inv * gain + bias
     assert got.flags.c_contiguous
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _layer_norm_with_ndarray_mean(x, gain, bias, g, eps=1e-5):
+    """The former layer_norm forward and input gradient, built on ndarray.mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    gxh = g * gain
+    m1 = gxh.mean(axis=-1, keepdims=True)
+    m2 = (gxh * xhat).mean(axis=-1, keepdims=True)
+    return xhat * gain + bias, inv * (gxh - m1 - xhat * m2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_matches_ndarray_mean_bit_for_bit(dtype):
+    rng = np.random.default_rng(27)
+    cases = [
+        rng.standard_normal((5, n)) * scale + scale
+        for n in (1, 2, 3, 7, 16, 64, 100, 333, 1000)
+        for scale in (1e-5, 1.0, 1e5)
+    ]
+    cases.append(rng.standard_normal((3, 40, 24)).transpose(0, 2, 1))
+    for x in cases:
+        x = x.astype(dtype)
+        n = x.shape[-1]
+        gain = rng.standard_normal(n).astype(dtype)
+        bias = rng.standard_normal(n).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        leaf = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = ad.layer_norm(leaf, Tensor(gain), Tensor(bias))
+            tape.backward(ad.sum_(ad.mul(y, Tensor(g))))
+        want_y, want_gx = _layer_norm_with_ndarray_mean(x, gain, bias, g)
+        assert y.numpy().tobytes() == np.ascontiguousarray(want_y).tobytes(), x.shape
+        assert np.array_equal(leaf.grad, want_gx), x.shape
 
 
 def test_layer_norm_bad_eps_raises():
@@ -321,6 +375,46 @@ def test_frozen_tensor_receives_no_grad():
     assert w.grad is None
 
 
+def test_vjps_skip_inputs_that_need_no_gradient():
+    rng = np.random.default_rng(28)
+    image = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    a = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+    const = Tensor(rng.normal(size=(3, 3)).astype(np.float32))
+    with Tape() as tape:
+        y = ad.conv2d(image, w, stride=2, pad=1)
+        ad.add(a, 1.0), ad.sub(2.0, a), ad.mul(a, 0.5), ad.matmul(a, const)
+    grads = [vjp(np.ones_like(out.data)) for _, out, _, vjp in tape._entries]
+    assert grads[0][0] is None and grads[0][1].shape == w.shape
+    assert grads[1][1] is None and grads[2][0] is None and grads[3][1] is None
+    assert grads[4][1] is None and grads[4][0].shape == a.shape
+    assert y.requires_grad
+
+
+def test_tape_on_another_thread_records_nothing_from_this_one():
+    x = Tensor(np.ones(3), requires_grad=True)
+    entered, done = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold_tape():
+        with Tape() as tape:
+            entered.set()
+            done.wait(10)
+            seen["entries"] = len(tape)
+            seen["active"] = Tape.active() is tape
+
+    worker = threading.Thread(target=hold_tape)
+    worker.start()
+    assert entered.wait(10)
+    y = ad.mul(x, x)
+    active_here = Tape.active()
+    done.set()
+    worker.join(10)
+    assert not worker.is_alive()
+    assert active_here is None and y.requires_grad is False
+    assert seen == {"entries": 0, "active": True}
+
+
 def test_no_tape_builds_no_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     y = ad.mul(x, x)
@@ -411,44 +505,25 @@ def _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, pad):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("op", [ad.conv2d, ad.depthwise_conv2d])
+@pytest.mark.parametrize("op", [ad.conv2d])
 def test_conv_ops_match_reference_patches(monkeypatch, op, dtype):
     rng = np.random.default_rng(21)
     for kernel, stride, pad, bsz in itertools.product((1, 3, 7), (1, 2, 4), (0, 1, 3), (1, 3)):
         x = rng.normal(size=(bsz, 3, 9, 11)).astype(dtype)
-        if op is ad.conv2d:
-            w = rng.normal(size=(2, 3, kernel, kernel)).astype(dtype)
-            b = rng.normal(size=2).astype(dtype)
-        else:
-            w = rng.normal(size=(3, kernel, kernel)).astype(dtype)
-            b = rng.normal(size=3).astype(dtype)
+        w = rng.normal(size=(2, 3, kernel, kernel)).astype(dtype)
+        b = rng.normal(size=2).astype(dtype)
         _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, pad)
 
 
-@pytest.mark.parametrize("op", [ad.conv2d, ad.depthwise_conv2d])
+@pytest.mark.parametrize("op", [ad.conv2d])
 def test_conv_ops_match_reference_patches_on_transposed_view(monkeypatch, op):
     rng = np.random.default_rng(22)
     x = rng.normal(size=(2, 9, 11, 3)).astype(np.float32).transpose(0, 3, 1, 2)
     assert not x.flags.c_contiguous
-    if op is ad.conv2d:
-        w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
-    else:
-        w = rng.normal(size=(3, 3, 3)).astype(np.float32)
-        b = rng.normal(size=3).astype(np.float32)
-    for stride in (1, 2):
-        _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, 0)
-
-
-def test_depthwise_3d_input_matches_reference_patches(monkeypatch):
-    rng = np.random.default_rng(23)
-    x = rng.normal(size=(4, 10, 10)).astype(np.float32)
-    w = rng.normal(size=(4, 3, 3)).astype(np.float32)
+    w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
     for stride in (1, 2):
-        _assert_matches_reference_patches(
-            monkeypatch, ad.depthwise_conv2d, x, w, b, stride, 1
-        )
+        _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, 0)
 
 
 @pytest.mark.parametrize(
@@ -591,7 +666,7 @@ def _fd_case(name):
             ad.mul(y := ad.conv2d(x, w, b, stride=2, pad=1), y)
         )
     if name == "depthwise_conv2d":
-        x, w, b = t((2, 3, 5, 5)), t((3, 3, 3)), t((3,))
+        x, w, b = t((2, 5, 5, 3)), t((3, 3, 3)), t((3,))
         return {"x": x, "w": w, "b": b}, lambda: ad.sum_(
             ad.mul(y := ad.depthwise_conv2d(x, w, b, stride=2, pad=1), y)
         )
@@ -615,6 +690,23 @@ def test_op_gradient_matches_finite_difference(op):
     params, f = _fd_case(op)
     report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
     assert report.ok(1e-4), f"{op}: {report}"
+
+
+@pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_depthwise_gradient_matches_finite_difference(stride, pad):
+    rng = np.random.default_rng(26)
+    x, w, b = (
+        Tensor(rng.uniform(-1.0, 1.0, size=shape), dtype=np.float64, requires_grad=True)
+        for shape in ((2, 3, 6, 5), (3, 3, 3), (3,))
+    )
+
+    def f():
+        # a channel-major leaf seen channels-last: the op reads a strided view
+        y = ad.depthwise_conv2d(ad.transpose(x, (0, 2, 3, 1)), w, b, stride=stride, pad=pad)
+        return ad.sum_(ad.mul(y, y))
+
+    report = ad.grad_check(f, {"x": x, "w": w, "b": b}, h=1e-5, tol=1e-4)
+    assert report.ok(1e-4), report
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,22 @@ class TestTemplateCache:
         b = net.forward_search(s, cache)[0].numpy()
         assert np.array_equal(a, b)
 
+    def test_search_batch_must_match_the_cache(self):
+        cfg, net = tiny_net()
+        t, _ = tiny_inputs(cfg, batch=1)
+        _, s = tiny_inputs(cfg, batch=4)
+        cache = net.forward_template(t)
+        with pytest.raises(ShapeError, match="batch mismatch: 1 templates vs 4 search"):
+            net.forward_search(s, cache)
+
+    def test_search_size_is_checked_against_the_cache_pass(self):
+        cfg, net = tiny_net()
+        t, _ = tiny_inputs(cfg)
+        cache = net.forward_template(t)
+        for bad in ((1, 3, 32, 32), (1, 1, 64, 64), (3, 64, 48)):
+            with pytest.raises(ShapeError, match=r"search must be \[B, 3, 64, 64\]"):
+                net.forward_search(np.zeros(bad, dtype=np.float32), cache)
+
     def test_cache_requires_asymmetric_mode(self):
         cfg, net = tiny_net(mode=FULL_MIXED)
         t, _ = tiny_inputs(cfg)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mixtrack import autodiff as ad
 from mixtrack import train
 from mixtrack.autodiff import Tensor
 from mixtrack.boxes import iou
@@ -264,6 +265,47 @@ class TestStage1:
                            for k, p in model.named_params().items()})
         for k in finals[0]:
             assert np.array_equal(finals[0][k], finals[1][k])
+
+    def test_skipped_input_gradients_leave_parameter_gradients_unchanged(
+        self, monkeypatch
+    ):
+        # vjps return None for inputs that need no gradient; computing those
+        # anyway must give every parameter the same gradient bits
+        def run():
+            model = build_model("tiny", seed=5)
+            grads = []
+
+            def keep(it, loss, gnorm):
+                grads.append({k: p.grad.copy() for k, p in params.items()})
+
+            params = {k: p for k, p in model.named_params().items()
+                      if not k.startswith("score.")}
+            curve = train_stage1(model, tiny_data(), self.small_cfg(iters=2),
+                                 on_iteration=keep)
+            return curve, grads
+
+        skipped = run()
+        record = ad._record
+
+        def record_computing_every_input(name, out, inputs, vjp):
+            def every_input(g):
+                flags = [t.requires_grad for t in inputs]
+                for t in inputs:
+                    t.requires_grad = True
+                try:
+                    return vjp(g)
+                finally:
+                    for t, flag in zip(inputs, flags):
+                        t.requires_grad = flag
+            return record(name, out, inputs, every_input)
+
+        monkeypatch.setattr(ad, "_record", record_computing_every_input)
+        full = run()
+        assert skipped[0] == full[0]
+        for a, b in zip(skipped[1], full[1]):
+            assert a.keys() == b.keys()
+            for k in a:
+                assert np.array_equal(a[k], b[k]), k
 
     def test_nonfinite_loss_names_the_iteration(self):
         model = build_model("tiny", seed=4)
