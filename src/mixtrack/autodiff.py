@@ -143,9 +143,6 @@ class Tensor:
     def numpy(self):
         return self.data
 
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -582,18 +579,62 @@ def batch_norm_frozen(x, mean, var, gain, bias, eps=1e-5):
     """Inference-form batch norm over channel axis 1 of [B, C, H, W].
 
     ``mean``/``var`` are fixed statistics (plain arrays); only gain and bias
-    are differentiable parameters.
+    are differentiable parameters.  One tape entry computes
+    ``(x - mean) * (gain * inv) + bias`` with ``inv = 1 / sqrt(var + eps)``.
     """
     if eps <= 0:
         raise ConfigError(f"batch_norm_frozen eps must be > 0, got {eps}")
-    x = as_tensor(x)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     mean = np.asarray(mean, dtype=x.dtype)
     var = np.asarray(var, dtype=x.dtype)
-    inv = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
-    shift = mean.reshape(1, -1, 1, 1)
-    scale = mul(gain, Tensor(inv.reshape(-1)))
-    xn = mul(sub(x, Tensor(shift)), reshape(scale, (1, -1, 1, 1)))
-    return add(xn, reshape(as_tensor(bias), (1, -1, 1, 1)))
+    inv = 1.0 / np.sqrt(var + eps)
+    scale = (gain.data * inv).reshape(1, -1, 1, 1)
+    xc = x.data - mean.reshape(1, -1, 1, 1)
+    y = xc * scale
+    y += bias.data.reshape(1, -1, 1, 1)
+    out = Tensor(y)
+
+    def vjp(g):
+        gx = g * scale if x.requires_grad else None
+        ggain = gbias = None
+        if gain.requires_grad:
+            ggain = _unbroadcast(g * xc, scale.shape).reshape(-1) * inv
+        if bias.requires_grad:
+            gbias = _unbroadcast(g, scale.shape).reshape(-1)
+        return gx, ggain, gbias
+
+    return _record("batch_norm_frozen", out, (x, gain, bias), vjp)
+
+
+def edge_pad(x):
+    """Replicate the border cells of the last two axes, one cell each side.
+
+    Equals ``np.pad(x, ((0, 0),) * (x.ndim - 2) + ((1, 1), (1, 1)),
+    mode="edge")``, built by slice assignment.  The gradient folds the
+    border rows back first, then the border columns.
+    """
+    x = as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeError(f"edge_pad needs at least 2 axes, got shape {x.shape}")
+    h, w = x.shape[-2:]
+    y = np.empty(x.shape[:-2] + (h + 2, w + 2), dtype=x.dtype)
+    y[..., 1:-1, 1:-1] = x.data
+    y[..., 1:-1, 0] = x.data[..., 0]
+    y[..., 1:-1, -1] = x.data[..., -1]
+    y[..., 0, :] = y[..., 1, :]
+    y[..., -1, :] = y[..., -2, :]
+    out = Tensor(y)
+
+    def vjp(g):
+        rows = g[..., 1:-1, :].copy()
+        rows[..., -1, :] += g[..., -1, :]
+        rows[..., 0, :] += g[..., 0, :]
+        gx = rows[..., 1:-1].copy()
+        gx[..., -1] += rows[..., -1]
+        gx[..., 0] += rows[..., 0]
+        return (gx,)
+
+    return _record("edge_pad", out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------

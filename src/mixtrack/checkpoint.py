@@ -143,7 +143,7 @@ def state_dict(model):
 
 
 def load_state(model, arrays, allow_prefixes=()):
-    """Copy named arrays into a model, strictly by default.
+    """Copy named arrays into a model's existing arrays, strictly by default.
 
     Names must match the model exactly; a prefix listed in allow_prefixes
     excuses entries that are absent on either side (used when swapping
@@ -166,14 +166,13 @@ def load_state(model, arrays, allow_prefixes=()):
         if name not in targets:
             continue
         target = targets[name]
-        shape = target.shape if isinstance(target, np.ndarray) else target.data.shape
-        if tuple(arr.shape) != tuple(shape):
+        if isinstance(target, Tensor):
+            target = target.data
+        if tuple(arr.shape) != target.shape:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {arr.shape}, "
-                f"model {tuple(shape)}"
+                f"model {target.shape}"
             )
-        if name in params:
-            params[name].data = arr.astype(np.float32).copy()
-        else:
-            buffers[name][...] = arr
+        # in place, so views onto the arrays (an optimizer's arena) stay valid
+        target[...] = arr
     return model

@@ -51,12 +51,6 @@ def soft_argmax(score_map):
     return ad.reshape(x, ()), ad.reshape(y, ())
 
 
-def _edge_pad1(x):
-    """Replicate-pad a [B, C, h, w] map by one cell on every side."""
-    x = ad.concat([x[:, :, :, :1], x, x[:, :, :, -1:]], axis=3)
-    return ad.concat([x[:, :, :1, :], x, x[:, :, -1:, :]], axis=2)
-
-
 class ConvBNRelu(nn.Module):
     # replicate padding so a featureless (constant) map stays constant and
     # scores every position equally
@@ -65,7 +59,7 @@ class ConvBNRelu(nn.Module):
         self.bn = nn.BatchNormFrozen(c_out)
 
     def __call__(self, x):
-        return ad.relu(self.bn(self.conv(_edge_pad1(x))))
+        return ad.relu(self.bn(self.conv(ad.edge_pad(x))))
 
 
 def _corner_stack(dim, rng):

@@ -63,17 +63,6 @@ class Module:
             self._buffers = {}
         self._buffers[name] = arr
 
-    def set_requires_grad(self, flag):
-        for p in self.named_params().values():
-            p.requires_grad = flag
-
-    def zero_grad(self):
-        for p in self.named_params().values():
-            p.zero_grad()
-
-    def param_count(self):
-        return sum(p.size for p in self.named_params().values())
-
 
 class Linear(Module):
     """Affine layer; weight stored as [in, out]."""

@@ -68,8 +68,13 @@ class TrainConfig:
 class AdamW:
     """Adam with decoupled weight decay and a global gradient-norm clip.
 
-    Parameters are stepped in their dictionary order, which is fixed by
-    module construction, so updates are deterministic.
+    On construction the parameters are copied, in their dictionary order
+    (fixed by module construction), into one contiguous arena and each
+    ``p.data`` becomes a view of it.  The moments, the gathered gradient
+    and the scratch space are flat buffers of the same layout, so a step
+    runs a fixed handful of whole-buffer ufuncs however many tensors there
+    are.  A parameter whose ``data`` is later rebound to another array is
+    copied back into the arena at the next gather.
     """
 
     def __init__(self, params, lr=1e-4, weight_decay=1e-4, clip_norm=0.1,
@@ -81,28 +86,60 @@ class AdamW:
         self.betas = betas
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.items}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.items}
+        dtypes = {p.data.dtype for _, p in self.items}
+        if len(dtypes) > 1:
+            raise ConfigError(
+                f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}"
+            )
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
+        size = sum(p.data.size for _, p in self.items)
+        self.arena = np.empty(size, dtype=dtype)
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
+        self.grad = np.empty(size, dtype=dtype)
+        # two rows for the update; the norm reads its bytes as float64
+        self._scratch = np.empty((2, size), dtype=dtype)
+        self._data_views = []
+        self._grad_views = []
+        offset = 0
+        for _, p in self.items:
+            n = p.data.size
+            view = self.arena[offset:offset + n].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._data_views.append(view)
+            self._grad_views.append(self.grad[offset:offset + n].reshape(view.shape))
+            offset += n
 
     def zero_grad(self):
         for _, p in self.items:
             p.grad = None
 
+    def _gather(self):
+        """Copy every gradient into the flat buffer (zeros where missing)
+        and point ``p.grad`` at its slice of it."""
+        for (_, p), data, grad in zip(self.items, self._data_views, self._grad_views):
+            if p.data is not data:
+                data[...] = p.data
+                p.data = data
+            if p.grad is None:
+                grad[...] = 0.0
+            else:
+                grad[...] = p.grad
+                p.grad = grad
+
     def clip_grads(self):
         """Scale every gradient so the global norm is at most clip_norm.
 
-        Returns the post-clip global norm; missing gradients count as zero.
+        Returns the post-clip global norm; missing gradients count as zero
+        and stay None.
         """
-        total = 0.0
-        for _, p in self.items:
-            if p.grad is not None:
-                total += float(np.sum(np.asarray(p.grad, dtype=np.float64) ** 2))
-        norm = float(np.sqrt(total))
+        self._gather()
+        g64 = self._scratch.reshape(-1).view(np.float64)[:self.grad.size]
+        g64[...] = self.grad
+        norm = float(np.sqrt(np.dot(g64, g64)))
         if norm > self.clip_norm:
-            scale = self.clip_norm / norm
-            for _, p in self.items:
-                if p.grad is not None:
-                    p.grad = p.grad * np.asarray(scale, dtype=p.grad.dtype)
+            self.grad *= np.asarray(self.clip_norm / norm, dtype=self.grad.dtype)
             return self.clip_norm
         return norm
 
@@ -114,16 +151,23 @@ class AdamW:
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in self.items:
-            g = p.grad
-            m, v = self.m[name], self.v[name]
-            m *= b1
-            v *= b2
-            if g is not None:
-                m += (1.0 - b1) * g
-                v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= lr * (update + self.weight_decay * p.data)
+        p, g, m, v = self.arena, self.grad, self.m, self.v
+        a, b = self._scratch
+        m *= b1
+        v *= b2
+        m += np.multiply(g, 1.0 - b1, out=a)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - b2
+        v += a
+        # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        a += np.multiply(p, self.weight_decay, out=b)
+        a *= lr
+        p -= a
         return gnorm
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import threading
 import zlib
@@ -324,6 +325,59 @@ def test_batch_norm_frozen_matches_formula():
     np.testing.assert_allclose(y, want, rtol=1e-10)
     with pytest.raises(ConfigError):
         ad.batch_norm_frozen(Tensor(x), mean, var, Tensor(gain), Tensor(bias), eps=-1.0)
+
+
+def _batch_norm_chain(x, mean, var, gain, bias, eps=1e-5):
+    """batch_norm_frozen as a chain of elementwise ops, one tape entry each."""
+    inv = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
+    scale = ad.mul(gain, Tensor(inv.reshape(-1)))
+    xn = ad.mul(ad.sub(x, Tensor(mean.reshape(1, -1, 1, 1))), ad.reshape(scale, (1, -1, 1, 1)))
+    return ad.add(xn, ad.reshape(bias, (1, -1, 1, 1)))
+
+
+@pytest.mark.parametrize("bsz", [1, 4])
+def test_batch_norm_frozen_matches_op_chain_bit_for_bit(bsz):
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(bsz, 3, 4, 5)).astype(np.float32)
+    mean = rng.normal(size=3).astype(np.float32)
+    var = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
+    gain = rng.normal(size=3).astype(np.float32)
+    bias = rng.normal(size=3).astype(np.float32)
+    upstream = Tensor(rng.normal(size=x.shape).astype(np.float32))
+    results = []
+    for op in (ad.batch_norm_frozen, _batch_norm_chain):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        with Tape() as tape:
+            y = op(leaves[0], mean, var, leaves[1], leaves[2])
+            tape.backward(ad.sum_(ad.mul(y, upstream)))
+        results.append((len(tape), [y.numpy()] + [t.grad for t in leaves]))
+    (fused_len, fused), (chain_len, chain) = results
+    assert (fused_len, chain_len) == (3, 8)
+    for name, f, c in zip(("out", "dx", "dgain", "dbias"), fused, chain):
+        assert f.dtype == c.dtype and np.array_equal(f, c), name
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (1, 1, 1, 1), (2, 1, 3), (3, 1), (4, 2)])
+def test_edge_pad_equals_numpy_edge_mode(shape):
+    x = np.random.default_rng(30).normal(size=shape).astype(np.float32)
+    y = ad.edge_pad(Tensor(x)).numpy()
+    want = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((1, 1), (1, 1)), mode="edge")
+    assert y.dtype == want.dtype and np.array_equal(y, want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 1), (2, 2, 3)])
+def test_edge_pad_gradient_on_thin_maps(shape):
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.uniform(-1.0, 1.0, size=shape), dtype=np.float64, requires_grad=True)
+    w = Tensor(rng.uniform(-1.0, 1.0, size=shape[:-2] + (shape[-2] + 2, shape[-1] + 2)),
+               dtype=np.float64)
+    report = ad.grad_check(lambda: ad.sum_(ad.mul(ad.edge_pad(x), w)), {"x": x})
+    assert report.ok(1e-6), report
+
+
+def test_edge_pad_rejects_vectors():
+    with pytest.raises(ShapeError):
+        ad.edge_pad(Tensor(np.ones(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +714,9 @@ def _fd_case(name):
         return {"a": a, "g": g, "b": b}, lambda: ad.sum_(
             ad.mul(y := ad.batch_norm_frozen(a, mean, var, g, b), y)
         )
+    if name == "edge_pad":
+        a = t((2, 2, 3, 4))
+        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.edge_pad(a), y))
     if name == "conv2d":
         x, w, b = t((2, 2, 5, 5)), t((3, 2, 3, 3)), t((3,))
         return {"x": x, "w": w, "b": b}, lambda: ad.sum_(
@@ -680,9 +737,27 @@ ALL_OPS = [
     "add", "sub", "mul", "div", "maximum", "minimum", "neg", "exp", "log",
     "sqrt", "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
     "sum_keepdims", "mean", "reshape", "transpose", "concat", "take",
-    "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "conv2d",
-    "depthwise_conv2d", "matmul",
+    "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "edge_pad",
+    "conv2d", "depthwise_conv2d", "matmul",
 ]
+# cases named otherwise than the function they check
+CASE_FUNCTIONS = {
+    "abs": "abs_", "sum_axis": "sum_", "sum_keepdims": "sum_", "mean": "mean_",
+    "take_repeated": "take",
+}
+# public functions that are not ops: they record nothing of their own
+NOT_OPS = {"as_tensor", "backward", "grad_check", "linear"}
+
+
+def test_every_public_autodiff_function_has_a_finite_difference_case():
+    public = {
+        name for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+        and not name.startswith("_")
+    }
+    covered = {CASE_FUNCTIONS.get(case, case) for case in ALL_OPS}
+    assert covered <= public and not covered & NOT_OPS and NOT_OPS <= public
+    assert public - covered - NOT_OPS == set()
 
 
 @pytest.mark.parametrize("op", ALL_OPS)

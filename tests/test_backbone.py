@@ -270,7 +270,8 @@ class TestTemplateCache:
 class TestCost:
     def test_param_formula_matches_instance(self):
         cfg, net = tiny_net()
-        assert bb.count_params_flops(cfg)["params"] == net.param_count()
+        count = sum(p.size for p in net.named_params().values())
+        assert bb.count_params_flops(cfg)["params"] == count
 
     def test_base_flops_near_reference(self):
         cost = bb.count_params_flops(bb.preset("mixformer", templates=2))

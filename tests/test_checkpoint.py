@@ -4,6 +4,7 @@ import pytest
 from mixtrack import checkpoint as ck
 from mixtrack.errors import CheckpointError, ConfigError
 from mixtrack.model import build_model
+from mixtrack.train import AdamW
 
 
 def sample_arrays():
@@ -158,3 +159,16 @@ class TestModelState:
         ck.load_state(query, trunk_only, allow_prefixes=("head.",))
         for k, v in trunk_only.items():
             assert np.array_equal(v, ck.state_dict(query)[k])
+
+    def test_load_keeps_an_optimizer_stepping_the_loaded_values(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        ck.save_checkpoint(path, ck.state_dict(build_model("tiny", seed=5)))
+        arrays, _ = ck.load_checkpoint(path)
+        model = build_model("tiny", seed=9)
+        params = model.named_params()
+        opt = AdamW(params, lr=1e-2, weight_decay=1e-2)
+        ck.load_state(model, arrays)
+        assert all(p.data.base is opt.arena for p in params.values())
+        opt.step()  # no gradients: a pure weight-decay step from the loaded values
+        for k, p in params.items():
+            np.testing.assert_array_equal(p.data, arrays[k] - 1e-2 * (1e-2 * arrays[k]))

@@ -66,6 +66,20 @@ class TestSoftArgmax:
         assert y.item() == 0.0
 
 
+def pad_by_concat(x):
+    """Replicate padding as slices and concats: six tape entries."""
+    x = ad.concat([x[:, :, :, :1], x, x[:, :, :, -1:]], axis=3)
+    return ad.concat([x[:, :, :1, :], x, x[:, :, -1:, :]], axis=2)
+
+
+def batch_norm_chain(x, mean, var, gain, bias, eps=1e-5):
+    """Frozen batch norm as elementwise ops: six tape entries."""
+    inv = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
+    scale = ad.mul(gain, Tensor(inv.reshape(-1)))
+    xn = ad.mul(ad.sub(x, Tensor(mean.reshape(1, -1, 1, 1))), ad.reshape(scale, (1, -1, 1, 1)))
+    return ad.add(xn, ad.reshape(bias, (1, -1, 1, 1)))
+
+
 class TestCornerHead:
     def test_dim_must_divide_16(self):
         with pytest.raises(ConfigError):
@@ -125,6 +139,42 @@ class TestCornerHead:
 
         report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
         assert report.ok(1e-4), report
+
+    def test_fused_ops_match_the_op_chains_bit_for_bit(self, monkeypatch):
+        # edge_pad and batch_norm_frozen against the chains of smaller ops the
+        # head was built from: same boxes and head gradients bit for bit; the
+        # feature gradient, which the two stacks' pads fold back in another
+        # association, to rounding
+        rng = np.random.default_rng(17)
+        head = heads.CornerHead(32, rng)
+        for blk in head.tl[:-1] + head.br[:-1]:
+            c = blk.bn.gain.size
+            blk.bn.register_buffer("mean", rng.normal(size=c).astype(np.float32))
+            blk.bn.register_buffer("var", rng.uniform(0.5, 2.0, c).astype(np.float32))
+            blk.bn.gain.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
+            blk.bn.bias.data = rng.normal(size=c).astype(np.float32)
+        feat = rng.normal(size=(4, 32, 4, 4)).astype(np.float32)
+        tgt = np.tile([[0.2, 0.25, 0.7, 0.8]], (4, 1))
+
+        def run():
+            x = Tensor(feat, requires_grad=True)
+            with ad.Tape() as tape:
+                box = head(x)
+                tape.backward(losses.loc_loss(box, tgt))
+            grads = {k: p.grad for k, p in head.named_params().items()}
+            for p in head.named_params().values():
+                p.grad = None
+            return box.numpy(), grads, x.grad
+
+        box, grads, gfeat = run()
+        with monkeypatch.context() as m:
+            m.setattr(ad, "edge_pad", pad_by_concat)
+            m.setattr(ad, "batch_norm_frozen", batch_norm_chain)
+            ref_box, ref_grads, ref_gfeat = run()
+        assert np.array_equal(box, ref_box)
+        for k in ref_grads:
+            assert np.array_equal(grads[k], ref_grads[k]), k
+        np.testing.assert_allclose(gfeat, ref_gfeat, rtol=1e-6, atol=1e-7 * np.abs(ref_gfeat).max())
 
 
 class TestQueryHead:

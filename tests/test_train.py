@@ -56,6 +56,37 @@ class TestTrainConfig:
         assert cfg.lr_at(999) == pytest.approx(1e-5)
 
 
+class PerTensorAdamW:
+    """AdamW stepped tensor by tensor, as a reference for the flat arena."""
+
+    def __init__(self, arrays, lr, weight_decay, clip_norm, betas=(0.9, 0.999), eps=1e-8):
+        self.arrays, self.lr, self.wd, self.clip = arrays, lr, weight_decay, clip_norm
+        self.betas, self.eps, self.t = betas, eps, 0
+        self.m = {k: np.zeros_like(a) for k, a in arrays.items()}
+        self.v = {k: np.zeros_like(a) for k, a in arrays.items()}
+
+    def step(self, grads):
+        total = sum(float(np.sum(np.float64(g) ** 2)) for g in grads.values() if g is not None)
+        norm = float(np.sqrt(total))
+        if norm > self.clip:
+            scale = np.float32(self.clip / norm)
+            grads = {k: None if g is None else g * scale for k, g in grads.items()}
+            norm = self.clip
+        self.t += 1
+        b1, b2 = self.betas
+        bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for k, p in self.arrays.items():
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= b1
+            v *= b2
+            if g is not None:
+                m += (1.0 - b1) * g
+                v += (1.0 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p -= self.lr * (update + self.wd * p)
+        return norm
+
+
 class TestAdamW:
     def make_params(self, rng, scale=1.0):
         return {
@@ -123,6 +154,61 @@ class TestAdamW:
             outs.append({k: p.data.copy() for k, p in params.items()})
         for k in outs[0]:
             assert np.array_equal(outs[0][k], outs[1][k])
+
+    def test_parameters_become_views_of_one_arena(self):
+        rng = np.random.default_rng(6)
+        params = self.make_params(rng)
+        before = np.concatenate([p.data.ravel() for p in params.values()])
+        opt = AdamW(params)
+        assert all(p.data.base is opt.arena for p in params.values())
+        assert np.array_equal(opt.arena, before)
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+        opt.step()
+        assert all(p.data.base is opt.arena for p in params.values())
+        assert np.array_equal(opt.arena, np.concatenate(
+            [p.data.ravel() for p in params.values()]))
+        assert not np.array_equal(opt.arena, before)
+
+    @pytest.mark.parametrize("grad_scale, clipped", [(1e-3, False), (10.0, True)])
+    def test_steps_match_per_tensor_reference(self, grad_scale, clipped):
+        rng = np.random.default_rng(7)
+        params = self.make_params(rng)
+        params["c"] = Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32),
+                             requires_grad=True)
+        ref = {k: p.data.copy() for k, p in params.items()}
+        opt = AdamW(params, lr=1e-2, weight_decay=1e-2, clip_norm=0.1)
+        ref_opt = PerTensorAdamW(ref, lr=1e-2, weight_decay=1e-2, clip_norm=0.1)
+        for i in range(5):
+            grads = {k: (rng.normal(size=p.shape) * grad_scale).astype(np.float32)
+                     for k, p in params.items()}
+            grads["b" if i % 2 else "c"] = None  # a missing gradient counts as zero
+            for k, p in params.items():
+                p.grad = grads[k]
+            gnorm, ref_gnorm = opt.step(), ref_opt.step(grads)
+            assert (ref_gnorm == 0.1) is clipped
+            assert gnorm == pytest.approx(ref_gnorm, rel=1e-6)
+        for k, p in params.items():
+            if clipped:
+                np.testing.assert_allclose(p.data, ref[k], rtol=1e-6, atol=0)
+            else:
+                assert np.array_equal(p.data, ref[k]), k
+
+    def test_rebound_parameter_is_stepped_from_its_new_values(self):
+        rng = np.random.default_rng(8)
+        params = self.make_params(rng)
+        opt = AdamW(params, lr=1e-2, weight_decay=1e-2)
+        fresh = rng.normal(size=(4, 3)).astype(np.float32)
+        params["a"].data = fresh.copy()
+        opt.step()
+        assert params["a"].data.base is opt.arena
+        np.testing.assert_array_equal(params["a"].data, fresh - 1e-2 * (1e-2 * fresh))
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        params = {"a": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
+                  "b": Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)}
+        with pytest.raises(ConfigError):
+            AdamW(params)
 
     def test_zero_grad_clears(self):
         rng = np.random.default_rng(5)
