@@ -20,6 +20,16 @@ regions present, template and/or search, with one per-region helper, takes
 the template's fresh rows or its cached keys and values, and returns its
 output with the template keys and values it used.  ``MAMBlock`` wraps it in
 the pre-norm residual block and has one entry likewise.
+
+The two costliest op chains of a block each run as one autodiff op.  The
+depth-wise projections are ``ad.depthwise_conv2d``, which takes small maps
+(every map of the tiny preset) with one product over all kernel taps and
+large ones tap by tap, since the all-tap product's temporary outgrows the
+cache there.  The attention core, softmax(q @ kᵀ / sqrt(d)) @ v, is
+``ad.attention``: one tape entry with an in-place softmax, which takes the
+query rows in blocks when no tape records it.  Either path of either op
+gives the same bits as the plain per-tap loop and the matmul, mul, softmax,
+matmul chain.
 """
 
 from dataclasses import dataclass, replace
@@ -96,11 +106,6 @@ class TokenLayout:
         )
 
 
-def _swap_last(x):
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return ad.transpose(x, axes)
-
-
 def _part(x, start, stop, axis):
     """x[start:stop] along ``axis``; x itself when that is all of it."""
     if start == 0 and stop == x.shape[axis]:
@@ -119,10 +124,13 @@ def _tokens_to_map(tokens, b, n_maps, h, w, d):
 
 
 def _attend(q, k, v, d, want_weights=False):
-    logits = ad.mul(ad.matmul(q, _swap_last(k)), 1.0 / float(np.sqrt(d)))
-    w = ad.softmax(logits, axis=-1)
-    out = ad.matmul(w, v)
-    return (out, w) if want_weights else (out, None)
+    """Attention of head-split q over k and v, scaled by 1/sqrt(d); with
+    want_weights also its softmax matrix, from the op's own helper."""
+    scale = 1.0 / float(np.sqrt(d))
+    out = ad.attention(q, k, v, scale)
+    if not want_weights:
+        return out, None
+    return out, ad.Tensor(ad._attention_weights(q.data, k.data, scale))
 
 
 def split_heads(x, heads):

@@ -290,9 +290,11 @@ def div(a, b):
     out = Tensor(a.data / b.data)
 
     def vjp(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
+        return (
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+            if b.requires_grad else None,
+        )
 
     return _record("div", out, (a, b), vjp)
 
@@ -304,8 +306,8 @@ def maximum(a, b):
     def vjp(g):
         mask = a.data >= b.data
         return (
-            _unbroadcast(g * mask, a.data.shape),
-            _unbroadcast(g * ~mask, b.data.shape),
+            _unbroadcast(g * mask, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * ~mask, b.data.shape) if b.requires_grad else None,
         )
 
     return _record("maximum", out, (a, b), vjp)
@@ -318,8 +320,8 @@ def minimum(a, b):
     def vjp(g):
         mask = a.data <= b.data
         return (
-            _unbroadcast(g * mask, a.data.shape),
-            _unbroadcast(g * ~mask, b.data.shape),
+            _unbroadcast(g * mask, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * ~mask, b.data.shape) if b.requires_grad else None,
         )
 
     return _record("minimum", out, (a, b), vjp)
@@ -547,6 +549,83 @@ def softmax(x, axis=-1):
     return _record("softmax", out, (x,), vjp)
 
 
+# Query rows per block of ``attention`` when no tape records it: the logits
+# of a block are all that is alive at once, which bounds the memory of the
+# large presets' stage-1 attention (6400 queries by 2112 keys on mixformer).
+_ATTENTION_ROWS = 512
+
+
+def _attention_weights(q, k, scale):
+    """softmax(q @ kᵀ · scale) over the last axis, as a new array.
+
+    The scale, the max shift, the exponential and the division run in place,
+    in the order of the former matmul, mul and softmax ops, so the weights
+    carry the same bits.
+    """
+    w = np.matmul(q, np.swapaxes(k, -1, -2))
+    w *= np.asarray(scale, dtype=w.dtype)
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
+    return w
+
+
+def attention(q, k, v, scale):
+    """Scaled dot-product attention: softmax(q @ kᵀ · scale) @ v, one op.
+
+    q is [..., Lq, d], k [..., Lk, d] and v [..., Lk, dv] with equal leading
+    axes; the output is [..., Lq, dv].  It equals the chain
+    matmul(q, kᵀ), mul by ``scale``, softmax and matmul by v bit for bit,
+    forward and backward, as one tape entry that keeps only the weights.
+    With no tape recording it, the query rows run in blocks of
+    ``_ATTENTION_ROWS``; every block still sees every key, so a row's
+    weights are the same as in one block.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
+        raise ShapeError(
+            f"attention needs >=2-d q, k, v of one rank, got {q.shape}, "
+            f"{k.shape} and {v.shape}"
+        )
+    if (q.shape[:-2] != k.shape[:-2] or k.shape[:-1] != v.shape[:-1]
+            or q.shape[-1] != k.shape[-1]):
+        raise ShapeError(
+            f"attention extents differ: q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    inputs = (q, k, v)
+    lq, step = q.shape[-2], _ATTENTION_ROWS
+    if lq <= step or (_tls.stack and any(t.requires_grad for t in inputs)):
+        w = _attention_weights(q.data, k.data, scale)
+        y = np.matmul(w, v.data)
+    else:
+        w = None  # nothing records the op, so its vjp never runs
+        y = np.empty(q.shape[:-1] + v.shape[-1:],
+                     dtype=np.result_type(q.data, k.data, v.data))
+        for r in range(0, lq, step):
+            rows = slice(r, r + step)
+            y[..., rows, :] = np.matmul(
+                _attention_weights(q.data[..., rows, :], k.data, scale), v.data
+            )
+    out = Tensor(y)
+
+    def vjp(g):
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(w, -1, -2), g)
+        if q.requires_grad or k.requires_grad:
+            gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            gw -= np.add.reduce(gw * w, axis=-1, keepdims=True)
+            gw *= w
+            gw *= np.asarray(scale, dtype=gw.dtype)
+            if q.requires_grad:
+                gq = np.matmul(gw, k.data)
+            if k.requires_grad:
+                gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gw), -1, -2)
+        return gq, gk, gv
+
+    return _record("attention", out, inputs, vjp)
+
+
 def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
     """Normalize along ``axis`` then scale/shift; gain/bias broadcast."""
     if eps <= 0:
@@ -731,16 +810,27 @@ def conv2d(x, w, b=None, stride=1, pad=0):
     return _record("conv2d", out, inputs, vjp)
 
 
-def _tap_views(buf, kh, kw, stride, out_h, out_w):
-    """Per kernel tap, in row-major order, the strided view of the
-    channels-last ``buf`` [B, H, W, C] that the tap reads for every output
-    position: [B, out_h, out_w, C]."""
-    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
-    return [
-        buf[:, i : i + span_h : stride, j : j + span_w : stride]
-        for i in range(kh)
-        for j in range(kw)
-    ]
+# Outputs of at most this many elements (B * H' * W' * C) take the tap-major
+# forward and weight gradient of ``depthwise_conv2d``.  On small maps the
+# per-tap loop's fixed cost (9 slices, 17 ufunc calls) dominates and one
+# product over all taps wins; above this size the product's 9x temporary
+# falls out of cache and costs more than the loop saves.  Measured on one
+# core, forward plus gradient: 100 against 141 us at 1024 elements, 263
+# against 277 us at 8192, but 1341 against 569 us at 16384 (the tiny
+# preset's stage-1 search maps at B=4).
+_TAP_MAJOR_MAX = 8192
+
+
+def _tap_window(buf, kh, kw, stride, out_h, out_w):
+    """View [kh, kw, B, out_h, out_w, C] of the C-contiguous channels-last
+    ``buf`` [B, H, W, C]: entry [i, j] is what kernel tap (i, j) reads for
+    every output position."""
+    b, _, _, c = buf.shape
+    s0, s1, s2, s3 = buf.strides
+    return np.ndarray(
+        (kh, kw, b, out_h, out_w, c), buf.dtype, buf, 0,
+        (s1, s2, s0, s1 * stride, s2 * stride, s3),
+    )
 
 
 def depthwise_conv2d(x, w, b=None, stride=1, pad=0):
@@ -748,11 +838,22 @@ def depthwise_conv2d(x, w, b=None, stride=1, pad=0):
 
     x is [B, H, W, C] and w is [C, kh, kw]; the output is [B, H', W', C], so
     a token sequence reshapes into and out of it without a transpose.  The
-    input is zero-padded into one buffer, and the output sums, tap by tap in
-    row-major kernel order, one strided view of that buffer times the tap's
-    per-channel weights; the bias is added last.  The gradient walks the same
-    views: the input's accumulates g times each tap's weights, and each
-    tap's weight gradient reduces g times its view over every position.
+    input is zero-padded into one buffer (or copied once, unpadded, if it is
+    not C-contiguous), and one view of that buffer holds, per kernel tap,
+    what the tap reads at every output position.  The output adds the taps
+    in row-major kernel order, each its view times the tap's per-channel
+    weights, then the bias.  Two forward paths give the same bits:
+
+    - small outputs (at most ``_TAP_MAJOR_MAX`` elements) take one product
+      of the whole window with the kernel and one reduction over the tap
+      axis, which adds the taps one after another in that same order;
+    - large outputs loop over the taps, accumulating into the output, since
+      the tap-major product's 9x temporary would cost more than it saves.
+
+    The gradient walks the same views: each tap's weight gradient reduces g
+    times its view over every position (on small outputs one product and
+    one batched ones-row matmul for all taps), and the input's accumulates
+    g times each tap's weights, tap by tap.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim != 4:
@@ -771,13 +872,20 @@ def depthwise_conv2d(x, w, b=None, stride=1, pad=0):
         buf = np.zeros((bsz, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)
         buf[:, pad:-pad, pad:-pad] = x.data
     else:
-        buf = x.data
+        buf = np.ascontiguousarray(x.data)
+    win = _tap_window(buf, kh, kw, stride, out_h, out_w)
+    win.flags.writeable = False
     taps = np.ascontiguousarray(w.data.reshape(c, kh * kw).T)
-    views = _tap_views(buf, kh, kw, stride, out_h, out_w)
-    y = views[0] * taps[0]
-    tmp = np.empty_like(y)
-    for view, tap in zip(views[1:], taps[1:]):
-        y += np.multiply(view, tap, out=tmp)
+    n_taps, out_shape = kh * kw, (bsz, out_h, out_w, c)
+    tap_major = bsz * out_h * out_w * c <= _TAP_MAJOR_MAX
+    if tap_major:
+        prod = np.multiply(win, taps.reshape(kh, kw, 1, 1, 1, c))
+        y = np.add.reduce(prod.reshape((n_taps,) + out_shape), axis=0)
+    else:
+        y = win[0, 0] * taps[0]
+        tmp = np.empty_like(y)
+        for t in range(1, n_taps):
+            y += np.multiply(win[divmod(t, kw)], taps[t], out=tmp)
     if b is not None:
         y += as_tensor(b).data
     out = Tensor(y)
@@ -790,16 +898,20 @@ def depthwise_conv2d(x, w, b=None, stride=1, pad=0):
         prod = np.empty(g.shape, dtype=g.dtype)
         gx = gw = None
         if w.requires_grad:
-            gw = np.empty((kh * kw, c), dtype=g.dtype)
-            for t, view in enumerate(views):
-                np.multiply(g, view, out=prod)
-                np.matmul(ones, prod.reshape(-1, c), out=gw[t : t + 1])
+            if tap_major:
+                gprod = np.multiply(win, g).reshape(n_taps, -1, c)
+                gw = np.matmul(ones, gprod).reshape(n_taps, c)
+            else:
+                gw = np.empty((n_taps, c), dtype=g.dtype)
+                for t in range(n_taps):
+                    np.multiply(g, win[divmod(t, kw)], out=prod)
+                    np.matmul(ones, prod.reshape(-1, c), out=gw[t : t + 1])
             gw = np.ascontiguousarray(gw.T).reshape(w.shape)
         if x.requires_grad:
             gbuf = np.zeros(buf.shape, dtype=g.dtype)
-            gviews = _tap_views(gbuf, kh, kw, stride, out_h, out_w)
-            for gview, tap in zip(gviews, taps):
-                gview += np.multiply(g, tap, out=prod)
+            gwin = _tap_window(gbuf, kh, kw, stride, out_h, out_w)
+            for t in range(n_taps):
+                gwin[divmod(t, kw)] += np.multiply(g, taps[t], out=prod)
             gx = np.ascontiguousarray(gbuf[:, pad:-pad, pad:-pad]) if pad else gbuf
         if b is None:
             return gx, gw

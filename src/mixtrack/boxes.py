@@ -19,16 +19,6 @@ def to_xywh(box):
     return (x0, y0, x1 - x0, y1 - y0)
 
 
-def to_center(box):
-    x0, y0, x1, y1 = (float(v) for v in box)
-    return ((x0 + x1) / 2.0, (y0 + y1) / 2.0, x1 - x0, y1 - y0)
-
-
-def from_center(cwh):
-    cx, cy, w, h = (float(v) for v in cwh)
-    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-
-
 def clamp_box(box, x_max=1.0, y_max=1.0):
     """Clip corners into [0, x_max] x [0, y_max], keeping x0<=x1, y0<=y1."""
     x0, y0, x1, y1 = box

@@ -102,16 +102,6 @@ class CornerHead(nn.Module):
         cols = [ad.reshape(v, (-1, 1)) for v in (x0, y0, x1, y1)]
         return ad.concat(cols, axis=1)
 
-    def heatmaps(self, feat):
-        """Softmaxed corner probability fields, for inspection."""
-        out = []
-        for stack in (self.tl, self.br):
-            m = self._score_map(stack, feat)
-            b, h, w = m.shape
-            p = ad.softmax(ad.reshape(m, (b, h * w)), axis=-1)
-            out.append(ad.reshape(p, (b, h, w)).numpy())
-        return tuple(out)
-
 
 class QueryHead(nn.Module):
     """Learnable regression token plus a 3-layer FFN box decoder."""

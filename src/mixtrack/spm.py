@@ -86,8 +86,7 @@ class CrossAttnBlock(nn.Module):
         q = self.wq(queries)
         k = self.wk(keys)
         v = self.wv(keys)
-        logits = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / float(np.sqrt(self.dim)))
-        att = ad.matmul(ad.softmax(logits, axis=-1), v)
+        att = ad.attention(q, k, v, 1.0 / float(np.sqrt(self.dim)))
         return self.norm(ad.add(queries, self.wo(att)))
 
 

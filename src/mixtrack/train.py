@@ -459,15 +459,6 @@ def default_training_data(seed, sequences=8, frames=40):
 
 # ------------------------------------------------------------------- curves
 
-def smoothed_endpoints(curve, window=101):
-    """Mean loss over the first and last window rows: (head, tail)."""
-    if not curve:
-        raise UsageError("empty loss curve")
-    losses = [row[1] for row in curve]
-    w = min(window, len(losses))
-    return float(np.mean(losses[:w])), float(np.mean(losses[-w:]))
-
-
 def write_loss_curve(path, curve):
     """Write iter,loss,grad_norm CSV rows atomically."""
     lines = ["iter,loss,grad_norm"]

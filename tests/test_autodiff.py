@@ -59,6 +59,76 @@ def reference_patches(x, kh, kw, stride, pad):
     return win[:, :, ::stride, ::stride], x.shape
 
 
+def _reference_tap_views(buf, kh, kw, stride, out_h, out_w):
+    """Per kernel tap, in row-major order, the strided view of the
+    channels-last ``buf`` [B, H, W, C] that the tap reads for every output
+    position: [B, out_h, out_w, C]."""
+    span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+    return [
+        buf[:, i : i + span_h : stride, j : j + span_w : stride]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
+# The former ``autodiff.depthwise_conv2d`` and its ``_tap_views``, a per-tap
+# loop on every map size, kept verbatim (bar the ``ad.`` prefixes): both
+# forward paths of the op must match it bit for bit.
+def reference_depthwise(x, w, b=None, stride=1, pad=0):
+    x, w = ad.as_tensor(x), ad.as_tensor(w)
+    if x.ndim != 4:
+        raise ShapeError(
+            f"depthwise_conv2d needs [B, H, W, C] maps, got shape {x.shape}"
+        )
+    bsz, h, wd, c = x.shape
+    c_w, kh, kw = w.shape
+    if c != c_w:
+        raise ShapeError(
+            f"depthwise_conv2d channel mismatch: input has {c}, kernel has {c_w}"
+        )
+    out_h = ad._conv_out_extent(h, kh, stride, pad)
+    out_w = ad._conv_out_extent(wd, kw, stride, pad)
+    if pad:
+        buf = np.zeros((bsz, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)
+        buf[:, pad:-pad, pad:-pad] = x.data
+    else:
+        buf = x.data
+    taps = np.ascontiguousarray(w.data.reshape(c, kh * kw).T)
+    views = _reference_tap_views(buf, kh, kw, stride, out_h, out_w)
+    y = views[0] * taps[0]
+    tmp = np.empty_like(y)
+    for view, tap in zip(views[1:], taps[1:]):
+        y += np.multiply(view, tap, out=tmp)
+    if b is not None:
+        y += ad.as_tensor(b).data
+    out = Tensor(y)
+    inputs = (x, w) if b is None else (x, w, ad.as_tensor(b))
+
+    def vjp(g):
+        # sums over every position as one row-vector product, which is far
+        # cheaper than a reduction down the long axis of a [N, C] array
+        ones = np.ones((1, bsz * out_h * out_w), dtype=g.dtype)
+        prod = np.empty(g.shape, dtype=g.dtype)
+        gx = gw = None
+        if w.requires_grad:
+            gw = np.empty((kh * kw, c), dtype=g.dtype)
+            for t, view in enumerate(views):
+                np.multiply(g, view, out=prod)
+                np.matmul(ones, prod.reshape(-1, c), out=gw[t : t + 1])
+            gw = np.ascontiguousarray(gw.T).reshape(w.shape)
+        if x.requires_grad:
+            gbuf = np.zeros(buf.shape, dtype=g.dtype)
+            gviews = _reference_tap_views(gbuf, kh, kw, stride, out_h, out_w)
+            for gview, tap in zip(gviews, taps):
+                gview += np.multiply(g, tap, out=prod)
+            gx = np.ascontiguousarray(gbuf[:, pad:-pad, pad:-pad]) if pad else gbuf
+        if b is None:
+            return gx, gw
+        return gx, gw, np.matmul(ones, g.reshape(-1, c)).reshape(c)
+
+    return ad._record("depthwise_conv2d", out, inputs, vjp)
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -435,13 +505,24 @@ def test_vjps_skip_inputs_that_need_no_gradient():
     w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
     a = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
     const = Tensor(rng.normal(size=(3, 3)).astype(np.float32))
+    positive = Tensor(rng.uniform(1.0, 2.0, size=(2, 3)).astype(np.float32))
     with Tape() as tape:
         y = ad.conv2d(image, w, stride=2, pad=1)
         ad.add(a, 1.0), ad.sub(2.0, a), ad.mul(a, 0.5), ad.matmul(a, const)
+        ad.div(a, positive), ad.div(positive, a)
+        ad.maximum(a, 1e-12), ad.minimum(0.0, a)
+        ad.attention(a, const, const, 0.5), ad.attention(const[:2], const, a.transpose(), 0.5)
     grads = [vjp(np.ones_like(out.data)) for _, out, _, vjp in tape._entries]
     assert grads[0][0] is None and grads[0][1].shape == w.shape
     assert grads[1][1] is None and grads[2][0] is None and grads[3][1] is None
     assert grads[4][1] is None and grads[4][0].shape == a.shape
+    assert grads[5][1] is None and grads[5][0].shape == a.shape
+    assert grads[6][0] is None and grads[6][1].shape == a.shape
+    assert grads[7][1] is None and grads[7][0].shape == a.shape
+    assert grads[8][0] is None and grads[8][1].shape == a.shape
+    assert grads[9][1:] == (None, None) and grads[9][0].shape == a.shape
+    # entry 10 is the transpose feeding v
+    assert grads[11][:2] == (None, None) and grads[11][2].shape == (3, 2)
     assert y.requires_grad
 
 
@@ -578,6 +659,115 @@ def test_conv_ops_match_reference_patches_on_transposed_view(monkeypatch, op):
     b = rng.normal(size=4).astype(np.float32)
     for stride in (1, 2):
         _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, 0)
+
+
+def attention_chain(q, k, v, scale):
+    """The op chain ``ad.attention`` replaced, as MixedAttention and the
+    score predictor ran it: kᵀ, matmul, mul by the scale, softmax, matmul."""
+    kt = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    logits = ad.mul(ad.matmul(q, kt), scale)
+    return ad.matmul(ad.softmax(logits, axis=-1), v)
+
+
+def _attention_output_and_grads(op, q, k, v, scale):
+    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    with Tape() as tape:
+        y = op(*leaves, scale)
+        upstream = np.linspace(-1.0, 1.0, y.size).reshape(y.shape)
+        tape.backward(ad.sum_(ad.mul(y, Tensor(upstream, dtype=y.dtype))))
+    return [y.numpy()] + [t.grad for t in leaves]
+
+
+# (q, k, v) shapes: head-split MAM rows, including B=4, and the score
+# predictor's single-head rows
+ATTENTION_SHAPES = [
+    ((1, 2, 40, 8), (1, 2, 20, 8), (1, 2, 20, 8)),
+    ((4, 4, 17, 16), (4, 4, 9, 16), (4, 4, 9, 16)),
+    ((1, 32), (16, 32), (16, 32)),
+    ((16, 32), (36, 32), (36, 32)),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shapes", ATTENTION_SHAPES)
+def test_attention_matches_the_op_chain_bit_for_bit(shapes, dtype):
+    rng = np.random.default_rng(31)
+    q, k, v = (rng.normal(size=shape).astype(dtype) for shape in shapes)
+    if q.ndim == 4:
+        # head-split rows are a transposed view of [B, L, H, d] tokens
+        q, k, v = (np.ascontiguousarray(a.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+                   for a in (q, k, v))
+    scale = 1.0 / float(np.sqrt(shapes[0][-1] * 3))  # not a power of two
+    got = _attention_output_and_grads(ad.attention, q, k, v, scale)
+    want = _attention_output_and_grads(attention_chain, q, k, v, scale)
+    for name, g, r in zip(("out", "dq", "dk", "dv"), got, want):
+        assert g.dtype == r.dtype and np.array_equal(g, r), f"attention {name} differs"
+
+
+@pytest.mark.parametrize("shapes", [
+    ((1, 2, 1100, 16), (1, 2, 300, 16), (1, 2, 300, 16)),
+    ((1100, 32), (40, 32), (40, 32)),
+])
+def test_attention_row_blocks_match_one_block(shapes):
+    rng = np.random.default_rng(32)
+    q, k, v = (Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+               for shape in shapes)
+    assert q.shape[-2] > 2 * ad._ATTENTION_ROWS
+    blocked = ad.attention(q, k, v, 0.25).numpy()
+    with Tape():
+        whole = ad.attention(q, k, v, 0.25).numpy()
+    assert np.array_equal(blocked, whole)
+    assert np.array_equal(blocked, np.matmul(ad._attention_weights(q.data, k.data, 0.25), v.data))
+
+
+def test_attention_shape_errors():
+    def t(*shape):
+        return Tensor(np.zeros(shape))
+
+    bad = [
+        (t(5, 4), t(6, 3), t(6, 2)),             # q and k widths differ
+        (t(5, 4), t(6, 4), t(7, 2)),             # k and v lengths differ
+        (t(2, 5, 4), t(3, 6, 4), t(3, 6, 4)),    # leading axes differ
+        (t(1, 5, 4), t(6, 4), t(6, 4)),          # ranks differ
+        (t(4), t(4), t(4)),                      # vectors
+    ]
+    for q, k, v in bad:
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, 1.0)
+
+
+# (B, H, W) of 16-channel maps; the output sizes fall on both sides of the
+# tap-major switch point, B=2 at 16x16 exactly on it
+DEPTHWISE_MAPS = [(1, 16, 16), (2, 16, 16), (4, 16, 16), (1, 48, 48), (1, 5, 7)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bsz, h, wd", DEPTHWISE_MAPS)
+def test_depthwise_matches_reference_on_both_paths(bsz, h, wd, dtype):
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=(bsz, h, wd, 16)).astype(dtype)
+    w = rng.normal(size=(16, 3, 3)).astype(dtype)
+    b = rng.normal(size=16).astype(dtype)
+    # a channel-major array seen channels-last: the op reads a strided view
+    strided = rng.normal(size=(bsz, 16, h, wd)).astype(dtype).transpose(0, 2, 3, 1)
+    cases = [(x, s, p) for s in (1, 2) for p in (0, 1)]
+    cases += [(strided, s, 0) for s in (1, 2)]
+    for xs, stride, pad in cases:
+        got = _conv_output_and_grads(ad.depthwise_conv2d, xs, w, b, stride, pad)
+        want = _conv_output_and_grads(reference_depthwise, xs, w, b, stride, pad)
+        for name, g, r in zip(("out", "dx", "dw", "db"), got, want):
+            assert g.dtype == r.dtype and np.array_equal(g, r), (
+                f"depthwise {name} differs: shape {xs.shape} stride {stride} pad {pad}"
+            )
+
+
+def test_depthwise_maps_cover_both_paths():
+    sizes = {
+        bsz * ad._conv_out_extent(h, 3, s, p) * ad._conv_out_extent(wd, 3, s, p) * 16
+        for bsz, h, wd in DEPTHWISE_MAPS for s in (1, 2) for p in (0, 1)
+    }
+    assert ad._TAP_MAJOR_MAX in sizes
+    assert min(sizes) < ad._TAP_MAJOR_MAX < max(sizes)
 
 
 @pytest.mark.parametrize(
@@ -730,6 +920,11 @@ def _fd_case(name):
     if name == "matmul":
         a, b = t((2, 3, 4)), t((2, 4, 2))
         return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.matmul(a, b), y))
+    if name == "attention":
+        q, k, v = t((2, 3, 4), lo=-2.0, hi=2.0), t((2, 5, 4), lo=-2.0, hi=2.0), t((2, 5, 3))
+        return {"q": q, "k": k, "v": v}, lambda: ad.sum_(
+            ad.mul(y := ad.attention(q, k, v, 0.5), y)
+        )
     raise AssertionError(name)
 
 
@@ -738,7 +933,7 @@ ALL_OPS = [
     "sqrt", "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
     "sum_keepdims", "mean", "reshape", "transpose", "concat", "take",
     "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "edge_pad",
-    "conv2d", "depthwise_conv2d", "matmul",
+    "conv2d", "depthwise_conv2d", "matmul", "attention",
 ]
 # cases named otherwise than the function they check
 CASE_FUNCTIONS = {

@@ -112,14 +112,6 @@ class TestCornerHead:
         with pytest.raises(ShapeError):
             head(Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32)))
 
-    def test_heatmaps_are_distributions(self):
-        rng = np.random.default_rng(3)
-        head = heads.CornerHead(16, rng)
-        feat = Tensor(rng.normal(size=(1, 16, 4, 4)).astype(np.float32))
-        tl, br = head.heatmaps(feat)
-        assert np.allclose(tl.sum(axis=(1, 2)), 1.0, atol=1e-6)
-        assert np.allclose(br.sum(axis=(1, 2)), 1.0, atol=1e-6)
-
     def test_box_loss_gradients_match_finite_differences(self):
         # The narrowest head the constructor builds (dim 16) has ~3.2k
         # parameters to difference.  Dropping the first layer of each stack

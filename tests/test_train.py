@@ -12,7 +12,6 @@ from mixtrack.train import (
     AdamW,
     TrainConfig,
     make_training_pair,
-    smoothed_endpoints,
     spm_accuracy,
     train_stage1,
     train_stage2_spm,
@@ -464,14 +463,6 @@ class TestEvalHelpers:
         b = spm_accuracy(model, data, cfg, samples=4)
         assert 0.0 <= a <= 1.0
         assert a == b
-
-    def test_smoothed_endpoints(self):
-        curve = [(i, float(10 - i), 0.05) for i in range(10)]
-        head, tail = smoothed_endpoints(curve, window=3)
-        assert head == pytest.approx(9.0)
-        assert tail == pytest.approx(2.0)
-        with pytest.raises(UsageError):
-            smoothed_endpoints([])
 
     def test_write_loss_curve(self, tmp_path):
         path = tmp_path / "curve.csv"
