@@ -626,16 +626,16 @@ def attention(q, k, v, scale):
     return _record("attention", out, inputs, vjp)
 
 
-def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
-    """Normalize along ``axis`` then scale/shift; gain/bias broadcast."""
+def layer_norm(x, gain, bias, eps=1e-5):
+    """Normalize along the last axis then scale/shift; gain/bias broadcast."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     # np.add.reduce / n equals ndarray.mean bit for bit, without its wrapper
-    n = x.data.shape[axis]
-    mu = np.add.reduce(x.data, axis=axis, keepdims=True) / n
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     # C order whatever the input's layout, so a later reduction along the
@@ -644,8 +644,8 @@ def layer_norm(x, gain, bias, axis=-1, eps=1e-5):
 
     def vjp(g):
         gxh = g * gain.data
-        m1 = np.add.reduce(gxh, axis=axis, keepdims=True) / n
-        m2 = np.add.reduce(gxh * xhat, axis=axis, keepdims=True) / n
+        m1 = np.add.reduce(gxh, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(gxh * xhat, axis=-1, keepdims=True) / n
         gx = inv * (gxh - m1 - xhat * m2)
         ggain = _unbroadcast(g * xhat, gain.data.shape)
         gbias = _unbroadcast(g, bias.data.shape)

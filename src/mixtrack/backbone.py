@@ -75,7 +75,10 @@ class BackboneConfig:
             if h % 16 or w % 16 or h < 16 or w < 16:
                 raise ConfigError(f"{name} {h}x{w} must be divisible by 16")
         if self.templates < 1:
-            raise ConfigError("template count must be >= 1")
+            raise ConfigError(
+                f"template count must be >= 1 (the static template plus "
+                f"online_templates), got {self.templates}"
+            )
         check_mode(self.mode)
 
     def stage_layouts(self):
@@ -245,7 +248,9 @@ class Backbone(nn.Module):
             )
         return s
 
-    def _check_inputs(self, templates, search):
+    def _check_templates(self, templates):
+        """The template crops as a Tensor, checked to be [B, T, 3, H, W] at
+        the configured count and size."""
         cfg = self.config
         t = ad.as_tensor(templates)
         if t.ndim != 5 or t.shape[1] != cfg.templates or t.shape[2] != 3:
@@ -256,6 +261,10 @@ class Backbone(nn.Module):
             raise ShapeError(
                 f"template size {t.shape[3:]} != configured {cfg.template_size}"
             )
+        return t
+
+    def _check_inputs(self, templates, search):
+        t = self._check_templates(templates)
         return t, self._check_search(search, t.shape[0])
 
     def _run(self, templates=None, search=None, cache=None, reg_token=None,
@@ -349,10 +358,7 @@ class Backbone(nn.Module):
 
     def forward_template(self, templates):
         """Run the template trunk alone and cache per-block k/v streams."""
-        templates = ad.as_tensor(templates)
-        if templates.ndim == 4:
-            templates = ad.reshape(templates, (1,) + templates.shape)
-        x, kv = self._run(templates)
+        x, kv = self._run(self._check_templates(templates))
         return TemplateCache(kv, self.norm(x))
 
     def forward_search(self, search, cache, reg_token=None):
@@ -361,9 +367,6 @@ class Backbone(nn.Module):
         Returns the same triple as ``forward`` (template tokens come from the
         cache).
         """
-        search = ad.as_tensor(search)
-        if search.ndim == 3:
-            search = ad.reshape(search, (1,) + search.shape)
         search = self._check_search(search, cache.template_tokens.shape[0])
         x, _ = self._run(search=search, cache=cache, reg_token=reg_token)
         search_feat, reg_out = self._search_outputs(self.norm(x), 0, reg_token)

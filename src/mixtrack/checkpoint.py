@@ -142,29 +142,20 @@ def state_dict(model):
     return out
 
 
-def load_state(model, arrays, allow_prefixes=()):
-    """Copy named arrays into a model's existing arrays, strictly by default.
+def load_state(model, arrays):
+    """Copy named arrays into a model's existing arrays.
 
-    Names must match the model exactly; a prefix listed in allow_prefixes
-    excuses entries that are absent on either side (used when swapping
-    heads).  Shape mismatches always fail.
+    Names must match the model exactly, and so must every shape.
     """
-    def excused(name):
-        return any(name.startswith(p) for p in allow_prefixes)
-
-    params = model.named_params()
-    buffers = model.named_buffers()
-    targets = {**params, **buffers}
-    missing = [n for n in targets if n not in arrays and not excused(n)]
-    extra = [n for n in arrays if n not in targets and not excused(n)]
+    targets = {**model.named_params(), **model.named_buffers()}
+    missing = [n for n in targets if n not in arrays]
+    extra = [n for n in arrays if n not in targets]
     if missing or extra:
         raise CheckpointError(
             f"state mismatch: missing {sorted(missing)[:4]}, "
             f"unexpected {sorted(extra)[:4]}"
         )
     for name, arr in arrays.items():
-        if name not in targets:
-            continue
         target = targets[name]
         if isinstance(target, Tensor):
             target = target.data

@@ -27,7 +27,7 @@ from .config import (
     load_run_config,
     parse_run_config,
 )
-from .data import load_sequence, precision, success_auc
+from .data import _read_text, load_sequence, precision, success_auc
 from .errors import ConfigError, ParseError, ShapeError, UsageError
 from .tracker import Tracker, crop_search, crop_template
 from .train import (
@@ -47,15 +47,14 @@ def _curve_path(out, stage):
 
 def cmd_train(args):
     cfg = load_run_config(args.config)
-    tcfg = cfg.to_train_config()
     data = default_training_data(cfg.seed)
     model = cfg.build_model()
     crop = cfg.crop_params()
-    print(f"stage 1: {tcfg.stage1_iters} iterations")
-    curve1 = train_stage1(model, data, tcfg, crop_params=crop)
+    print(f"stage 1: {cfg.stage1_iters} iterations")
+    curve1 = train_stage1(model, data, cfg, crop_params=crop)
     print(f"  loss {curve1[0][1]:.4f} -> {curve1[-1][1]:.4f}")
-    print(f"stage 2: {tcfg.stage2_iters} iterations")
-    curve2 = train_stage2_spm(model, data, tcfg, crop_params=crop)
+    print(f"stage 2: {cfg.stage2_iters} iterations")
+    curve2 = train_stage2_spm(model, data, cfg, crop_params=crop)
     print(f"  loss {curve2[0][1]:.4f} -> {curve2[-1][1]:.4f}")
     write_loss_curve(_curve_path(args.out, 1), curve1)
     write_loss_curve(_curve_path(args.out, 2), curve2)
@@ -100,22 +99,21 @@ def cmd_track(args):
 
 def _read_box_lines(path):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ParseError(
-                    f"expected frame,x,y,w,h,score, got {line!r}", line=lineno
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric field in {line!r}", line=lineno
-                ) from None
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise ParseError(
+                f"expected frame,x,y,w,h,score, got {line!r}", line=lineno
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ParseError(
+                f"non-numeric field in {line!r}", line=lineno
+            ) from None
     return rows
 
 

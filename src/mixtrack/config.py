@@ -9,13 +9,11 @@ import dataclasses
 from dataclasses import dataclass
 
 from . import backbone as bb
-from .attention import check_mode
+from .data import _read_text
 from .errors import ConfigError, ParseError
 from .model import HEAD_TYPES, build_model
-from .tracker import CropParams
+from .tracker import CropParams, _check_update
 from .train import TrainConfig
-
-PRESETS = bb.PRESET_NAMES
 
 _BOOL_WORDS = {
     "true": True, "false": False, "yes": True, "no": False,
@@ -24,8 +22,12 @@ _BOOL_WORDS = {
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything a train or track run needs, with documented defaults."""
+class RunConfig(TrainConfig):
+    """Everything a train or track run needs, with documented defaults.
+
+    The training settings are TrainConfig's fields, so a RunConfig is the
+    TrainConfig both training stages take.
+    """
 
     preset: str = "mixformer"
     head: str = "corner"
@@ -35,42 +37,16 @@ class RunConfig:
     search_factor: float = 5.0
     template_factor: float = 2.0
     online_templates: int = 1
-    seed: int = 0
-    stage1_iters: int = 2000
-    stage2_iters: int = 500
-    batch_size: int = 4
-    lr: float = 1e-4
-    decay_fraction: float = 0.8
-    weight_decay: float = 1e-4
-    clip_norm: float = 0.1
-    flip: bool = True
-    brightness: bool = True
-    max_gap: int = 8
 
     def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise ConfigError(
-                f"preset must be one of {PRESETS}, got {self.preset!r}"
-            )
+        super().__post_init__()
         if self.head not in HEAD_TYPES:
             raise ConfigError(
                 f"head must be one of {HEAD_TYPES}, got {self.head!r}"
             )
-        check_mode(self.attention)
-        if self.update_interval < 1:
-            raise ConfigError(
-                f"update_interval must be >= 1, got {self.update_interval}"
-            )
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise ConfigError(
-                f"score_threshold must lie in [0, 1], got {self.score_threshold}"
-            )
-        if self.online_templates < 0:
-            raise ConfigError(
-                f"online_templates must be >= 0, got {self.online_templates}"
-            )
+        _check_update(self.update_interval, self.score_threshold)
         self.crop_params()
-        self.to_train_config()
+        self.backbone_config()
 
     @property
     def templates(self):
@@ -82,14 +58,8 @@ class RunConfig:
                           template_factor=self.template_factor)
 
     def to_train_config(self):
-        return TrainConfig(
-            stage1_iters=self.stage1_iters, stage2_iters=self.stage2_iters,
-            batch_size=self.batch_size, lr=self.lr,
-            decay_fraction=self.decay_fraction,
-            weight_decay=self.weight_decay, clip_norm=self.clip_norm,
-            flip=self.flip, brightness=self.brightness,
-            max_gap=self.max_gap, seed=self.seed,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(TrainConfig)})
 
     def backbone_config(self):
         return bb.preset(self.preset, templates=self.templates,
@@ -122,7 +92,6 @@ def _convert(key, value, kind):
 def parse_run_config(text):
     """Parse key = value lines into a RunConfig."""
     kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    defaults = RunConfig()
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,19 +105,21 @@ def parse_run_config(text):
             raise ConfigError(f"unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"duplicate config key {key!r}")
-        values[key] = _convert(key, value, type(getattr(defaults, key)))
+        values[key] = _convert(key, value, kinds[key])
     return RunConfig(**values)
 
 
 def load_run_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_run_config(fh.read())
+    return parse_run_config(_read_text(path))
 
 
 def format_run_config(cfg):
-    """Render a RunConfig as parseable key = value text."""
+    """Render a RunConfig as parseable key = value text: its own fields,
+    then the training ones."""
+    inherited = dataclasses.fields(TrainConfig)
+    own = dataclasses.fields(RunConfig)[len(inherited):]
     lines = []
-    for f in dataclasses.fields(RunConfig):
+    for f in own + inherited:
         value = getattr(cfg, f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"

@@ -9,12 +9,14 @@ numbered frames plus a ``groundtruth.txt`` of one ``x,y,w,h`` line per frame
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import boxes
 from .errors import ConfigError, ParseError, ShapeError
+
+_PRECISION_PX = 20.0  # center-distance threshold of the precision metric
 
 
 @dataclass
@@ -196,6 +198,16 @@ def read_ppm(path):
 # sequence directories
 
 
+def _read_text(path):
+    """A UTF-8 text file's contents; bytes that do not decode are a
+    ParseError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def save_sequence(directory, seq):
     """Write frames as 8-digit numbered PPMs plus groundtruth.txt."""
     os.makedirs(directory, exist_ok=True)
@@ -206,28 +218,28 @@ def save_sequence(directory, seq):
             fh.write(f"{x},{y},{w},{h}\n")
 
 
-def load_sequence(directory, name=None):
-    """Read a sequence directory written by save_sequence (or compatible)."""
+def load_sequence(directory):
+    """Read a sequence directory written by save_sequence (or compatible);
+    the sequence is named after the directory."""
     gt_path = os.path.join(directory, "groundtruth.txt")
     if not os.path.exists(gt_path):
         raise ParseError(f"{directory}: no groundtruth.txt")
     gt = []
-    with open(gt_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(
-                    f"{gt_path}: expected x,y,w,h", line=lineno
-                )
-            try:
-                gt.append(tuple(float(p) for p in parts))
-            except ValueError:
-                raise ParseError(
-                    f"{gt_path}: non-numeric field in {line!r}", line=lineno
-                ) from None
+    for lineno, line in enumerate(_read_text(gt_path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ParseError(
+                f"{gt_path}: expected x,y,w,h", line=lineno
+            )
+        try:
+            gt.append(tuple(float(p) for p in parts))
+        except ValueError:
+            raise ParseError(
+                f"{gt_path}: non-numeric field in {line!r}", line=lineno
+            ) from None
     if not gt:
         raise ParseError(f"{gt_path}: empty ground truth")
     names = sorted(
@@ -247,7 +259,7 @@ def load_sequence(directory, name=None):
         raise ParseError(
             f"{directory}: {len(gt)} ground-truth lines for {len(frames)} frames"
         )
-    return Sequence(frames, gt, name=name or os.path.basename(os.path.normpath(directory)))
+    return Sequence(frames, gt, name=os.path.basename(os.path.normpath(directory)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +286,8 @@ def success_auc(pred_boxes, gt_boxes):
     return float((ious[None, :] > thresholds[:, None]).mean())
 
 
-def precision(pred_boxes, gt_boxes, threshold_px=20.0):
-    """Fraction of frames whose center distance is within the threshold."""
+def precision(pred_boxes, gt_boxes):
+    """Fraction of frames whose center distance is at most 20 pixels."""
     _check_lengths(pred_boxes, gt_boxes)
     d = [boxes.center_distance(p, g) for p, g in zip(pred_boxes, gt_boxes)]
-    return float(np.mean([dist <= threshold_px for dist in d]))
+    return float(np.mean([dist <= _PRECISION_PX for dist in d]))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 
@@ -25,7 +25,11 @@ def _axis_coords(n, dtype):
 
 
 def _soft_argmax_batched(maps):
-    """[B, h, w] score maps -> (x [B], y [B]) expectation coordinates."""
+    """[B, h, w] score maps -> (x [B], y [B]) expectation coordinates.
+
+    Softmax over all positions of each map, then x = sum p(i,j) * j/(w-1)
+    and y = sum p(i,j) * i/(h-1).
+    """
     b, h, w = maps.shape
     p = ad.softmax(ad.reshape(maps, (b, h * w)), axis=-1)
     p = ad.reshape(p, (b, h, w))
@@ -34,21 +38,6 @@ def _soft_argmax_batched(maps):
     x = ad.sum_(ad.mul(p, xs.reshape(1, 1, w)), axis=(1, 2))
     y = ad.sum_(ad.mul(p, ys.reshape(1, h, 1)), axis=(1, 2))
     return x, y
-
-
-def soft_argmax(score_map):
-    """Expectation coordinates of a single [h, w] score map.
-
-    Softmax over all positions, then x = sum p(i,j) * j/(w-1) and
-    y = sum p(i,j) * i/(h-1).
-    """
-    m = as_tensor(score_map)
-    if m.ndim != 2:
-        raise ShapeError(f"score map must be [h, w], got {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ConfigError(f"score map has no cells: {m.shape}")
-    x, y = _soft_argmax_batched(ad.reshape(m, (1,) + m.shape))
-    return ad.reshape(x, ()), ad.reshape(y, ())
 
 
 class ConvBNRelu(nn.Module):
@@ -116,8 +105,9 @@ class QueryHead(nn.Module):
     def __call__(self, token_out):
         """[B, dim] regression-token features -> [B, 4] corner boxes.
 
-        The FFN emits sigmoid center form (cx, cy, w, h); with the final
-        layer at zero every box is centered with half extent.
+        The FFN emits sigmoid center form (cx, cy, w, h).  Its final layer
+        starts from the same small truncated-normal draw as the others, so
+        untrained boxes sit near the center at about half extent.
         """
         if token_out.ndim != 2 or token_out.shape[1] != self.dim:
             raise ShapeError(

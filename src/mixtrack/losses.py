@@ -7,25 +7,16 @@ their denominators with a tiny floor so a degenerate pair cannot poison a
 training step with NaNs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 _TINY = 1e-12
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    l1_weight: float = 5.0
-    giou_weight: float = 2.0
-
-    def __post_init__(self):
-        if self.l1_weight < 0 or self.giou_weight < 0:
-            raise ConfigError("loss weights must be non-negative")
+# the box-loss weights lambda_L1 and lambda_giou of the paper
+_L1_WEIGHT = 5.0
+_GIOU_WEIGHT = 2.0
 
 
 def _as_boxes(t):
@@ -58,14 +49,12 @@ def giou_pairwise(pred, target):
     return ad.sub(overlap, overhead)
 
 
-def loc_loss(pred, target, config=LossConfig()):
-    """l1_weight * mean |corner error| + giou_weight * mean (1 - giou)."""
+def loc_loss(pred, target):
+    """5 * mean |corner error| + 2 * mean (1 - giou)."""
     p, t = _as_boxes(pred), _as_boxes(target)
     l1 = ad.mean_(ad.abs_(ad.sub(p, t)))
     g = ad.mean_(ad.sub(1.0, giou_pairwise(p, t)))
-    return ad.add(
-        ad.mul(l1, float(config.l1_weight)), ad.mul(g, float(config.giou_weight))
-    )
+    return ad.add(ad.mul(l1, _L1_WEIGHT), ad.mul(g, _GIOU_WEIGHT))
 
 
 def score_loss(p, label):

@@ -12,15 +12,18 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def trunc_normal(rng, shape, std=0.02, dtype=np.float32):
-    """Normal draw clipped to two standard deviations."""
-    v = rng.normal(0.0, std, size=shape)
-    return np.clip(v, -2.0 * std, 2.0 * std).astype(dtype)
+_STD = 0.02  # trunc_normal's standard deviation
 
 
-def he_normal(rng, shape, fan_in, dtype=np.float32):
+def trunc_normal(rng, shape):
+    """Float32 normal draw clipped to two standard deviations."""
+    v = rng.normal(0.0, _STD, size=shape)
+    return np.clip(v, -2.0 * _STD, 2.0 * _STD).astype(np.float32)
+
+
+def he_normal(rng, shape, fan_in):
     v = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-    return v.astype(dtype)
+    return v.astype(np.float32)
 
 
 class Module:
@@ -67,26 +70,23 @@ class Module:
 class Linear(Module):
     """Affine layer; weight stored as [in, out]."""
 
-    def __init__(self, d_in, d_out, rng, dtype=np.float32, zero_init=False):
-        if zero_init:
-            w = np.zeros((d_in, d_out), dtype=dtype)
-        else:
-            w = trunc_normal(rng, (d_in, d_out), dtype=dtype)
-        self.w = Tensor(w, requires_grad=True)
-        self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
+    def __init__(self, d_in, d_out, rng):
+        self.w = Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=True)
+        self.b = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
         return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, dtype=np.float32, eps=1e-5):
-        self.gain = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.eps = eps
+    """Layer norm over the last axis."""
+
+    def __init__(self, dim):
+        self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
-        return ad.layer_norm(x, self.gain, self.bias, axis=-1, eps=self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)
 
 
 class DepthwiseConv(Module):
@@ -98,28 +98,27 @@ class DepthwiseConv(Module):
     between this and the linear projection that follows it.
     """
 
-    def __init__(self, dim, rng, kernel=3, stride=1, pad=1, dtype=np.float32):
-        k = trunc_normal(rng, (dim, kernel, kernel), dtype=dtype)
-        k[:, kernel // 2, kernel // 2] += 1.0
+    def __init__(self, dim, rng, stride=1):
+        k = trunc_normal(rng, (dim, 3, 3))
+        k[:, 1, 1] += 1.0
         self.kernel = Tensor(k, requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
         self.stride = stride
-        self.pad = pad
 
     def __call__(self, x):
         return ad.depthwise_conv2d(
-            x, self.kernel, self.bias, stride=self.stride, pad=self.pad
+            x, self.kernel, self.bias, stride=self.stride, pad=1
         )
 
 
 class Conv2d(Module):
-    def __init__(self, c_in, c_out, kernel, stride, pad, rng, dtype=np.float32):
+    def __init__(self, c_in, c_out, kernel, stride, pad, rng):
         fan_in = c_in * kernel * kernel
         self.w = Tensor(
-            he_normal(rng, (c_out, c_in, kernel, kernel), fan_in, dtype=dtype),
+            he_normal(rng, (c_out, c_in, kernel, kernel), fan_in),
             requires_grad=True,
         )
-        self.b = Tensor(np.zeros(c_out, dtype=dtype), requires_grad=True)
+        self.b = Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True)
         self.stride = stride
         self.pad = pad
 
@@ -130,26 +129,24 @@ class Conv2d(Module):
 class BatchNormFrozen(Module):
     """Batch norm running in inference form: statistics are fixed buffers."""
 
-    def __init__(self, dim, dtype=np.float32, eps=1e-5):
-        self.gain = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-        self.register_buffer("mean", np.zeros(dim, dtype=dtype))
-        self.register_buffer("var", np.ones(dim, dtype=dtype))
-        self.eps = eps
+    def __init__(self, dim):
+        self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+        self.register_buffer("mean", np.zeros(dim, dtype=np.float32))
+        self.register_buffer("var", np.ones(dim, dtype=np.float32))
 
     def __call__(self, x):
         return ad.batch_norm_frozen(
-            x, self._buffers["mean"], self._buffers["var"],
-            self.gain, self.bias, eps=self.eps,
+            x, self._buffers["mean"], self._buffers["var"], self.gain, self.bias
         )
 
 
 class Mlp(Module):
     """Two-layer feed-forward block with GELU, expansion ratio R."""
 
-    def __init__(self, dim, ratio, rng, dtype=np.float32):
-        self.fc1 = Linear(dim, dim * ratio, rng, dtype=dtype)
-        self.fc2 = Linear(dim * ratio, dim, rng, dtype=dtype)
+    def __init__(self, dim, ratio, rng):
+        self.fc1 = Linear(dim, dim * ratio, rng)
+        self.fc2 = Linear(dim * ratio, dim, rng)
 
     def __call__(self, x):
         return self.fc2(ad.gelu(self.fc1(x)))

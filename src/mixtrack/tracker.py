@@ -8,6 +8,7 @@ an update interval replaces the oldest online slot at the boundary, but only
 if its score clears the threshold.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,22 @@ class CropParams:
     template_factor: float = 2.0
 
     def __post_init__(self):
-        if self.search_factor <= 1.0 or self.template_factor <= 1.0:
+        factors = (self.search_factor, self.template_factor)
+        if not all(math.isfinite(f) and f > 1.0 for f in factors):
             raise ConfigError(
-                f"crop factors must be > 1, got search {self.search_factor}, "
-                f"template {self.template_factor}"
+                f"crop factors must be finite and > 1, got search "
+                f"{self.search_factor}, template {self.template_factor}"
             )
+
+
+def _check_update(update_interval, score_threshold):
+    """The template-update settings a Tracker and a RunConfig share."""
+    if update_interval < 1:
+        raise ConfigError(f"update_interval must be >= 1, got {update_interval}")
+    if not 0.0 <= score_threshold <= 1.0:
+        raise ConfigError(
+            f"score_threshold must lie in [0, 1], got {score_threshold}"
+        )
 
 
 @dataclass(frozen=True)
@@ -115,11 +127,11 @@ def _bilinear_crop(frame, left, top, side, out_size):
     return np.ascontiguousarray(patch.transpose(2, 0, 1))
 
 
-def _square_side(box, factor, min_side=_MIN_SIDE):
+def _square_side(box, factor):
     x0, y0, x1, y1 = box
     w, h = max(0.0, x1 - x0), max(0.0, y1 - y0)
     side = factor * float(np.sqrt(w * h))
-    return max(side, min_side)
+    return max(side, _MIN_SIDE)
 
 
 def crop_template(frame, box, factor, out_size):
@@ -180,14 +192,7 @@ class Tracker:
         use_template_cache=False,
     ):
         cfg = model.config
-        if cfg.templates < 1:
-            raise ConfigError("model must carry at least the static template")
-        if update_interval < 1:
-            raise ConfigError(f"update interval must be >= 1, got {update_interval}")
-        if not 0.0 <= score_threshold <= 1.0:
-            raise ConfigError(
-                f"score threshold must lie in [0, 1], got {score_threshold}"
-            )
+        _check_update(update_interval, score_threshold)
         if use_template_cache and cfg.mode != "asymmetric":
             raise ConfigError("template caching requires asymmetric attention")
         self.model = model

@@ -7,6 +7,7 @@ keyed on (seed, stage, iteration), never on wall clock or worker id, so
 identical configs produce identical parameters bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,12 @@ from .losses import loc_loss, score_loss
 from .tracker import CropParams, crop_search, crop_template
 
 _BRIGHTNESS = 0.25
+_JITTER_TRANSLATION = 0.3  # search-crop center shift, as a fraction of w, h
+_JITTER_SCALE = 0.2  # search-crop log-scale jitter
+_NEGATIVE_IOU_MAX = 0.3
+_TRIES = 64  # draws before a rejection sampler gives up
+_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 _STAGE1 = 1
 _STAGE2 = 2
 _TAG = 0x74726169
@@ -34,6 +41,7 @@ class TrainConfig:
     base rate throughout.
     """
 
+    seed: int = 0
     stage1_iters: int = 2000
     stage2_iters: int = 500
     batch_size: int = 4
@@ -44,15 +52,15 @@ class TrainConfig:
     flip: bool = True
     brightness: bool = True
     max_gap: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("stage1_iters", "stage2_iters", "batch_size", "max_gap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "weight_decay", "clip_norm"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 < self.decay_fraction < 1.0:
             raise ConfigError(
                 f"decay_fraction must lie in (0, 1), got {self.decay_fraction}"
@@ -77,14 +85,11 @@ class AdamW:
     copied back into the arena at the next gather.
     """
 
-    def __init__(self, params, lr=1e-4, weight_decay=1e-4, clip_norm=0.1,
-                 betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr=1e-4, weight_decay=1e-4, clip_norm=0.1):
         self.items = list(params.items())
         self.lr = lr
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         dtypes = {p.data.dtype for _, p in self.items}
         if len(dtypes) > 1:
@@ -148,7 +153,7 @@ class AdamW:
         gnorm = self.clip_grads()
         lr = self.lr if lr is None else lr
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = _BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         p, g, m, v = self.arena, self.grad, self.m, self.v
@@ -163,7 +168,7 @@ class AdamW:
         np.divide(m, bc1, out=a)
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += _ADAM_EPS
         a /= b
         a += np.multiply(p, self.weight_decay, out=b)
         a *= lr
@@ -192,15 +197,15 @@ def _sample_indices(sequence, rng, templates, max_gap):
     return [t0] + extra, search
 
 
-def _jitter_box(box, rng, translation, scale):
-    """Shift and rescale a pixel box; the draws happen even at amount 0."""
+def _jitter_box(box, rng):
+    """Shift and rescale a pixel box."""
     x0, y0, x1, y1 = box
     w, h = x1 - x0, y1 - y0
     cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    cx += rng.uniform(-1.0, 1.0) * translation * w
-    cy += rng.uniform(-1.0, 1.0) * translation * h
-    nw = w * float(np.exp(rng.uniform(-1.0, 1.0) * scale))
-    nh = h * float(np.exp(rng.uniform(-1.0, 1.0) * scale))
+    cx += rng.uniform(-1.0, 1.0) * _JITTER_TRANSLATION * w
+    cy += rng.uniform(-1.0, 1.0) * _JITTER_TRANSLATION * h
+    nw = w * float(np.exp(rng.uniform(-1.0, 1.0) * _JITTER_SCALE))
+    nh = h * float(np.exp(rng.uniform(-1.0, 1.0) * _JITTER_SCALE))
     return (cx - nw / 2.0, cy - nh / 2.0, cx + nw / 2.0, cy + nh / 2.0)
 
 
@@ -210,24 +215,27 @@ def _flip_box(box):
     return np.array([1.0 - x1, y0, 1.0 - x0, y1], dtype=np.float64)
 
 
-def _build_pair(sequence, rng, template_size, search_size, templates=2,
-                crop_params=CropParams(), flip=True, brightness=True,
-                jitter_translation=0.3, jitter_scale=0.2, max_gap=8,
-                max_tries=64):
-    """make_training_pair plus the search-crop affine.
+def make_training_pair(sequence, rng, template_size, search_size, templates=2,
+                       crop_params=CropParams(), flip=True, brightness=True,
+                       max_gap=8):
+    """Sample one training example from a sequence.
 
-    The affine describes the patch before any flip, so callers that need
-    exact geometry should pass flip=False.  Augmentation coins are drawn
-    whether or not the corresponding toggle is on; disabling one never
-    shifts the rest of the random stream.
+    Returns (templates [T, 3, ts, ts], search [3, ss, ss], box [4]); the
+    box is the search-frame ground truth in normalized patch coordinates.
+    Template crops are taken at their frames' ground truth, the search
+    crop around a jittered copy of its ground truth so the target is not
+    always centered.  Frames whose ground truth is degenerate are
+    redrawn.  Augmentation coins are drawn whether or not the
+    corresponding toggle is on; disabling one never shifts the rest of
+    the random stream.
     """
-    for _ in range(max_tries):
+    for _ in range(_TRIES):
         t_idx, si = _sample_indices(sequence, rng, templates, max_gap)
         if all(_usable(sequence.gt_corners(i)) for i in t_idx + [si]):
             break
     else:
         raise UsageError(
-            f"no usable ground truth after {max_tries} draws in "
+            f"no usable ground truth after {_TRIES} draws in "
             f"{sequence.name!r}"
         )
     tmpl = np.stack([
@@ -236,7 +244,7 @@ def _build_pair(sequence, rng, template_size, search_size, templates=2,
         for i in t_idx
     ])
     gt = sequence.gt_corners(si)
-    ref = _jitter_box(gt, rng, jitter_translation, jitter_scale)
+    ref = _jitter_box(gt, rng)
     patch, affine = crop_search(sequence.frames[si], ref, crop_params,
                                 search_size)
     box = np.asarray(affine.box_to_patch(gt), dtype=np.float64)
@@ -251,41 +259,21 @@ def _build_pair(sequence, rng, template_size, search_size, templates=2,
     if brightness:
         tmpl = np.clip(tmpl * gain, 0.0, 1.0).astype(np.float32)
         patch = np.clip(patch * gain, 0.0, 1.0).astype(np.float32)
-    return tmpl, patch, box, affine
-
-
-def make_training_pair(sequence, rng, template_size, search_size, templates=2,
-                       crop_params=CropParams(), flip=True, brightness=True,
-                       jitter_translation=0.3, jitter_scale=0.2, max_gap=8):
-    """Sample one training example from a sequence.
-
-    Returns (templates [T, 3, ts, ts], search [3, ss, ss], box [4]); the
-    box is the search-frame ground truth in normalized patch coordinates.
-    Template crops are taken at their frames' ground truth, the search
-    crop around a jittered copy of its ground truth so the target is not
-    always centered.  Frames whose ground truth is degenerate are
-    redrawn.
-    """
-    tmpl, patch, box, _ = _build_pair(
-        sequence, rng, template_size, search_size, templates=templates,
-        crop_params=crop_params, flip=flip, brightness=brightness,
-        jitter_translation=jitter_translation, jitter_scale=jitter_scale,
-        max_gap=max_gap,
-    )
     return tmpl, patch, box
 
 
-def _negative_box(box, rng, iou_max=0.3, tries=64):
-    """A similar-size box overlapping the given one by less than iou_max."""
+def _negative_box(box, rng):
+    """A similar-size box overlapping the given one by less than
+    _NEGATIVE_IOU_MAX."""
     w = min(float(box[2] - box[0]), 0.9)
     h = min(float(box[3] - box[1]), 0.9)
-    for _ in range(tries):
+    for _ in range(_TRIES):
         s = float(np.exp(rng.uniform(-0.3, 0.3)))
         nw, nh = min(w * s, 0.95), min(h * s, 0.95)
         cx = rng.uniform(nw / 2.0, 1.0 - nw / 2.0)
         cy = rng.uniform(nh / 2.0, 1.0 - nh / 2.0)
         cand = (cx - nw / 2.0, cy - nh / 2.0, cx + nw / 2.0, cy + nh / 2.0)
-        if iou(cand, tuple(box)) < iou_max:
+        if iou(cand, tuple(box)) < _NEGATIVE_IOU_MAX:
             return np.asarray(cand, dtype=np.float64)
     raise UsageError("could not place a negative box")
 
@@ -368,12 +356,10 @@ def _stage2_batch(model, data, rng, cfg, crop_params):
 
 
 def train_stage2_spm(model, data, cfg, crop_params=CropParams(),
-                     flip_labels=False, on_iteration=None):
+                     on_iteration=None):
     """Fit the score head on frozen features; returns the loss curve.
 
-    Only score-head parameters are stepped.  flip_labels inverts the
-    supervision and exists for the sanity control that training on wrong
-    labels drives accuracy below chance.
+    Only score-head parameters are stepped.
     """
     if not data:
         raise ConfigError("stage 2 needs at least one training sequence")
@@ -396,10 +382,7 @@ def train_stage2_spm(model, data, cfg, crop_params=CropParams(),
                 scores.append(model.predict_score(feat, tuple(neg), tokens))
                 labels += [1.0, 0.0]
             stacked = ad.concat([ad.reshape(s, (1,)) for s in scores], axis=0)
-            y = np.asarray(labels, dtype=np.float32)
-            if flip_labels:
-                y = 1.0 - y
-            loss = score_loss(stacked, y)
+            loss = score_loss(stacked, np.asarray(labels, dtype=np.float32))
             value = loss.item()
             if not np.isfinite(value):
                 raise UsageError(f"non-finite loss at iteration {it}")

@@ -260,6 +260,12 @@ class TestTemplateCache:
             with pytest.raises(ShapeError, match=r"search must be \[B, 3, 64, 64\]"):
                 net.forward_search(np.zeros(bad, dtype=np.float32), cache)
 
+    def test_template_shape_is_checked_on_the_cache_pass(self):
+        _, net = tiny_net()
+        for bad in ((1, 2, 3, 48, 48), (1, 3, 3, 32, 32), (2, 3, 32, 32)):
+            with pytest.raises(ShapeError, match="template"):
+                net.forward_template(np.zeros(bad, dtype=np.float32))
+
     def test_cache_requires_asymmetric_mode(self):
         cfg, net = tiny_net(mode=FULL_MIXED)
         t, _ = tiny_inputs(cfg)

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def seq_dir(work):
     path = work / "seq"
     save_sequence(path, seq)
     return path
+
+
+def assert_user_error(capsys, rc, name):
+    """Exit code 1 and a one-line ``error:`` naming the file, no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert name in err
+    assert "Traceback" not in err
+
+
+UNDECODABLE = b"\xff\xfepreset = tiny\n"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +97,13 @@ class TestTrain:
                        "--out", str(work / "x.ckpt")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_config_fails(self, work, capsys):
+        path = work / "utf16.cfg"
+        path.write_bytes(UNDECODABLE)
+        rc = cli.main(["train", "--config", str(path),
+                       "--out", str(work / "x.ckpt")])
+        assert_user_error(capsys, rc, "utf16.cfg")
 
 
 class TestTrack:
@@ -162,6 +183,23 @@ class TestEval:
                        "--out", str(work / "m.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_boxes_fail(self, work, seq_dir, capsys):
+        bad = work / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe1,0,0,5,5,0.9\n")
+        rc = cli.main(["eval", "--boxes", str(bad),
+                       "--sequence", str(seq_dir),
+                       "--out", str(work / "m.csv")])
+        assert_user_error(capsys, rc, "utf16.csv")
+
+    def test_undecodable_groundtruth_fails(self, work, seq_dir, capsys):
+        bad_seq = work / "utf16-seq"
+        shutil.copytree(seq_dir, bad_seq)
+        (bad_seq / "groundtruth.txt").write_bytes(b"\xff\xfe1,1,5,5\n")
+        rc = cli.main(["eval", "--boxes", str(work / "boxes.csv"),
+                       "--sequence", str(bad_seq),
+                       "--out", str(work / "m.csv")])
+        assert_user_error(capsys, rc, "groundtruth.txt")
 
 
 class TestInspect:

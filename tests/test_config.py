@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mixtrack.config import (
@@ -7,6 +9,38 @@ from mixtrack.config import (
     parse_run_config,
 )
 from mixtrack.errors import ConfigError, ParseError
+from mixtrack.train import TrainConfig
+
+DEFAULT_TEXT = """\
+preset = mixformer
+head = corner
+attention = asymmetric
+update_interval = 200
+score_threshold = 0.5
+search_factor = 5.0
+template_factor = 2.0
+online_templates = 1
+seed = 0
+stage1_iters = 2000
+stage2_iters = 500
+batch_size = 4
+lr = 0.0001
+decay_fraction = 0.8
+weight_decay = 0.0001
+clip_norm = 0.1
+flip = true
+brightness = true
+max_gap = 8
+"""
+
+# every field away from its default
+NON_DEFAULT = dict(
+    preset="tiny", head="query", attention="full", update_interval=7,
+    score_threshold=0.25, search_factor=4.5, template_factor=2.5,
+    online_templates=2, seed=5, stage1_iters=11, stage2_iters=3,
+    batch_size=2, lr=3e-4, decay_fraction=0.5, weight_decay=2e-4,
+    clip_norm=0.2, flip=False, brightness=False, max_gap=4,
+)
 
 
 class TestDefaults:
@@ -21,12 +55,12 @@ class TestDefaults:
         assert cfg.templates == 2
 
     def test_train_config_mapping(self):
-        cfg = RunConfig(stage1_iters=10, lr=3e-4, flip=False, seed=77)
+        cfg = RunConfig(**NON_DEFAULT)
+        assert isinstance(cfg, TrainConfig)
         t = cfg.to_train_config()
-        assert t.stage1_iters == 10
-        assert t.lr == 3e-4
-        assert t.flip is False
-        assert t.seed == 77
+        assert type(t) is TrainConfig
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(t, f.name) == getattr(cfg, f.name) == NON_DEFAULT[f.name]
 
     def test_crop_params_mapping(self):
         cfg = RunConfig(search_factor=4.0, template_factor=2.5)
@@ -44,6 +78,11 @@ class TestDefaults:
         {"search_factor": 0.5},
         {"stage1_iters": 0},
         {"lr": -1.0},
+        {"search_factor": float("nan")},
+        {"search_factor": float("inf")},
+        {"template_factor": float("nan")},
+        {"lr": float("nan")},
+        {"score_threshold": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -96,6 +135,10 @@ class TestParsing:
         "lr = fast",
         "flip = maybe",
         "stage1_iters = 1.5",
+        "search_factor = nan",
+        "search_factor = inf",
+        "template_factor = nan",
+        "lr = nan",
     ])
     def test_bad_value_types(self, line):
         with pytest.raises(ConfigError):
@@ -116,6 +159,18 @@ class TestParsing:
         cfg = RunConfig(preset="tiny", head="query", update_interval=7,
                         flip=False, lr=5e-5, seed=123)
         assert parse_run_config(format_run_config(cfg)) == cfg
+
+    def test_every_field_round_trips(self):
+        cfg = RunConfig(**NON_DEFAULT)
+        assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(RunConfig)}
+        for key, value in NON_DEFAULT.items():
+            assert getattr(RunConfig(), key) != value
+        assert parse_run_config(format_run_config(cfg)) == cfg
+
+    def test_default_text_is_pinned(self):
+        """Checkpoints embed this text, so its keys, order and spelling of
+        values must not drift."""
+        assert format_run_config(RunConfig()) == DEFAULT_TEXT
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -4,18 +4,7 @@ import pytest
 from mixtrack import autodiff as ad
 from mixtrack import boxes, losses
 from mixtrack.autodiff import Tensor
-from mixtrack.errors import ConfigError, ShapeError
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = losses.LossConfig()
-        assert cfg.l1_weight == 5.0
-        assert cfg.giou_weight == 2.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            losses.LossConfig(l1_weight=-1.0)
+from mixtrack.errors import ShapeError
 
 
 class TestGiouPairwise:
@@ -55,13 +44,20 @@ class TestLocLoss:
         want = 10.0 + 32.0 / 9.0
         assert abs(losses.loc_loss(pred, tgt).item() - want) < 1e-12
 
-    def test_weights_come_from_config(self):
-        pred = Tensor(np.array([0.0, 0.0, 1.0, 1.0]))
-        tgt = np.array([2.0, 2.0, 3.0, 3.0])
-        cfg = losses.LossConfig(l1_weight=1.0, giou_weight=0.0)
-        assert abs(losses.loc_loss(pred, tgt, cfg).item() - 2.0) < 1e-12
-        cfg = losses.LossConfig(l1_weight=0.0, giou_weight=1.0)
-        assert abs(losses.loc_loss(pred, tgt, cfg).item() - (1 + 7.0 / 9.0)) < 1e-12
+    def test_weights_are_the_papers_5_and_2(self):
+        """loc_loss = 5 * l1 + 2 * (1 - giou) on pairs whose two terms vary
+        independently, so neither weight can hide in the other."""
+        rng = np.random.default_rng(5)
+        terms, got = [], []
+        for _ in range(6):
+            p = rng.uniform(0, 0.5, 4)
+            p[2:] = p[:2] + rng.uniform(0.05, 0.5, 2)
+            t = rng.uniform(0, 0.5, 4)
+            t[2:] = t[:2] + rng.uniform(0.05, 0.5, 2)
+            terms.append([np.abs(p - t).mean(), 1.0 - boxes.giou(p, t)])
+            got.append(losses.loc_loss(Tensor(p), t).item())
+        weights, *_ = np.linalg.lstsq(np.array(terms), np.array(got), rcond=None)
+        np.testing.assert_allclose(weights, [5.0, 2.0], rtol=1e-9)
 
     def test_nonnegative_on_ordered_boxes(self):
         rng = np.random.default_rng(4)

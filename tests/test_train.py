@@ -40,6 +40,11 @@ class TestTrainConfig:
         {"lr": 0.0},
         {"weight_decay": -1e-4},
         {"clip_norm": 0.0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"weight_decay": float("nan")},
+        {"clip_norm": float("inf")},
+        {"decay_fraction": float("nan")},
         {"decay_fraction": 1.0},
         {"decay_fraction": 0.0},
     ])
@@ -268,17 +273,28 @@ class TestTrainingPairs:
             assert not np.array_equal(p0, p1)
             assert p1.min() >= 0.0 and p1.max() <= 1.0
 
-    def test_unaugmented_box_round_trips_through_the_affine(self):
+    def test_unaugmented_box_round_trips_through_the_affine(self, monkeypatch):
+        """The search crop's own affine maps the returned box back onto the
+        frame's ground truth, wherever the jitter put the crop."""
         cfg = SyntheticConfig(frames=6, translation=0.0, distractors=0)
         seq = generate_synthetic(cfg, seed=3)
         gt = seq.gt_corners(0)
+        affines = []
+
+        def crop_search(*args):
+            patch, affine = real_crop_search(*args)
+            affines.append(affine)
+            return patch, affine
+
+        real_crop_search = train.crop_search
+        monkeypatch.setattr(train, "crop_search", crop_search)
         for seed in range(5):
-            _, _, box, affine = train._build_pair(
+            _, _, box = make_training_pair(
                 seq, np.random.default_rng(seed), 32, 64,
-                flip=False, brightness=False,
-                jitter_translation=0.0, jitter_scale=0.0)
-            back = affine.box_to_frame(tuple(v * 64.0 for v in box))
+                flip=False, brightness=False)
+            back = affines[-1].box_to_frame(tuple(v * 64.0 for v in box))
             np.testing.assert_allclose(back, gt, atol=1e-9)
+        assert len({(a.left, a.top, a.scale) for a in affines}) == 5
 
     def test_degenerate_gt_is_resampled(self):
         frames = [np.zeros((40, 40, 3), dtype=np.uint8) for _ in range(3)]
@@ -445,11 +461,16 @@ class TestStage2:
         for k in finals[0]:
             assert np.array_equal(finals[0][k], finals[1][k])
 
-    def test_flip_labels_changes_the_outcome(self):
+    def test_flip_labels_changes_the_outcome(self, monkeypatch):
+        """The score head learns from its labels: inverting them (a wrapped
+        score_loss) moves it elsewhere."""
         params = []
         for flip in (False, True):
+            if flip:
+                monkeypatch.setattr(train, "score_loss",
+                                    lambda p, y, loss=train.score_loss: loss(p, 1.0 - y))
             model = build_model("tiny", seed=8)
-            train_stage2_spm(model, tiny_data(), self.cfg(), flip_labels=flip)
+            train_stage2_spm(model, tiny_data(), self.cfg())
             params.append(model.score.out.b.data.copy())
         assert not np.array_equal(params[0], params[1])
 
