@@ -2,12 +2,10 @@
 
 A token sequence carries T template grids followed by one search grid
 (``TokenLayout`` describes the split).  Queries, keys and values are produced
-by depth-wise convolutions applied to each region's 2-D map separately, then
+by depth-wise convolutions applied to each region's 2-D maps separately, then
 shared linear projections.  A region's tokens are row-major over its grid
-with channels last, so they reshape into the channels-last maps the
-convolutions take, and the outputs reshape back, without a transpose.  Keys
-and values are convolved with stride 2, so the attended key set is a quarter
-the size of the query set.
+with channels last.  Keys and values are convolved with stride 2, so the
+attended key set is a quarter the size of the query set.
 
 Two attention modes exist.  In full mixed attention both template and search
 queries attend the whole (template + search) key set.  In the asymmetric mode
@@ -15,21 +13,16 @@ template queries attend template keys only, which makes every template output
 independent of the search region and lets a tracker reuse template features
 across frames.
 
-``MixedAttention`` has one attention method for every pass.  It projects the
-regions present, template and/or search, with one per-region helper, takes
-the template's fresh rows or its cached keys and values, and returns its
-output with the template keys and values it used.  ``MAMBlock`` wraps it in
-the pre-norm residual block and has one entry likewise.
-
-The two costliest op chains of a block each run as one autodiff op.  The
-depth-wise projections are ``ad.depthwise_conv2d``, which takes small maps
-(every map of the tiny preset) with one product over all kernel taps and
-large ones tap by tap, since the all-tap product's temporary outgrows the
-cache there.  The attention core, softmax(q @ kᵀ / sqrt(d)) @ v, is
-``ad.attention``: one tape entry with an in-place softmax, which takes the
-query rows in blocks when no tape records it.  Either path of either op
-gives the same bits as the plain per-tap loop and the matmul, mul, softmax,
-matmul chain.
+The block keeps its tokens in one [B, L, C] layout from start to end, and
+each step is one autodiff op.  ``ad.depthwise_conv2d`` takes the block's
+rows with their region grids (the T template maps, then the search map) and
+returns one role's q, k or v rows in order; ``ad.linear`` is the projection;
+``ad.attention`` splits and merges the heads as views and runs template and
+search queries in one call, the template rows attending the template keys
+only in the asymmetric mode.  The template keys and values stay rows of the
+projected k and v, so the joint pass never cuts them out, and a cached pass
+concatenates the cached rows with its own search rows.  Every op gives the
+same bits as the per-region, head-split chain it replaced.
 """
 
 from dataclasses import dataclass, replace
@@ -106,45 +99,6 @@ class TokenLayout:
         )
 
 
-def _part(x, start, stop, axis):
-    """x[start:stop] along ``axis``; x itself when that is all of it."""
-    if start == 0 and stop == x.shape[axis]:
-        return x
-    return x[(slice(None),) * axis + (slice(start, stop),)]
-
-
-def _cat(parts, axis):
-    """Concatenation of parts along ``axis``; a lone part as it is."""
-    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=axis)
-
-
-def _tokens_to_map(tokens, b, n_maps, h, w, d):
-    """[B, n_maps*h*w, d] tokens -> [B*n_maps, d, h, w] maps."""
-    return ad.transpose(ad.reshape(tokens, (b * n_maps, h, w, d)), (0, 3, 1, 2))
-
-
-def _attend(q, k, v, d, want_weights=False):
-    """Attention of head-split q over k and v, scaled by 1/sqrt(d); with
-    want_weights also its softmax matrix, from the op's own helper."""
-    scale = 1.0 / float(np.sqrt(d))
-    out = ad.attention(q, k, v, scale)
-    if not want_weights:
-        return out, None
-    return out, ad.Tensor(ad._attention_weights(q.data, k.data, scale))
-
-
-def split_heads(x, heads):
-    """[B, L, D] -> [B, H, L, D/H]."""
-    b, n, dim = x.shape
-    return ad.transpose(ad.reshape(x, (b, n, heads, dim // heads)), (0, 2, 1, 3))
-
-
-def merge_heads(x):
-    """[B, H, L, d] -> [B, L, H*d]."""
-    b, h, n, d = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, n, h * d))
-
-
 class MixedAttention(nn.Module):
     """Multi-head mixed attention with per-region depth-wise projections."""
 
@@ -162,33 +116,21 @@ class MixedAttention(nn.Module):
         self.wv = nn.Linear(dim, dim, rng)
         self.wo = nn.Linear(dim, dim, rng)
 
-    def _qkv(self, tokens, n_maps, h, w):
-        """One region's tokens [B, n_maps*h*w, dim] -> its q, k and v token
-        streams: the tokens reshaped to channels-last maps [B*n_maps, h, w,
-        dim], a depth-wise conv per role, and each output reshaped straight
-        back to tokens."""
-        b = tokens.shape[0]
-        maps = ad.reshape(tokens, (b * n_maps, h, w, self.dim))
-        streams = []
-        for conv in (self.dw_q, self.dw_k, self.dw_v):
-            out = conv(maps)
-            n = n_maps * out.shape[1] * out.shape[2]
-            streams.append(ad.reshape(out, (b, n, self.dim)))
-        return streams
-
     def __call__(self, x, layout, extra=0, kv=None, search=True, want_weights=False):
         """Attention over the regions that x holds, in this order.
 
         x is [B, rows, dim]: the template rows, unless ``kv`` holds their
-        cached head-split keys and values; the search rows, unless ``search``
-        is false; then ``extra`` rows that query every key but are never keys
+        cached keys and values; the search rows, unless ``search`` is false;
+        then ``extra`` rows that query every key but are never keys
         themselves.  Template queries attend every key in full mode and the
         template keys only in asymmetric mode, the one mode that allows a
         template-only or a cached pass.
 
-        Returns (y, (k_t, v_t)) with the template's head-split keys and
-        values; with want_weights also the softmax matrices of the template
-        queries and of the others, those present.
+        Returns (y, (k, v)) with every key and value row it attended, the
+        template rows first, each [B, rows, dim]; a template-only pass's
+        are what a cache holds.  With want_weights also the head-split
+        softmax matrices of the template queries and of the others, those
+        present.
         """
         if (kv is not None or not search) and self.mode != ASYMMETRIC:
             raise ConfigError("template caching requires asymmetric attention")
@@ -200,44 +142,39 @@ class MixedAttention(nn.Module):
                 f"tokens {x.shape} do not match {lt} template + {ls} search "
                 f"+ {extra} extra rows of dim {self.dim}"
             )
-        regions = []
+        grids = []
         if lt:
-            t_tok = _part(x, 0, lt, 1)
-            regions.append(self._qkv(t_tok, layout.templates, layout.t_h, layout.t_w))
+            grids.append((layout.templates, layout.t_h, layout.t_w))
         if ls:
-            s_tok = _part(x, lt, lt + ls, 1)
-            regions.append(self._qkv(s_tok, 1, layout.s_h, layout.s_w))
-        q_parts, k_parts, v_parts = (list(p) for p in zip(*regions))
+            grids.append((1, layout.s_h, layout.s_w))
+        q, k, v = (conv(x, grids) for conv in (self.dw_q, self.dw_k, self.dw_v))
         if extra:
-            q_parts.append(x[:, lt + ls :])
-        q, k, v = (
-            split_heads(proj(_cat(parts, 1)), self.heads)
-            for proj, parts in ((self.wq, q_parts), (self.wk, k_parts), (self.wv, v_parts))
-        )
+            q = ad.concat([q, x[:, lt + ls :]], axis=1)
+        q, k, v = self.wq(q), self.wk(k), self.wv(v)
         if kv is not None:
-            (k_t, v_t), k_s, v_s = kv, k, v
-        elif ls:
-            kt = layout.halved().template_total
-            k_t, k_s = k[:, :, :kt], k[:, :, kt:]
-            v_t, v_s = v[:, :, :kt], v[:, :, kt:]
-        else:
-            k_t, v_t = k, v
-        if ls:
-            # search queries attend one C-order copy of the template then the
-            # search keys in every pass; attending the uncut projections gives
-            # the same forward bits but other gradient bits
-            k, v = ad.concat([k_t, k_s], axis=-2), ad.concat([v_t, v_s], axis=-2)
-        d = self.dim // self.heads
-        outs = []
-        if lt:
-            keys = (k_t, v_t) if self.mode == ASYMMETRIC else (k, v)
-            outs.append(_attend(_part(q, 0, lt, 2), *keys, d, want_weights))
-        if n_q > lt:
-            outs.append(_attend(_part(q, lt, n_q, 2), k, v, d, want_weights))
-        y = self.wo(merge_heads(_cat([out for out, _ in outs], 2)))
+            k, v = (ad.concat([cached, fresh], axis=1) for cached, fresh in zip(kv, (k, v)))
+        split = None
+        if lt and n_q > lt:
+            # full mode splits too, at every key: the key gradient then adds
+            # two groups' products, where one group would sum all rows in one
+            # matmul, in another order and so to other training bits
+            keys = layout.halved().template_total if self.mode == ASYMMETRIC else k.shape[1]
+            split = (lt, keys)
+        y = self.wo(ad.attention(q, k, v, self.heads, split))
         if want_weights:
-            return y, (k_t, v_t), tuple(w for _, w in outs)
-        return y, (k_t, v_t)
+            return y, (k, v), _weights(q, k, self.heads, split)
+        return y, (k, v)
+
+
+def _weights(q, k, heads, split):
+    """Head-split softmax matrices of ``ad.attention(q, k, v, heads, split)``,
+    one per query group."""
+    qh, kh = ad._split_heads(q.data, heads), ad._split_heads(k.data, heads)
+    scale = 1.0 / float(np.sqrt(qh.shape[-1]))
+    return tuple(
+        ad.Tensor(ad._attention_weights(qh[..., rows, :], kh[..., :keys, :], scale))
+        for rows, keys in ad._query_groups(q.shape[-2], k.shape[-2], split)
+    )
 
 
 class MAMBlock(nn.Module):
@@ -252,8 +189,8 @@ class MAMBlock(nn.Module):
     def __call__(self, x, layout, extra=0, kv=None, search=True):
         """One block over the regions x holds (see ``MixedAttention``).
 
-        Returns (y, (k_t, v_t)) with the template keys and values of its
-        attention, which a template-only pass caches.
+        Returns (y, (k, v)) with the key and value rows its attention
+        attended; a template-only pass caches them.
         """
         a, kv = self.attn(self.norm1(x), layout, extra, kv=kv, search=search)
         x = ad.add(x, a)

@@ -523,11 +523,41 @@ def matmul(a, b):
 
 
 def linear(x, w, b=None):
-    """Affine map: x @ w (+ b); w has shape [in, out]."""
-    y = matmul(x, w)
+    """Affine map x @ w (+ b) as one op; w has shape [in, out].
+
+    It equals ``add(matmul(x, w), b)`` bit for bit, forward and backward:
+    the bias adds into the product in place, and the gradients are the
+    ones those two ops return for the same upstream.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 2 or w.ndim < 2:
+        raise ShapeError(
+            f"linear needs >=2-d operands, got {x.shape} and {w.shape}"
+        )
+    if x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"linear inner extents differ: {x.shape} vs {w.shape}")
+    y = np.matmul(x.data, w.data)
+    inputs = (x, w)
     if b is not None:
-        y = add(y, b)
-    return y
+        b = as_tensor(b)
+        inputs += (b,)
+        if b.data.dtype == y.dtype:
+            y += b.data
+        else:
+            y = y + b.data
+    out = Tensor(y)
+
+    def vjp(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = _unbroadcast(np.matmul(g, np.swapaxes(w.data, -1, -2)), x.data.shape)
+        if w.requires_grad:
+            gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.data.shape)
+        if b is not None and b.requires_grad:
+            gb = _unbroadcast(g, b.data.shape)
+        return (gx, gw) if b is None else (gx, gw, gb)
+
+    return _record("linear", out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +600,68 @@ def _attention_weights(q, k, scale):
     return w
 
 
-def attention(q, k, v, scale):
-    """Scaled dot-product attention: softmax(q @ kᵀ · scale) @ v, one op.
+def _split_heads(a, heads):
+    """View [..., H, L, C/H] of token rows a [..., L, C]: head h holds
+    columns [h*C/H, (h+1)*C/H)."""
+    return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -2, -3)
 
-    q is [..., Lq, d], k [..., Lk, d] and v [..., Lk, dv] with equal leading
-    axes; the output is [..., Lq, dv].  It equals the chain
-    matmul(q, kᵀ), mul by ``scale``, softmax and matmul by v bit for bit,
-    forward and backward, as one tape entry that keeps only the weights.
-    With no tape recording it, the query rows run in blocks of
-    ``_ATTENTION_ROWS``; every block still sees every key, so a row's
+
+def _merge_heads(a):
+    """Token rows [..., L, H*d] of head-split a [..., H, L, d]; a view
+    where the layout allows one, else a C-order copy."""
+    a = np.swapaxes(a, -2, -3)
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def _query_groups(lq, lk, split):
+    """(query rows, key count) of each query group of ``attention``."""
+    if split is None:
+        return [(slice(0, lq), lk)]
+    lt, kt = split
+    return [(slice(0, lt), kt), (slice(lt, lq), lk)]
+
+
+def _group_grad(parts, shape, heads, groups, rows):
+    """One input's gradient in token layout from its head-split parts, one
+    per query group of ``attention``, or None without parts.
+
+    A lone part is merged as it is.  Several fill a C-order array: query
+    rows (``rows``) take their group's part; keys and values take the last
+    group's, which attends every key, and add the first group's on its keys.
+    """
+    if not parts:
+        return None
+    if len(parts) == 1:
+        return _merge_heads(parts[0])
+    full = np.empty(shape, dtype=parts[0].dtype)
+    fh = _split_heads(full, heads)
+    if rows:
+        for (group_rows, _), part in zip(groups, parts):
+            fh[..., group_rows, :] = part
+    else:
+        fh[...] = parts[1]
+        fh[..., : groups[0][1], :] += parts[0]
+    return full
+
+
+def attention(q, k, v, heads, split=None):
+    """Multi-head attention over token rows: softmax(q @ kᵀ / sqrt(d)) @ v
+    per head, one op.
+
+    q is [..., Lq, C], k [..., Lk, C] and v [..., Lk, Cv] with equal leading
+    axes, and the output [..., Lq, Cv] is in the same token layout.  Head h
+    reads columns [h*C/H, (h+1)*C/H) of q and k, and of v likewise, and d is
+    C/H.  The heads are split and merged as views inside the op.
+
+    With ``split=(lt, kt)`` the query rows form two groups: the first lt rows
+    attend only the first kt keys, and the others attend every key.  Each
+    group has its own weights and products, so the op equals splitting the
+    heads, running the chain matmul(q, kᵀ), mul by 1/sqrt(d), softmax and
+    matmul by v once per group on its rows and keys, and merging the heads,
+    bit for bit, forward and backward.  The gradients of several groups are
+    C-order arrays, and a key's gradient adds the groups' contributions.
+    With no tape recording it, each group's rows run in blocks of
+    ``_ATTENTION_ROWS``; every block sees all of its group's keys, so a row's
     weights are the same as in one block.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -592,36 +675,61 @@ def attention(q, k, v, scale):
         raise ShapeError(
             f"attention extents differ: q {q.shape}, k {k.shape}, v {v.shape}"
         )
+    if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ShapeError(
+            f"{heads} heads do not divide the widths of q {q.shape} and v {v.shape}"
+        )
+    lq, lk = q.shape[-2], k.shape[-2]
+    if split is not None and not (0 < split[0] < lq and 0 < split[1] <= lk):
+        raise ShapeError(
+            f"split {split} must leave query rows on both sides of {lq} and "
+            f"select 1 to {lk} keys"
+        )
     inputs = (q, k, v)
-    lq, step = q.shape[-2], _ATTENTION_ROWS
-    if lq <= step or (_tls.stack and any(t.requires_grad for t in inputs)):
-        w = _attention_weights(q.data, k.data, scale)
-        y = np.matmul(w, v.data)
-    else:
-        w = None  # nothing records the op, so its vjp never runs
-        y = np.empty(q.shape[:-1] + v.shape[-1:],
-                     dtype=np.result_type(q.data, k.data, v.data))
-        for r in range(0, lq, step):
-            rows = slice(r, r + step)
-            y[..., rows, :] = np.matmul(
-                _attention_weights(q.data[..., rows, :], k.data, scale), v.data
+    groups = _query_groups(lq, lk, split)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in inputs)
+    scale = 1.0 / float(np.sqrt(qh.shape[-1]))
+    y = np.empty(q.shape[:-1] + v.shape[-1:], dtype=np.result_type(q.data, k.data, v.data))
+    yh = _split_heads(y, heads)
+    taped = bool(_tls.stack) and any(t.requires_grad for t in inputs)
+    weights = []  # kept only when a tape records the op, for its vjp
+    for rows, keys in groups:
+        kg, vg = kh[..., :keys, :], vh[..., :keys, :]
+        if taped:
+            w = _attention_weights(qh[..., rows, :], kg, scale)
+            weights.append(w)
+            yh[..., rows, :] = np.matmul(w, vg)
+            continue
+        for r in range(rows.start, rows.stop, _ATTENTION_ROWS):
+            block = slice(r, min(r + _ATTENTION_ROWS, rows.stop))
+            yh[..., block, :] = np.matmul(
+                _attention_weights(qh[..., block, :], kg, scale), vg
             )
     out = Tensor(y)
 
     def vjp(g):
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = np.matmul(np.swapaxes(w, -1, -2), g)
-        if q.requires_grad or k.requires_grad:
-            gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            gw -= np.add.reduce(gw * w, axis=-1, keepdims=True)
-            gw *= w
-            gw *= np.asarray(scale, dtype=gw.dtype)
-            if q.requires_grad:
-                gq = np.matmul(gw, k.data)
-            if k.requires_grad:
-                gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gw), -1, -2)
-        return gq, gk, gv
+        gh = _split_heads(g, heads)
+        gq, gk, gv = [], [], []  # head-split gradients, one per group
+        for (rows, keys), w in zip(groups, weights):
+            kg, vg = kh[..., :keys, :], vh[..., :keys, :]
+            gg = np.ascontiguousarray(gh[..., rows, :])
+            if v.requires_grad:
+                gv.append(np.matmul(np.swapaxes(w, -1, -2), gg))
+            if q.requires_grad or k.requires_grad:
+                gw = np.matmul(gg, np.swapaxes(vg, -1, -2))
+                gw -= np.add.reduce(gw * w, axis=-1, keepdims=True)
+                gw *= w
+                gw *= np.asarray(scale, dtype=gw.dtype)
+                if q.requires_grad:
+                    gq.append(np.matmul(gw, kg))
+                if k.requires_grad:
+                    qg = qh[..., rows, :]
+                    gk.append(np.swapaxes(np.matmul(np.swapaxes(qg, -1, -2), gw), -1, -2))
+        return (
+            _group_grad(gq, q.shape, heads, groups, rows=True),
+            _group_grad(gk, k.shape, heads, groups, rows=False),
+            _group_grad(gv, v.shape, heads, groups, rows=False),
+        )
 
     return _record("attention", out, inputs, vjp)
 
@@ -833,89 +941,125 @@ def _tap_window(buf, kh, kw, stride, out_h, out_w):
     )
 
 
-def depthwise_conv2d(x, w, b=None, stride=1, pad=0):
-    """Per-channel 2-D convolution over channels-last maps.
+def depthwise_conv2d(x, grids, w, b=None, stride=1, pad=0):
+    """Per-channel 2-D convolution over the region grids of token rows.
 
-    x is [B, H, W, C] and w is [C, kh, kw]; the output is [B, H', W', C], so
-    a token sequence reshapes into and out of it without a transpose.  The
-    input is zero-padded into one buffer (or copied once, unpadded, if it is
-    not C-contiguous), and one view of that buffer holds, per kernel tap,
-    what the tap reads at every output position.  The output adds the taps
-    in row-major kernel order, each its view times the tap's per-channel
+    x is [B, L, C] and w is [C, kh, kw].  ``grids`` lists the regions in row
+    order as (n, h, w): n maps of h x w tokens each, row-major with channels
+    last, the first starting at row 0; rows after the last region are not
+    read.  The output [B, L', C] holds each region's output maps, row-major,
+    in the same order, so a block's q, k or v projection of every region is
+    this one op, with no reshape or concat around it.
+
+    Each region is zero-padded into one buffer of maps (or copied once,
+    unpadded), and one view of that buffer holds, per kernel tap, what the
+    tap reads at every output position.  A region's output adds the taps in
+    row-major kernel order, each its view times the tap's per-channel
     weights, then the bias.  Two forward paths give the same bits:
 
-    - small outputs (at most ``_TAP_MAJOR_MAX`` elements) take one product
-      of the whole window with the kernel and one reduction over the tap
-      axis, which adds the taps one after another in that same order;
-    - large outputs loop over the taps, accumulating into the output, since
+    - small region outputs (at most ``_TAP_MAJOR_MAX`` elements) take one
+      product of the whole window with the kernel and one reduction over the
+      tap axis, which adds the taps one after another in that same order;
+    - large ones loop over the taps, accumulating into the output, since
       the tap-major product's 9x temporary would cost more than it saves.
 
-    The gradient walks the same views: each tap's weight gradient reduces g
-    times its view over every position (on small outputs one product and
-    one batched ones-row matmul for all taps), and the input's accumulates
-    g times each tap's weights, tap by tap.
+    The gradient walks the same views region by region: each tap's weight
+    gradient reduces g times its view over the region's positions (on small
+    outputs one product and one batched ones-row matmul for all taps), the
+    input's accumulates g times each tap's weights, tap by tap, and the
+    kernel and bias gradients add the regions' sums.  So the op equals one
+    convolution per region's maps followed by a concat, bit for bit.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if x.ndim != 4:
+    if x.ndim != 3:
         raise ShapeError(
-            f"depthwise_conv2d needs [B, H, W, C] maps, got shape {x.shape}"
+            f"depthwise_conv2d needs [B, L, C] token rows, got shape {x.shape}"
         )
-    bsz, h, wd, c = x.shape
+    bsz, rows, c = x.shape
     c_w, kh, kw = w.shape
     if c != c_w:
         raise ShapeError(
             f"depthwise_conv2d channel mismatch: input has {c}, kernel has {c_w}"
         )
-    out_h = _conv_out_extent(h, kh, stride, pad)
-    out_w = _conv_out_extent(wd, kw, stride, pad)
-    if pad:
-        buf = np.zeros((bsz, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)
-        buf[:, pad:-pad, pad:-pad] = x.data
-    else:
-        buf = np.ascontiguousarray(x.data)
-    win = _tap_window(buf, kh, kw, stride, out_h, out_w)
-    win.flags.writeable = False
+    regions = []  # (input row, output row, n, h, w, out_h, out_w) per grid
+    start = o_start = 0
+    for n, h, wd in grids:
+        out_h = _conv_out_extent(h, kh, stride, pad)
+        out_w = _conv_out_extent(wd, kw, stride, pad)
+        regions.append((start, o_start, n, h, wd, out_h, out_w))
+        start += n * h * wd
+        o_start += n * out_h * out_w
+    if not regions or start > rows:
+        raise ShapeError(
+            f"depthwise_conv2d grids {list(grids)} need 1 to {rows} rows, got {start}"
+        )
     taps = np.ascontiguousarray(w.data.reshape(c, kh * kw).T)
-    n_taps, out_shape = kh * kw, (bsz, out_h, out_w, c)
-    tap_major = bsz * out_h * out_w * c <= _TAP_MAJOR_MAX
-    if tap_major:
-        prod = np.multiply(win, taps.reshape(kh, kw, 1, 1, 1, c))
-        y = np.add.reduce(prod.reshape((n_taps,) + out_shape), axis=0)
-    else:
-        y = win[0, 0] * taps[0]
-        tmp = np.empty_like(y)
-        for t in range(1, n_taps):
-            y += np.multiply(win[divmod(t, kw)], taps[t], out=tmp)
-    if b is not None:
-        y += as_tensor(b).data
-    out = Tensor(y)
-    inputs = (x, w) if b is None else (x, w, as_tensor(b))
+    n_taps = kh * kw
+    bias = None if b is None else as_tensor(b)
+    views, parts = [], []
+    for r0, _, n, h, wd, out_h, out_w in regions:
+        maps = x.data[:, r0 : r0 + n * h * wd].reshape(bsz, n, h, wd, c)
+        if pad:
+            buf = np.zeros((bsz, n, h + 2 * pad, wd + 2 * pad, c), dtype=x.dtype)
+            buf[:, :, pad : pad + h, pad : pad + wd] = maps
+        else:
+            buf = np.ascontiguousarray(maps)
+        buf = buf.reshape((bsz * n,) + buf.shape[2:])
+        win = _tap_window(buf, kh, kw, stride, out_h, out_w)
+        win.flags.writeable = False
+        out_shape = (bsz * n, out_h, out_w, c)
+        tap_major = bsz * n * out_h * out_w * c <= _TAP_MAJOR_MAX
+        if tap_major:
+            prod = np.multiply(win, taps.reshape(kh, kw, 1, 1, 1, c))
+            y = np.add.reduce(prod.reshape((n_taps,) + out_shape), axis=0)
+        else:
+            y = win[0, 0] * taps[0]
+            tmp = np.empty_like(y)
+            for t in range(1, n_taps):
+                y += np.multiply(win[divmod(t, kw)], taps[t], out=tmp)
+        if bias is not None:
+            y += bias.data
+        views.append((buf.shape, win, tap_major))
+        parts.append(y.reshape(bsz, -1, c))
+    out = Tensor(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+    inputs = (x, w) if bias is None else (x, w, bias)
 
     def vjp(g):
-        # sums over every position as one row-vector product, which is far
-        # cheaper than a reduction down the long axis of a [N, C] array
-        ones = np.ones((1, bsz * out_h * out_w), dtype=g.dtype)
-        prod = np.empty(g.shape, dtype=g.dtype)
-        gx = gw = None
-        if w.requires_grad:
-            if tap_major:
-                gprod = np.multiply(win, g).reshape(n_taps, -1, c)
-                gw = np.matmul(ones, gprod).reshape(n_taps, c)
-            else:
-                gw = np.empty((n_taps, c), dtype=g.dtype)
+        gx = np.zeros(x.shape, dtype=g.dtype) if x.requires_grad else None
+        gw = gb = None
+        for (r0, o0, n, h, wd, out_h, out_w), (buf_shape, win, tap_major) in zip(
+                regions, views):
+            m = n * out_h * out_w
+            gr = np.ascontiguousarray(g[:, o0 : o0 + m]).reshape(bsz * n, out_h, out_w, c)
+            # sums over every position as one row-vector product, which is far
+            # cheaper than a reduction down the long axis of a [N, C] array
+            ones = np.ones((1, bsz * m), dtype=g.dtype)
+            prod = np.empty(gr.shape, dtype=g.dtype)
+            if w.requires_grad:
+                if tap_major:
+                    gprod = np.multiply(win, gr).reshape(n_taps, -1, c)
+                    gw_r = np.matmul(ones, gprod).reshape(n_taps, c)
+                else:
+                    gw_r = np.empty((n_taps, c), dtype=g.dtype)
+                    for t in range(n_taps):
+                        np.multiply(gr, win[divmod(t, kw)], out=prod)
+                        np.matmul(ones, prod.reshape(-1, c), out=gw_r[t : t + 1])
+                gw = gw_r if gw is None else gw + gw_r
+            if bias is not None and bias.requires_grad:
+                gb_r = np.matmul(ones, gr.reshape(-1, c)).reshape(c)
+                gb = gb_r if gb is None else gb + gb_r
+            if x.requires_grad:
+                gbuf = np.zeros(buf_shape, dtype=g.dtype)
+                gwin = _tap_window(gbuf, kh, kw, stride, out_h, out_w)
                 for t in range(n_taps):
-                    np.multiply(g, win[divmod(t, kw)], out=prod)
-                    np.matmul(ones, prod.reshape(-1, c), out=gw[t : t + 1])
+                    gwin[divmod(t, kw)] += np.multiply(gr, taps[t], out=prod)
+                gbuf = gbuf.reshape((bsz, n) + buf_shape[1:])
+                gx[:, r0 : r0 + n * h * wd].reshape(bsz, n, h, wd, c)[...] = (
+                    gbuf[:, :, pad : pad + h, pad : pad + wd]
+                )
+        if gw is not None:
             gw = np.ascontiguousarray(gw.T).reshape(w.shape)
-        if x.requires_grad:
-            gbuf = np.zeros(buf.shape, dtype=g.dtype)
-            gwin = _tap_window(gbuf, kh, kw, stride, out_h, out_w)
-            for t in range(n_taps):
-                gwin[divmod(t, kw)] += np.multiply(g, taps[t], out=prod)
-            gx = np.ascontiguousarray(gbuf[:, pad:-pad, pad:-pad]) if pad else gbuf
-        if b is None:
-            return gx, gw
-        return gx, gw, np.matmul(ones, g.reshape(-1, c)).reshape(c)
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
     return _record("depthwise_conv2d", out, inputs, vjp)
 

@@ -22,13 +22,28 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .attention import (
-    ASYMMETRIC, MAMBlock, TokenLayout, _cat, _part, _tokens_to_map, check_mode,
-)
+from .attention import ASYMMETRIC, MAMBlock, TokenLayout, check_mode
 from .autodiff import Tensor, _conv_out_extent
 from .errors import ConfigError, ShapeError
 
 PRESET_NAMES = ("mixformer", "mixformer_l", "tiny")
+
+
+def _part(x, start, stop, axis):
+    """x[start:stop] along ``axis``; x itself when that is all of it."""
+    if start == 0 and stop == x.shape[axis]:
+        return x
+    return x[(slice(None),) * axis + (slice(start, stop),)]
+
+
+def _cat(parts, axis):
+    """Concatenation of parts along ``axis``; a lone part as it is."""
+    return parts[0] if len(parts) == 1 else ad.concat(parts, axis=axis)
+
+
+def _tokens_to_map(tokens, b, n_maps, h, w, d):
+    """[B, n_maps*h*w, d] tokens -> [B*n_maps, d, h, w] maps."""
+    return ad.transpose(ad.reshape(tokens, (b * n_maps, h, w, d)), (0, 3, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -209,9 +224,10 @@ class Stage(nn.Module):
 class TemplateCache:
     """Frozen template-side state for asymmetric tracking.
 
-    ``kv`` holds, per stage, one (k, v) pair per block (head-split tensors of
-    the projected template tokens).  ``template_tokens`` is the final normed
-    template sequence.
+    ``kv`` holds, per stage, one (k, v) pair per block: the projected
+    template keys and values as token rows [B, Lk_t, D], which a cached
+    pass concatenates with its search rows.  ``template_tokens`` is the
+    final normed template sequence.
     """
 
     kv: list
@@ -280,7 +296,7 @@ class Backbone(nn.Module):
         stage-3 block.
 
         Returns the last token sequence, before the final norm, and per
-        stage the template (k, v) of each block.
+        stage the (k, v) rows each block attended.
         """
         n_t = self.config.templates
         b = (templates if search is None else search).shape[0]

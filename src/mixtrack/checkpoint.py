@@ -7,6 +7,7 @@ prior byte closes the file.  Entries are written in sorted name order so
 identical parameters always produce identical bytes.
 """
 
+import contextlib
 import os
 import struct
 import zlib
@@ -24,13 +25,29 @@ _U32 = struct.Struct("<I")
 
 
 def atomic_write(path, blob):
-    """Write bytes or text through a temp file and rename."""
+    """Write bytes or text through a temp file and rename.
+
+    A failure in the write or the rename removes the temp file, so no
+    half-written artifact is left behind, and an OSError names ``path``,
+    not the temp file.
+    """
     path = os.fspath(path)
     tmp = f"{path}.tmp"
     mode = "wb" if isinstance(blob, (bytes, bytearray)) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        fh = open(tmp, mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
 
 
 def _encode_entry(name, arr):

@@ -6,6 +6,7 @@ run never leaves a half-written artifact behind.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -98,6 +99,10 @@ def cmd_track(args):
 
 
 def _read_box_lines(path):
+    """Rows [frame, x, y, w, h, score] of a boxes csv that can be scored
+    honestly, as ``track`` writes them: frames numbered 1..N in order, finite
+    x, y, w and h, and w, h >= 0.  Anything else raises a ParseError that
+    names the line."""
     rows = []
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
@@ -109,11 +114,20 @@ def _read_box_lines(path):
                 f"expected frame,x,y,w,h,score, got {line!r}", line=lineno
             )
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise ParseError(
                 f"non-numeric field in {line!r}", line=lineno
             ) from None
+        if row[0] != len(rows) + 1:
+            raise ParseError(
+                f"frame {parts[0]} where frame {len(rows) + 1} was due", line=lineno
+            )
+        if not all(math.isfinite(v) for v in row[1:5]):
+            raise ParseError(f"non-finite box in {line!r}", line=lineno)
+        if row[3] < 0 or row[4] < 0:
+            raise ParseError(f"negative box size in {line!r}", line=lineno)
+        rows.append(row)
     return rows
 
 

@@ -92,8 +92,9 @@ class LayerNorm(Module):
 class DepthwiseConv(Module):
     """Per-channel 3x3 projection, initialized near identity.
 
-    It maps channels-last maps [B, H, W, dim] to [B, H', W', dim]; the kernel
-    is [dim, 3, 3].  The center tap starts at one so the projection begins as
+    It maps the region grids of token rows [B, L, dim] to the output grids'
+    rows [B, L', dim] (see ``ad.depthwise_conv2d``); the kernel is
+    [dim, 3, 3].  The center tap starts at one so the projection begins as
     (sub)sampling and learns local mixing from there; there is no norm layer
     between this and the linear projection that follows it.
     """
@@ -105,9 +106,9 @@ class DepthwiseConv(Module):
         self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
         self.stride = stride
 
-    def __call__(self, x):
+    def __call__(self, x, grids):
         return ad.depthwise_conv2d(
-            x, self.kernel, self.bias, stride=self.stride, pad=1
+            x, grids, self.kernel, self.bias, stride=self.stride, pad=1
         )
 
 

@@ -86,7 +86,7 @@ class CrossAttnBlock(nn.Module):
         q = self.wq(queries)
         k = self.wk(keys)
         v = self.wv(keys)
-        att = ad.attention(q, k, v, 1.0 / float(np.sqrt(self.dim)))
+        att = ad.attention(q, k, v, 1)
         return self.norm(ad.add(queries, self.wo(att)))
 
 

@@ -74,18 +74,25 @@ class Affine:
         )
 
 
+# Rows per chunk of ``_frame_mean``: a uint16 column sum of 257 rows is at
+# most 257 * 255 = 65535, so it cannot wrap.
+_MEAN_ROWS = 257
+
+
 def _frame_mean(frame):
     """Per-channel float64 mean of a [H, W, 3] uint8 frame.
 
-    Every partial sum is an exact integer below 2**53, so this equals
-    ``frame.mean(axis=(0, 1), dtype=np.float64)`` bit for bit without
+    Column sums run in uint16 over chunks of ``_MEAN_ROWS`` rows and add up
+    in int64.  Every partial sum is an exact integer below 2**53, so this
+    equals ``frame.mean(axis=(0, 1), dtype=np.float64)`` bit for bit without
     converting the frame to floats.
     """
     h, w = frame.shape[:2]
-    # uint32 column sums stay exact while H < 2**32 / 255 (about 16.8M rows)
-    cols = frame.reshape(h, w * 3).sum(axis=0, dtype=np.uint32)
-    sums = cols.reshape(w, 3).sum(axis=0, dtype=np.int64)
-    return sums.astype(np.float64) / (h * w)
+    flat = frame.reshape(h, w * 3)
+    cols = np.zeros(w * 3, dtype=np.int64)
+    for r in range(0, h, _MEAN_ROWS):
+        cols += flat[r : r + _MEAN_ROWS].sum(axis=0, dtype=np.uint16)
+    return cols.reshape(w, 3).sum(axis=0).astype(np.float64) / (h * w)
 
 
 def _bilinear_crop(frame, left, top, side, out_size):

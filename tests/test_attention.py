@@ -63,17 +63,21 @@ def test_layout_rejects_bad_extents():
 # conv projections
 
 
+def projections(attn, x, grids):
+    """The q, k and v depth-wise projections of token rows x over grids."""
+    return tuple(conv(x, grids) for conv in (attn.dw_q, attn.dw_k, attn.dw_v))
+
+
 def test_conv_projection_extents():
     rng = np.random.default_rng(1)
     attn = att.MixedAttention(dim=4, heads=1, rng=rng)
-    m = Tensor(rng.normal(size=(2, 20, 20, 4)).astype(np.float32))
-    assert attn.dw_q(m).shape == (2, 20, 20, 4)
-    assert attn.dw_k(m).shape == (2, 10, 10, 4)
-    assert attn.dw_v(m).shape == (2, 10, 10, 4)
-    tokens = Tensor(rng.normal(size=(2, 3 * 400, 4)).astype(np.float32))
-    q, k, v = attn._qkv(tokens, 3, 20, 20)
+    tokens = Tensor(rng.normal(size=(2, 3 * 400 + 36, 4)).astype(np.float32))
+    q, k, v = projections(attn, tokens, [(3, 20, 20)])
     assert q.shape == (2, 3 * 400, 4)
     assert k.shape == v.shape == (2, 3 * 100, 4)
+    q, k, v = projections(attn, tokens, [(3, 20, 20), (1, 6, 6)])
+    assert q.shape == (2, 3 * 400 + 36, 4)
+    assert k.shape == v.shape == (2, 3 * 100 + 9, 4)
 
 
 def test_template_projections_independent():
@@ -83,9 +87,9 @@ def test_template_projections_independent():
     x = rng.normal(size=(1, lay.template_total, lay.dim)).astype(np.float32)
     x2 = x.copy()
     x2[:, lay.tokens_per_template :] = 0.0
-    args = (lay.templates, lay.t_h, lay.t_w)
-    q1, k1, v1 = attn._qkv(Tensor(x), *args)
-    q2, k2, v2 = attn._qkv(Tensor(x2), *args)
+    grids = [(lay.templates, lay.t_h, lay.t_w)]
+    q1, k1, v1 = projections(attn, Tensor(x), grids)
+    q2, k2, v2 = projections(attn, Tensor(x2), grids)
     n = lay.tokens_per_template
     nh = lay.halved().tokens_per_template
     np.testing.assert_array_equal(q1.numpy()[:, :n], q2.numpy()[:, :n])
@@ -113,7 +117,7 @@ def region_projections(attn, x, lay):
     out = []
     for rows, grid in ((x[:, :lt], (lay.templates, lay.t_h, lay.t_w)),
                        (x[:, lt:], (1, lay.s_h, lay.s_w))):
-        streams = attn._qkv(Tensor(rows), *grid)
+        streams = projections(attn, Tensor(rows), [grid])
         out.append(tuple(
             proj(s).numpy()[0].astype(np.float64)
             for proj, s in zip((attn.wq, attn.wk, attn.wv), streams)
@@ -127,7 +131,8 @@ def random_tokens(rng, lay, extra=0):
 
 def test_mixed_attention_uniform_over_identical_values():
     v = np.array([[2.0, -1.0, 0.5], [2.0, -1.0, 0.5]], dtype=np.float32)
-    out, w = att._attend(Tensor(v[:1]), Tensor(v), Tensor(v), 3, want_weights=True)
+    out = ad.attention(Tensor(v[:1]), Tensor(v), Tensor(v), 1)
+    (w,) = att._weights(Tensor(v[:1]), Tensor(v), 1, None)
     np.testing.assert_allclose(out.numpy(), v[:1], atol=1e-6)
     np.testing.assert_allclose(w.numpy(), 0.5, atol=1e-7)
 
@@ -160,8 +165,17 @@ def test_masked_template_keys_give_search_self_attention():
     masked = brute_force_attention(
         q_s.numpy().astype(np.float64), km, vm, d, masked_cols=range(3)
     )
-    pure, _ = att._attend(q_s, k_s, v_s, d)
+    pure = ad.attention(q_s, k_s, v_s, 1)
     assert np.abs(pure.numpy() - masked).max() < 1e-6
+    # the same rows as the second query group of a split call, whose first
+    # group attends the template keys only
+    q = ad.concat([q_t, q_s], axis=0)
+    k, v = ad.concat([k_t, k_s], axis=0), ad.concat([v_t, v_s], axis=0)
+    split = ad.attention(q, k, v, 1, split=(3, 3)).numpy()
+    want_t = brute_force_attention(q_t.numpy().astype(np.float64), k_t.numpy(), v_t.numpy(), d)
+    assert np.abs(split[:3] - want_t).max() < 1e-6
+    assert np.abs(split[3:] - brute_force_attention(
+        q_s.numpy().astype(np.float64), km, vm, d)).max() < 1e-6
 
 
 def test_mixed_attention_shape_errors():
@@ -169,16 +183,16 @@ def test_mixed_attention_shape_errors():
     k3 = Tensor(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ShapeError):
         # key dims differ from the query dims
-        att._attend(q, k3, k3, 4)
+        ad.attention(q, k3, k3, 1)
     with pytest.raises(ShapeError):
         # key/value token counts disagree
-        att._attend(q, Tensor(np.zeros((3, 4), dtype=np.float32)), q, 4)
+        ad.attention(q, Tensor(np.zeros((3, 4), dtype=np.float32)), q, 1)
     lay = small_layout()
     attn = att.MixedAttention(lay.dim, 2, np.random.default_rng(0), mode=att.ASYMMETRIC)
     x = Tensor(np.zeros((1, lay.search_total, lay.dim), dtype=np.float32))
     kt = lay.halved().template_total
-    k = Tensor(np.zeros((1, 2, kt, lay.dim // 2), dtype=np.float32))
-    v = Tensor(np.zeros((1, 2, kt + 1, lay.dim // 2), dtype=np.float32))
+    k = Tensor(np.zeros((1, kt, lay.dim), dtype=np.float32))
+    v = Tensor(np.zeros((1, kt + 1, lay.dim), dtype=np.float32))
     with pytest.raises(ShapeError):
         # cached template keys and values of different lengths
         attn(x, lay, kv=(k, v))
@@ -205,9 +219,10 @@ def test_asymmetric_single_template_token_passthrough():
     rng = np.random.default_rng(6)
     lay = att.TokenLayout(templates=1, t_h=2, t_w=2, s_h=4, s_w=4, dim=4)
     attn = one_head(lay, att.ASYMMETRIC, 6)
-    y, (_, v_t) = attn(Tensor(random_tokens(rng, lay)), lay)
-    assert v_t.shape == (1, 1, 1, lay.dim)
-    want = np.broadcast_to(v_t.numpy()[0, 0], (lay.template_total, lay.dim))
+    y, (_, v) = attn(Tensor(random_tokens(rng, lay)), lay)
+    assert lay.halved().template_total == 1
+    assert v.shape == (1, lay.halved().total, lay.dim)
+    want = np.broadcast_to(v.numpy()[0, 0], (lay.template_total, lay.dim))
     np.testing.assert_array_equal(y.numpy()[0, : lay.template_total], want)
 
 
@@ -220,10 +235,11 @@ def test_asymmetric_template_ignores_search():
     x2[:, lay.template_total :] = rng.normal(size=(lay.search_total, lay.dim))
     y1, (k1, v1) = attn(Tensor(x), lay)
     y2, (k2, v2) = attn(Tensor(x2), lay)
-    lt = lay.template_total
+    lt, kt = lay.template_total, lay.halved().template_total
     np.testing.assert_array_equal(y1.numpy()[:, :lt], y2.numpy()[:, :lt])
-    np.testing.assert_array_equal(k1.numpy(), k2.numpy())
-    np.testing.assert_array_equal(v1.numpy(), v2.numpy())
+    np.testing.assert_array_equal(k1.numpy()[:, :kt], k2.numpy()[:, :kt])
+    np.testing.assert_array_equal(v1.numpy()[:, :kt], v2.numpy()[:, :kt])
+    assert not np.array_equal(k1.numpy()[:, kt:], k2.numpy()[:, kt:])
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -232,14 +248,74 @@ def test_template_only_and_cached_passes_match_joint_pass(extra):
     lay = small_layout()
     attn = att.MixedAttention(lay.dim, 2, rng, mode=att.ASYMMETRIC)
     x = Tensor(random_tokens(rng, lay, extra))
-    lt = lay.template_total
+    lt, kt = lay.template_total, lay.halved().template_total
     y, (k, v) = attn(x, lay, extra)
     y_t, (k_t, v_t) = attn(x[:, :lt], lay, search=False)
     y_s, (k_c, v_c) = attn(x[:, lt:], lay, extra, kv=(k_t, v_t))
     np.testing.assert_array_equal(y_t.numpy(), y.numpy()[:, :lt])
     np.testing.assert_array_equal(y_s.numpy(), y.numpy()[:, lt:])
-    for got, want in ((k_t, k), (v_t, v), (k_c, k), (v_c, v)):
+    assert k_t.shape == v_t.shape == (1, kt, lay.dim)
+    for got, want in ((k_t, k[:, :kt]), (v_t, v[:, :kt]), (k_c, k), (v_c, v)):
         np.testing.assert_array_equal(got.numpy(), want.numpy())
+
+
+def former_joint_attention(attn, x, lay, extra):
+    """The former joint pass of MixedAttention, op for op: one depth-wise
+    call per region and role with a concat, matmul-then-add projections, the
+    head split, the template keys cut out and concatenated back, one softmax
+    chain per query group, and the head merge."""
+    lt, ls = lay.template_total, lay.search_total
+    regions = [(0, lt, (lay.templates, lay.t_h, lay.t_w)), (lt, lt + ls, (1, lay.s_h, lay.s_w))]
+    q, k, v = (ad.concat([conv(x[:, a:z], [grid]) for a, z, grid in regions], axis=1)
+               for conv in (attn.dw_q, attn.dw_k, attn.dw_v))
+    if extra:
+        q = ad.concat([q, x[:, lt + ls :]], axis=1)
+
+    def project(lin, t):
+        return ad.add(ad.matmul(t, lin.w), lin.b)
+
+    def split(t):
+        b, n, dim = t.shape
+        return ad.transpose(ad.reshape(t, (b, n, attn.heads, dim // attn.heads)), (0, 2, 1, 3))
+
+    def chain(q, k, v):
+        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+        return ad.matmul(ad.softmax(logits, axis=-1), v)
+
+    q, k, v = (split(project(lin, t)) for lin, t in ((attn.wq, q), (attn.wk, k), (attn.wv, v)))
+    kt = lay.halved().template_total
+    k_t, v_t = k[:, :, :kt], v[:, :, :kt]
+    k, v = ad.concat([k_t, k[:, :, kt:]], axis=2), ad.concat([v_t, v[:, :, kt:]], axis=2)
+    scale = 1.0 / float(np.sqrt(q.shape[-1]))
+    keys = (k_t, v_t) if attn.mode == att.ASYMMETRIC else (k, v)
+    y = ad.concat([chain(q[:, :, :lt], *keys), chain(q[:, :, lt:], k, v)], axis=2)
+    b, h, n, d = y.shape
+    return project(attn.wo, ad.reshape(ad.transpose(y, (0, 2, 1, 3)), (b, n, h * d)))
+
+
+@pytest.mark.parametrize("mode", [att.ASYMMETRIC, att.FULL_MIXED])
+@pytest.mark.parametrize("batch, extra", [(1, 0), (4, 1)])
+def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch, extra):
+    rng = np.random.default_rng(23)
+    lay = small_layout(dim=16)
+    attn = att.MixedAttention(lay.dim, 2, rng, mode=mode)
+    x0 = rng.normal(size=(batch, lay.total + extra, lay.dim)).astype(np.float32)
+    params = attn.named_params()
+
+    def output_and_grads(f):
+        for p in params.values():
+            p.zero_grad()
+        x = Tensor(x0, requires_grad=True)
+        with ad.Tape() as tape:
+            y = f(x)
+            upstream = np.linspace(-1.0, 1.0, y.size, dtype=np.float32).reshape(y.shape)
+            tape.backward(ad.sum_(ad.mul(y, Tensor(upstream))))
+        return [("out", y.numpy()), ("x", x.grad)] + [(n, p.grad) for n, p in params.items()]
+
+    got = output_and_grads(lambda x: attn(x, lay, extra)[0])
+    want = output_and_grads(lambda x: former_joint_attention(attn, x, lay, extra))
+    for (name, g), (_, r) in zip(got, want):
+        assert g.dtype == r.dtype and np.array_equal(g, r), name
 
 
 def test_template_only_and_cached_passes_need_asymmetric_mode():
@@ -255,18 +331,27 @@ def test_template_only_and_cached_passes_need_asymmetric_mode():
 def test_attention_permutation_of_keys():
     rng = np.random.default_rng(8)
     q, k, v = (Tensor(rng.normal(size=(n, 8)).astype(np.float32)) for n in (4, 6, 6))
-    out1, _ = att._attend(q, k, v, 8)
+    out1 = ad.attention(q, k, v, 2)
     p = rng.permutation(6)
-    out2, _ = att._attend(q, Tensor(k.numpy()[p]), Tensor(v.numpy()[p]), 8)
+    out2 = ad.attention(q, Tensor(k.numpy()[p]), Tensor(v.numpy()[p]), 2)
     assert np.abs(out1.numpy() - out2.numpy()).max() < 1e-6
 
 
 def test_single_head_equals_batched_head_path():
     rng = np.random.default_rng(9)
     q, k, v = (rng.normal(size=(n, 8)).astype(np.float32) for n in (4, 6, 6))
-    out1, _ = att._attend(Tensor(q), Tensor(k), Tensor(v), 8)
-    out2, _ = att._attend(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), 8)
+    out1 = ad.attention(Tensor(q), Tensor(k), Tensor(v), 1)
+    out2 = ad.attention(Tensor(q[None]), Tensor(k[None]), Tensor(v[None]), 1)
     np.testing.assert_array_equal(out1.numpy(), out2.numpy()[0])
+
+
+def test_heads_attend_their_own_columns():
+    rng = np.random.default_rng(22)
+    q, k, v = (rng.normal(size=(2, n, 8)).astype(np.float32) for n in (4, 6, 6))
+    both = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2).numpy()
+    for h in (slice(0, 4), slice(4, 8)):
+        one = ad.attention(Tensor(q[..., h]), Tensor(k[..., h]), Tensor(v[..., h]), 1)
+        np.testing.assert_array_equal(both[..., h], one.numpy())
 
 
 # ---------------------------------------------------------------------------

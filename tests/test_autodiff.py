@@ -219,43 +219,65 @@ def test_softmax_rows_sum_to_one():
 # depthwise convolution
 
 
+def maps_depthwise(x, k, b=None, stride=1, pad=0):
+    """``ad.depthwise_conv2d`` of channels-last maps x [B, H, W, C], as one
+    grid of token rows per batch entry, reshaped back to [B, H', W', C]."""
+    bsz, h, wd, c = x.shape
+    y = ad.depthwise_conv2d(Tensor(x.reshape(bsz, h * wd, c)), [(1, h, wd)], Tensor(k),
+                            None if b is None else Tensor(b), stride=stride, pad=pad)
+    out_h = ad._conv_out_extent(h, k.shape[1], stride, pad)
+    return y.numpy().reshape(bsz, out_h, -1, c)
+
+
 def test_depthwise_identity_kernel():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 5, 5, 3)).astype(np.float32)
+    # two 2x2 templates and a 5x5 search map, then a row no grid covers
+    x = rng.normal(size=(2, 2 * 4 + 25 + 1, 3)).astype(np.float32)
     k = np.ones((3, 1, 1), dtype=np.float32)
-    y = ad.depthwise_conv2d(Tensor(x), Tensor(k))
-    np.testing.assert_array_equal(y.numpy(), x)
+    y = ad.depthwise_conv2d(Tensor(x), [(2, 2, 2), (1, 5, 5)], Tensor(k))
+    np.testing.assert_array_equal(y.numpy(), x[:, :-1])
 
 
 def test_depthwise_all_ones_interior():
     c = 1.5
     x = np.full((1, 6, 6, 2), c, dtype=np.float32)
     k = np.ones((2, 3, 3), dtype=np.float32)
-    y = ad.depthwise_conv2d(Tensor(x), Tensor(k), pad=1).numpy()
+    y = maps_depthwise(x, k, pad=1)
     assert y.shape == (1, 6, 6, 2)
     np.testing.assert_allclose(y[:, 1:-1, 1:-1], 9 * c, rtol=1e-6)
 
 
 def test_depthwise_stride2_extents():
-    x = Tensor(np.zeros((1, 16, 16, 1), dtype=np.float32))
+    x = Tensor(np.zeros((1, 2 * 25 + 256, 1), dtype=np.float32))
     k = Tensor(np.zeros((1, 3, 3), dtype=np.float32))
-    assert ad.depthwise_conv2d(x, k, stride=2, pad=1).shape == (1, 8, 8, 1)
+    assert ad.depthwise_conv2d(x, [(1, 16, 16)], k, stride=2, pad=1).shape == (1, 64, 1)
+    y = ad.depthwise_conv2d(x, [(2, 5, 5), (1, 16, 16)], k, stride=2, pad=1)
+    assert y.shape == (1, 2 * 9 + 64, 1)
 
 
 def test_depthwise_bad_extent_raises():
-    x = Tensor(np.zeros((1, 2, 2, 1), dtype=np.float32))
+    x = Tensor(np.zeros((1, 4, 1), dtype=np.float32))
     k = Tensor(np.zeros((1, 5, 5), dtype=np.float32))
     with pytest.raises(ConfigError):
-        ad.depthwise_conv2d(x, k)
+        ad.depthwise_conv2d(x, [(1, 2, 2)], k)
 
 
 def test_depthwise_channel_mismatch_raises():
     with pytest.raises(ShapeError):
-        ad.depthwise_conv2d(
-            Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((2, 3, 3)))
-        )
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [(1, 4, 4)], Tensor(np.zeros((2, 3, 3))))
     with pytest.raises(ShapeError):
-        ad.depthwise_conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 3))))
+        # channels-last maps are not token rows
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))), [(1, 4, 4)], Tensor(np.zeros((3, 3, 3))))
+
+
+def test_depthwise_grids_must_fit_the_rows():
+    k = Tensor(np.zeros((3, 3, 3)))
+    with pytest.raises(ShapeError):
+        # the grids need more rows than the tokens have
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [(1, 4, 4), (1, 3, 3)], k)
+    with pytest.raises(ShapeError):
+        # no grid at all
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [], k)
 
 
 def test_depthwise_matches_loop_oracle():
@@ -264,9 +286,27 @@ def test_depthwise_matches_loop_oracle():
     k = rng.normal(size=(4, 3, 3)).astype(np.float64)
     b = rng.normal(size=4).astype(np.float64)
     for stride, pad in [(1, 1), (2, 1), (1, 0), (3, 2)]:
-        got = ad.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, pad=pad)
+        got = maps_depthwise(x, k, b, stride=stride, pad=pad)
         want = depthwise_loops(x, k, b, stride, pad)
-        np.testing.assert_allclose(got.numpy(), want, rtol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_depthwise_regions_match_loop_oracle():
+    # three 5x4 maps per batch entry, then one 9x7 map: each region is
+    # convolved on its own, so no tap reads across a region's border
+    rng = np.random.default_rng(33)
+    t = rng.normal(size=(2, 3, 5, 4, 4))
+    s = rng.normal(size=(2, 9, 7, 4))
+    k = rng.normal(size=(4, 3, 3))
+    b = rng.normal(size=4)
+    x = np.concatenate([t.reshape(2, 60, 4), s.reshape(2, 63, 4)], axis=1)
+    for stride, pad in [(1, 1), (2, 1)]:
+        got = ad.depthwise_conv2d(Tensor(x), [(3, 5, 4), (1, 9, 7)], Tensor(k), Tensor(b),
+                                  stride=stride, pad=pad).numpy()
+        want_t = depthwise_loops(t.reshape(6, 5, 4, 4), k, b, stride, pad)
+        want_s = depthwise_loops(s, k, b, stride, pad)
+        want = np.concatenate([want_t.reshape(2, -1, 4), want_s.reshape(2, -1, 4)], axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_depthwise_float32_is_within_summation_error_of_the_oracle():
@@ -276,11 +316,11 @@ def test_depthwise_float32_is_within_summation_error_of_the_oracle():
     x, k, b = (rng.normal(size=shape).astype(np.float32)
                for shape in ((2, 9, 7, 4), (4, 3, 3), (4,)))
     for stride, pad in [(1, 1), (2, 1), (1, 0)]:
-        got = ad.depthwise_conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, pad=pad)
+        got = maps_depthwise(x, k, b, stride=stride, pad=pad)
         assert got.dtype == np.float32
         want = depthwise_loops(*(a.astype(np.float64) for a in (x, k, b)), stride, pad)
         scale = depthwise_loops(*(np.abs(a).astype(np.float64) for a in (x, k, b)), stride, pad)
-        assert np.all(np.abs(got.numpy() - want) <= 10 * np.finfo(np.float32).eps * scale)
+        assert np.all(np.abs(got - want) <= 10 * np.finfo(np.float32).eps * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +418,43 @@ def test_linear_identity():
     w = Tensor(np.eye(3, dtype=np.float32))
     b = Tensor(np.zeros(3, dtype=np.float32))
     np.testing.assert_array_equal(ad.linear(Tensor(x), w, b).numpy(), x)
+
+
+def test_linear_shape_errors():
+    with pytest.raises(ShapeError):
+        ad.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+    with pytest.raises(ShapeError):
+        ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2))))
+
+
+def _output_and_grads(op, leaves):
+    """Forward output and every leaf's gradient under a fixed upstream."""
+    leaves = [Tensor(a, requires_grad=True) for a in leaves]
+    with Tape() as tape:
+        y = op(*leaves)
+        upstream = np.linspace(-1.0, 1.0, y.size).reshape(y.shape)
+        tape.backward(ad.sum_(ad.mul(y, Tensor(upstream, dtype=y.dtype))))
+    return [y.numpy()] + [t.grad for t in leaves]
+
+
+def _assert_same_bits(got, want, what):
+    for i, (g, r) in enumerate(zip(got, want)):
+        name = "out" if i == 0 else f"grad {i - 1}"
+        assert g.dtype == r.dtype and g.shape == r.shape, f"{what} {name}"
+        assert np.array_equal(g, r), f"{what} {name} differs"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(5, 8), (1, 40, 8), (4, 37, 8)])
+def test_linear_matches_matmul_then_add_bit_for_bit(x_shape, dtype):
+    rng = np.random.default_rng(34)
+    x, w, b = (rng.normal(size=shape).astype(dtype) for shape in (x_shape, (8, 6), (6,)))
+    got = _output_and_grads(ad.linear, (x, w, b))
+    want = _output_and_grads(lambda x, w, b: ad.add(ad.matmul(x, w), b), (x, w, b))
+    _assert_same_bits(got, want, f"linear {x_shape}")
+    got = _output_and_grads(ad.linear, (x, w))
+    want = _output_and_grads(ad.matmul, (x, w))
+    _assert_same_bits(got, want, f"linear {x_shape} without bias")
 
 
 def test_batch_norm_frozen_matches_formula():
@@ -511,7 +588,7 @@ def test_vjps_skip_inputs_that_need_no_gradient():
         ad.add(a, 1.0), ad.sub(2.0, a), ad.mul(a, 0.5), ad.matmul(a, const)
         ad.div(a, positive), ad.div(positive, a)
         ad.maximum(a, 1e-12), ad.minimum(0.0, a)
-        ad.attention(a, const, const, 0.5), ad.attention(const[:2], const, a.transpose(), 0.5)
+        ad.attention(a, const, const, 1), ad.attention(const[:2], const, a.transpose(), 1)
     grads = [vjp(np.ones_like(out.data)) for _, out, _, vjp in tape._entries]
     assert grads[0][0] is None and grads[0][1].shape == w.shape
     assert grads[1][1] is None and grads[2][0] is None and grads[3][1] is None
@@ -620,12 +697,7 @@ def test_conv2d_channel_mismatch_raises():
 
 def _conv_output_and_grads(op, x, w, b, stride, pad):
     """Forward output and the gradients of x, w and b under a fixed upstream."""
-    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-    with Tape() as tape:
-        y = op(*leaves, stride=stride, pad=pad)
-        upstream = np.linspace(-1.0, 1.0, y.size).reshape(y.shape)
-        tape.backward(ad.sum_(ad.mul(y, Tensor(upstream, dtype=y.dtype))))
-    return [y.numpy()] + [t.grad for t in leaves]
+    return _output_and_grads(lambda *leaves: op(*leaves, stride=stride, pad=pad), (x, w, b))
 
 
 def _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, pad):
@@ -661,63 +733,176 @@ def test_conv_ops_match_reference_patches_on_transposed_view(monkeypatch, op):
         _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, 0)
 
 
+# The former ``autodiff.attention``, which took head-split q, k and v and a
+# scale, and ``attention.split_heads`` / ``merge_heads``, kept verbatim (bar
+# the ``ad.`` prefixes): the token-layout op must match the chain that
+# MixedAttention built from them bit for bit.
+def reference_attention(q, k, v, scale):
+    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
+    w = ad._attention_weights(q.data, k.data, scale)
+    y = np.matmul(w, v.data)
+    out = Tensor(y)
+
+    def vjp(g):
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(w, -1, -2), g)
+        if q.requires_grad or k.requires_grad:
+            gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            gw -= np.add.reduce(gw * w, axis=-1, keepdims=True)
+            gw *= w
+            gw *= np.asarray(scale, dtype=gw.dtype)
+            if q.requires_grad:
+                gq = np.matmul(gw, k.data)
+            if k.requires_grad:
+                gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gw), -1, -2)
+        return gq, gk, gv
+
+    return ad._record("attention", out, (q, k, v), vjp)
+
+
+def split_heads(x, heads):
+    """[B, L, D] -> [B, H, L, D/H]."""
+    b, n, dim = x.shape
+    return ad.transpose(ad.reshape(x, (b, n, heads, dim // heads)), (0, 2, 1, 3))
+
+
+def merge_heads(x):
+    """[B, H, L, d] -> [B, L, H*d]."""
+    b, h, n, d = x.shape
+    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, n, h * d))
+
+
 def attention_chain(q, k, v, scale):
-    """The op chain ``ad.attention`` replaced, as MixedAttention and the
+    """The op chain the fused attention replaced, as MixedAttention and the
     score predictor ran it: kᵀ, matmul, mul by the scale, softmax, matmul."""
     kt = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
     logits = ad.mul(ad.matmul(q, kt), scale)
     return ad.matmul(ad.softmax(logits, axis=-1), v)
 
 
-def _attention_output_and_grads(op, q, k, v, scale):
-    leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    with Tape() as tape:
-        y = op(*leaves, scale)
-        upstream = np.linspace(-1.0, 1.0, y.size).reshape(y.shape)
-        tape.backward(ad.sum_(ad.mul(y, Tensor(upstream, dtype=y.dtype))))
-    return [y.numpy()] + [t.grad for t in leaves]
-
-
-# (q, k, v) shapes: head-split MAM rows, including B=4, and the score
-# predictor's single-head rows
+# (q, k, v) token shapes and head count: MAM rows, including B=4, and the
+# score predictor's single-head rows
 ATTENTION_SHAPES = [
-    ((1, 2, 40, 8), (1, 2, 20, 8), (1, 2, 20, 8)),
-    ((4, 4, 17, 16), (4, 4, 9, 16), (4, 4, 9, 16)),
-    ((1, 32), (16, 32), (16, 32)),
-    ((16, 32), (36, 32), (36, 32)),
+    ((1, 40, 16), (1, 20, 16), (1, 20, 16), 2),
+    ((4, 17, 64), (4, 9, 64), (4, 9, 64), 4),
+    ((1, 32), (16, 32), (16, 32), 1),
+    ((16, 32), (36, 32), (36, 32), 1),
 ]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shapes", ATTENTION_SHAPES)
 def test_attention_matches_the_op_chain_bit_for_bit(shapes, dtype):
+    *token_shapes, heads = shapes
     rng = np.random.default_rng(31)
-    q, k, v = (rng.normal(size=shape).astype(dtype) for shape in shapes)
-    if q.ndim == 4:
-        # head-split rows are a transposed view of [B, L, H, d] tokens
-        q, k, v = (np.ascontiguousarray(a.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-                   for a in (q, k, v))
-    scale = 1.0 / float(np.sqrt(shapes[0][-1] * 3))  # not a power of two
-    got = _attention_output_and_grads(ad.attention, q, k, v, scale)
-    want = _attention_output_and_grads(attention_chain, q, k, v, scale)
-    for name, g, r in zip(("out", "dq", "dk", "dv"), got, want):
-        assert g.dtype == r.dtype and np.array_equal(g, r), f"attention {name} differs"
+    q, k, v = (rng.normal(size=shape).astype(dtype) for shape in token_shapes)
+    scale = 1.0 / float(np.sqrt(q.shape[-1] // heads))
+
+    def chain(q, k, v):
+        if q.ndim == 2:
+            return attention_chain(q, k, v, scale)
+        q, k, v = (split_heads(t, heads) for t in (q, k, v))
+        return merge_heads(attention_chain(q, k, v, scale))
+
+    got = _output_and_grads(lambda q, k, v: ad.attention(q, k, v, heads), (q, k, v))
+    want = _output_and_grads(chain, (q, k, v))
+    _assert_same_bits(got, want, f"attention {shapes}")
+
+
+def mixed_attention_chain(q, k, v, heads, lt, kt, asymmetric):
+    """The attention steps of the former MixedAttention after its linear
+    projections, for a joint pass: the head split, the template keys cut out
+    and concatenated back with the search keys, one attention call per query
+    group and the head merge."""
+    q, k, v = (split_heads(t, heads) for t in (q, k, v))
+    k_t, k_s = k[:, :, :kt], k[:, :, kt:]
+    v_t, v_s = v[:, :, :kt], v[:, :, kt:]
+    k, v = ad.concat([k_t, k_s], axis=-2), ad.concat([v_t, v_s], axis=-2)
+    scale = 1.0 / float(np.sqrt(q.shape[-1]))
+    keys = (k_t, v_t) if asymmetric else (k, v)
+    outs = [reference_attention(q[:, :, :lt], *keys, scale),
+            reference_attention(q[:, :, lt:], k, v, scale)]
+    return merge_heads(ad.concat(outs, 2))
+
+
+def cached_attention_chain(q, k_t, k_s, v_t, v_s, heads):
+    """The same for a cached pass: head-split cached template keys, the
+    search keys concatenated after them, and the search queries alone."""
+    q, k_t, k_s, v_t, v_s = (split_heads(t, heads) for t in (q, k_t, k_s, v_t, v_s))
+    k, v = ad.concat([k_t, k_s], axis=-2), ad.concat([v_t, v_s], axis=-2)
+    return merge_heads(reference_attention(q, k, v, 1.0 / float(np.sqrt(q.shape[-1]))))
+
+
+# (B, heads, template rows, search rows, extra rows, template keys, search
+# keys, width): the tiny preset's stage-1 and stage-3 blocks at the tracking
+# and the training batch, and small odd shapes
+MAM_SHAPES = [
+    (1, 1, 128, 256, 0, 32, 64, 16),
+    (4, 1, 128, 256, 0, 32, 64, 16),
+    (1, 4, 8, 16, 1, 2, 4, 64),
+    (4, 4, 8, 16, 1, 2, 4, 64),
+    (4, 2, 6, 15, 0, 3, 5, 8),
+]
+
+
+@pytest.mark.parametrize("asymmetric", [True, False])
+@pytest.mark.parametrize("shape", MAM_SHAPES)
+def test_attention_matches_the_head_split_chain_bit_for_bit(shape, asymmetric):
+    b, heads, lt, ls, extra, kt, ks, dim = shape
+    rng = np.random.default_rng(31)
+    q, k, v = (rng.normal(size=(b, n, dim)).astype(np.float32)
+               for n in (lt + ls + extra, kt + ks, kt + ks))
+    split = (lt, kt if asymmetric else kt + ks)
+    got = _output_and_grads(lambda q, k, v: ad.attention(q, k, v, heads, split), (q, k, v))
+    want = _output_and_grads(
+        lambda q, k, v: mixed_attention_chain(q, k, v, heads, lt, kt, asymmetric), (q, k, v)
+    )
+    _assert_same_bits(got, want, f"attention {shape} asymmetric={asymmetric}")
+    for g in got[1:]:
+        assert g.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", MAM_SHAPES)
+def test_cached_attention_matches_the_head_split_chain_bit_for_bit(shape):
+    b, heads, _, ls, extra, kt, ks, dim = shape
+    rng = np.random.default_rng(35)
+    q = rng.normal(size=(b, ls + extra, dim)).astype(np.float32)
+    k_t, k_s, v_t, v_s = (rng.normal(size=(b, n, dim)).astype(np.float32)
+                          for n in (kt, ks, kt, ks))
+
+    def op(q, k_t, k_s, v_t, v_s):
+        k, v = ad.concat([k_t, k_s], axis=1), ad.concat([v_t, v_s], axis=1)
+        return ad.attention(q, k, v, heads)
+
+    got = _output_and_grads(op, (q, k_t, k_s, v_t, v_s))
+    want = _output_and_grads(lambda *a: cached_attention_chain(*a, heads),
+                             (q, k_t, k_s, v_t, v_s))
+    _assert_same_bits(got, want, f"cached attention {shape}")
 
 
 @pytest.mark.parametrize("shapes", [
-    ((1, 2, 1100, 16), (1, 2, 300, 16), (1, 2, 300, 16)),
-    ((1100, 32), (40, 32), (40, 32)),
+    ((1, 1100, 32), 2, None),
+    ((1100, 32), 1, None),
+    ((1, 1300, 32), 2, (600, 100)),
 ])
 def test_attention_row_blocks_match_one_block(shapes):
+    shape, heads, split = shapes
     rng = np.random.default_rng(32)
-    q, k, v = (Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
-               for shape in shapes)
+    lk = 300 if len(shape) == 3 else 40
+    q, k, v = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+               for s in (shape, shape[:-2] + (lk, 32), shape[:-2] + (lk, 32)))
     assert q.shape[-2] > 2 * ad._ATTENTION_ROWS
-    blocked = ad.attention(q, k, v, 0.25).numpy()
+    blocked = ad.attention(q, k, v, heads, split).numpy()
     with Tape():
-        whole = ad.attention(q, k, v, 0.25).numpy()
+        whole = ad.attention(q, k, v, heads, split).numpy()
     assert np.array_equal(blocked, whole)
-    assert np.array_equal(blocked, np.matmul(ad._attention_weights(q.data, k.data, 0.25), v.data))
+    qh, kh, vh = (ad._split_heads(t.data, heads) for t in (q, k, v))
+    scale = 1.0 / float(np.sqrt(32 // heads))
+    for rows, keys in ad._query_groups(q.shape[-2], lk, split):
+        w = ad._attention_weights(qh[..., rows, :], kh[..., :keys, :], scale)
+        want = ad._merge_heads(np.matmul(w, vh[..., :keys, :]))
+        assert np.array_equal(blocked[..., rows, :], want)
 
 
 def test_attention_shape_errors():
@@ -725,15 +910,22 @@ def test_attention_shape_errors():
         return Tensor(np.zeros(shape))
 
     bad = [
-        (t(5, 4), t(6, 3), t(6, 2)),             # q and k widths differ
-        (t(5, 4), t(6, 4), t(7, 2)),             # k and v lengths differ
-        (t(2, 5, 4), t(3, 6, 4), t(3, 6, 4)),    # leading axes differ
-        (t(1, 5, 4), t(6, 4), t(6, 4)),          # ranks differ
-        (t(4), t(4), t(4)),                      # vectors
+        (t(5, 4), t(6, 3), t(6, 2), 1, None),             # q and k widths differ
+        (t(5, 4), t(6, 4), t(7, 2), 1, None),             # k and v lengths differ
+        (t(2, 5, 4), t(3, 6, 4), t(3, 6, 4), 1, None),    # leading axes differ
+        (t(1, 5, 4), t(6, 4), t(6, 4), 1, None),          # ranks differ
+        (t(4), t(4), t(4), 1, None),                      # vectors
+        (t(5, 4), t(6, 4), t(6, 4), 3, None),             # heads do not divide C
+        (t(5, 4), t(6, 4), t(6, 6), 4, None),             # nor the value width
+        (t(5, 4), t(6, 4), t(6, 4), 0, None),             # no head
+        (t(5, 4), t(6, 4), t(6, 4), 2, (5, 3)),           # no second query group
+        (t(5, 4), t(6, 4), t(6, 4), 2, (0, 3)),           # no first query group
+        (t(5, 4), t(6, 4), t(6, 4), 2, (2, 7)),           # more keys than there are
+        (t(5, 4), t(6, 4), t(6, 4), 2, (2, 0)),           # no key for the first group
     ]
-    for q, k, v in bad:
+    for q, k, v, heads, split in bad:
         with pytest.raises(ShapeError):
-            ad.attention(q, k, v, 1.0)
+            ad.attention(q, k, v, heads, split)
 
 
 # (B, H, W) of 16-channel maps; the output sizes fall on both sides of the
@@ -745,20 +937,57 @@ DEPTHWISE_MAPS = [(1, 16, 16), (2, 16, 16), (4, 16, 16), (1, 48, 48), (1, 5, 7)]
 @pytest.mark.parametrize("bsz, h, wd", DEPTHWISE_MAPS)
 def test_depthwise_matches_reference_on_both_paths(bsz, h, wd, dtype):
     rng = np.random.default_rng(30)
-    x = rng.normal(size=(bsz, h, wd, 16)).astype(dtype)
+    x = rng.normal(size=(bsz, h * wd, 16)).astype(dtype)
     w = rng.normal(size=(16, 3, 3)).astype(dtype)
     b = rng.normal(size=16).astype(dtype)
-    # a channel-major array seen channels-last: the op reads a strided view
-    strided = rng.normal(size=(bsz, 16, h, wd)).astype(dtype).transpose(0, 2, 3, 1)
+    # channel-major rows seen channels-last: the op reads a strided view
+    strided = rng.normal(size=(bsz, 16, h * wd)).astype(dtype).transpose(0, 2, 1)
     cases = [(x, s, p) for s in (1, 2) for p in (0, 1)]
     cases += [(strided, s, 0) for s in (1, 2)]
     for xs, stride, pad in cases:
-        got = _conv_output_and_grads(ad.depthwise_conv2d, xs, w, b, stride, pad)
-        want = _conv_output_and_grads(reference_depthwise, xs, w, b, stride, pad)
-        for name, g, r in zip(("out", "dx", "dw", "db"), got, want):
-            assert g.dtype == r.dtype and np.array_equal(g, r), (
-                f"depthwise {name} differs: shape {xs.shape} stride {stride} pad {pad}"
-            )
+        got = _conv_output_and_grads(token_depthwise([(1, h, wd)]), xs, w, b, stride, pad)
+        want = _conv_output_and_grads(per_region_chain([(1, h, wd)]), xs, w, b, stride, pad)
+        _assert_same_bits(got, want, f"depthwise {xs.shape} stride {stride} pad {pad}")
+
+
+def token_depthwise(grids):
+    """``ad.depthwise_conv2d`` over fixed grids, called as the conv ops are."""
+    def op(x, w, b, stride, pad):
+        return ad.depthwise_conv2d(x, grids, w, b, stride=stride, pad=pad)
+    return op
+
+
+def per_region_chain(grids):
+    """The former per-region projection over fixed grids: each region's rows
+    cut out, reshaped to channels-last maps, convolved by the former op,
+    reshaped back, and the regions concatenated."""
+    def op(x, w, b, stride, pad):
+        bsz, c = x.shape[0], x.shape[-1]
+        parts, start = [], 0
+        for n, h, wd in grids:
+            rows = x[:, start : start + n * h * wd]
+            start += n * h * wd
+            y = reference_depthwise(ad.reshape(rows, (bsz * n, h, wd, c)), w, b, stride, pad)
+            parts.append(ad.reshape(y, (bsz, -1, c)))
+        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
+    return op
+
+
+@pytest.mark.parametrize("bsz", [1, 4])
+def test_depthwise_regions_match_per_region_calls_bit_for_bit(bsz):
+    # two 8x8 templates and a 16x16 search map of 16 channels, then one row
+    # no grid covers: at B=4 the stride-1 search region takes the per-tap
+    # loop and the template region the tap-major product
+    rng = np.random.default_rng(37)
+    grids = [(2, 8, 8), (1, 16, 16)]
+    x = rng.normal(size=(bsz, 2 * 64 + 256 + 1, 16)).astype(np.float32)
+    w = rng.normal(size=(16, 3, 3)).astype(np.float32)
+    b = rng.normal(size=16).astype(np.float32)
+    for stride in (1, 2):
+        got = _conv_output_and_grads(token_depthwise(grids), x, w, b, stride, 1)
+        want = _conv_output_and_grads(per_region_chain(grids), x, w, b, stride, 1)
+        _assert_same_bits(got, want, f"depthwise regions B={bsz} stride {stride}")
+        assert got[1].flags.c_contiguous and not got[1][:, -1].any()
 
 
 def test_depthwise_maps_cover_both_paths():
@@ -913,18 +1142,28 @@ def _fd_case(name):
             ad.mul(y := ad.conv2d(x, w, b, stride=2, pad=1), y)
         )
     if name == "depthwise_conv2d":
-        x, w, b = t((2, 5, 5, 3)), t((3, 3, 3)), t((3,))
+        # two 2x3 templates and a 5x5 search map, then a row no grid covers
+        x, w, b = t((2, 2 * 6 + 25 + 1, 3)), t((3, 3, 3)), t((3,))
+        grids = [(2, 2, 3), (1, 5, 5)]
         return {"x": x, "w": w, "b": b}, lambda: ad.sum_(
-            ad.mul(y := ad.depthwise_conv2d(x, w, b, stride=2, pad=1), y)
+            ad.mul(y := ad.depthwise_conv2d(x, grids, w, b, stride=2, pad=1), y)
         )
     if name == "matmul":
         a, b = t((2, 3, 4)), t((2, 4, 2))
         return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.matmul(a, b), y))
     if name == "attention":
-        q, k, v = t((2, 3, 4), lo=-2.0, hi=2.0), t((2, 5, 4), lo=-2.0, hi=2.0), t((2, 5, 3))
+        q, k, v = t((2, 3, 4), lo=-2.0, hi=2.0), t((2, 5, 4), lo=-2.0, hi=2.0), t((2, 5, 6))
         return {"q": q, "k": k, "v": v}, lambda: ad.sum_(
-            ad.mul(y := ad.attention(q, k, v, 0.5), y)
+            ad.mul(y := ad.attention(q, k, v, 2), y)
         )
+    if name == "attention_split":
+        q, k, v = t((2, 5, 4), lo=-2.0, hi=2.0), t((2, 6, 4), lo=-2.0, hi=2.0), t((2, 6, 4))
+        return {"q": q, "k": k, "v": v}, lambda: ad.sum_(
+            ad.mul(y := ad.attention(q, k, v, 2, split=(2, 3)), y)
+        )
+    if name == "linear":
+        x, w, b = t((2, 3, 4)), t((4, 5)), t((5,))
+        return {"x": x, "w": w, "b": b}, lambda: ad.sum_(ad.mul(y := ad.linear(x, w, b), y))
     raise AssertionError(name)
 
 
@@ -933,15 +1172,15 @@ ALL_OPS = [
     "sqrt", "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
     "sum_keepdims", "mean", "reshape", "transpose", "concat", "take",
     "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "edge_pad",
-    "conv2d", "depthwise_conv2d", "matmul", "attention",
+    "conv2d", "depthwise_conv2d", "matmul", "linear", "attention", "attention_split",
 ]
 # cases named otherwise than the function they check
 CASE_FUNCTIONS = {
     "abs": "abs_", "sum_axis": "sum_", "sum_keepdims": "sum_", "mean": "mean_",
-    "take_repeated": "take",
+    "take_repeated": "take", "attention_split": "attention",
 }
 # public functions that are not ops: they record nothing of their own
-NOT_OPS = {"as_tensor", "backward", "grad_check", "linear"}
+NOT_OPS = {"as_tensor", "backward", "grad_check"}
 
 
 def test_every_public_autodiff_function_has_a_finite_difference_case():
@@ -967,12 +1206,13 @@ def test_depthwise_gradient_matches_finite_difference(stride, pad):
     rng = np.random.default_rng(26)
     x, w, b = (
         Tensor(rng.uniform(-1.0, 1.0, size=shape), dtype=np.float64, requires_grad=True)
-        for shape in ((2, 3, 6, 5), (3, 3, 3), (3,))
+        for shape in ((2, 3, 2 * 9 + 30), (3, 3, 3), (3,))
     )
 
     def f():
-        # a channel-major leaf seen channels-last: the op reads a strided view
-        y = ad.depthwise_conv2d(ad.transpose(x, (0, 2, 3, 1)), w, b, stride=stride, pad=pad)
+        # a channel-major leaf seen as token rows: the op reads a strided view
+        y = ad.depthwise_conv2d(ad.transpose(x, (0, 2, 1)), [(2, 3, 3), (1, 6, 5)], w, b,
+                                stride=stride, pad=pad)
         return ad.sum_(ad.mul(y, y))
 
     report = ad.grad_check(f, {"x": x, "w": w, "b": b}, h=1e-5, tol=1e-4)

@@ -138,6 +138,17 @@ class TestTrack:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 6
 
+    def test_failed_write_leaves_no_temp_file(self, work, ckpt, seq_dir, capsys):
+        out = work / "outdir"
+        out.mkdir()
+        rc = cli.main(["track", "--checkpoint", str(ckpt),
+                       "--sequence", str(seq_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "Traceback" not in err
+        assert f"'{out}'" in err and ".tmp" not in err
+        assert list(work.glob("*.tmp")) == []
+        assert out.is_dir() and list(out.iterdir()) == []
+
     def test_truncated_checkpoint_fails(self, work, ckpt, seq_dir, capsys):
         broken = work / "broken.ckpt"
         broken.write_bytes(ckpt.read_bytes()[:-9])
@@ -183,6 +194,25 @@ class TestEval:
                        "--out", str(work / "m.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, field, value", [
+        (2, 0, "3"),      # frames numbered 1, 3, 3, 9, ...
+        (2, 1, "nan"),
+        (4, 2, "inf"),
+        (3, 3, "-1"),
+        (6, 4, "-0.5"),
+    ])
+    def test_unscorable_row_fails(self, work, seq_dir, capsys, row, field, value):
+        rows = [[str(i), "10", "12", "5", "6", "0.9"] for i in range(1, 7)]
+        rows[row - 1][field] = value
+        if field == 0:
+            rows[2][0], rows[3][0] = "3", "9"
+        bad = work / "unscorable.csv"
+        bad.write_text("".join(",".join(r) + "\n" for r in rows))
+        rc = cli.main(["eval", "--boxes", str(bad),
+                       "--sequence", str(seq_dir),
+                       "--out", str(work / "m.csv")])
+        assert_user_error(capsys, rc, f"line {row}:")
 
     def test_undecodable_boxes_fail(self, work, seq_dir, capsys):
         bad = work / "utf16.csv"

@@ -165,8 +165,9 @@ class TestCropMatchesWholeFrameOracle:
             assert got.dtype == np.float32 and got.flags.c_contiguous
             assert np.array_equal(got, want), (left, top, side)
 
+    # 600 rows are two full uint16 chunks and a partial one, 514 exactly two
     @pytest.mark.parametrize("shape", [(480, 640, 3), (96, 128, 3),
-                                       (200_000, 2, 3)])
+                                       (200_000, 2, 3), (600, 7, 3), (514, 3, 3)])
     @pytest.mark.parametrize("fill", ["random", 0, 255])
     def test_frame_mean_is_exact(self, shape, fill):
         frame = uint8_frame(shape, fill, np.random.default_rng(11))
