@@ -2,7 +2,9 @@
 
 Five subcommands: train, track, eval, inspect and cost.  Every output
 file is written atomically (temp file, then rename), so an interrupted
-run never leaves a half-written artifact behind.
+run never leaves a half-written artifact behind.  ``track`` and ``eval``
+map each frame of the sequence only while it is used, so their memory
+does not grow with the sequence length.
 """
 
 import argparse

@@ -6,9 +6,18 @@ exact by construction because the label is the rasterized draw rectangle.
 On-disk sequences follow the common directory convention: zero-padded
 numbered frames plus a ``groundtruth.txt`` of one ``x,y,w,h`` line per frame
 (pixels, top-left origin).  Images are 8-bit RGB PPM so no codec is needed.
+
+A loaded sequence reads no pixels up front: its frames are an immutable
+sequence of PPM paths, and each frame is memory-mapped when it is indexed.
+A mapped frame is a read-only view of its file, so the crops fault in only
+the pages they sample and memory does not grow with the sequence length.
+A frame file must not shrink while its frame is in use.
 """
 
+import mmap
 import os
+import re
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +30,12 @@ _PRECISION_PX = 20.0  # center-distance threshold of the precision metric
 
 @dataclass
 class Sequence:
-    """Ordered frames with per-frame ground-truth boxes (x, y, w, h)."""
+    """Ordered frames with per-frame ground-truth boxes (x, y, w, h).
+
+    ``frames`` is a list of [H, W, 3] uint8 arrays, or the ``FrameFiles``
+    of a loaded sequence, whose frames are read-only mapped views; either
+    way every frame's shape is checked here.
+    """
 
     frames: list
     gt: list
@@ -158,40 +172,75 @@ def write_ppm(path, img):
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ShapeError(f"need [H, W, 3] uint8, got {img.shape} {img.dtype}")
     h, w = img.shape[:2]
+    # copy the pixels out first: img may be a mapped view of this very file
+    pixels = img.tobytes()
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(pixels)
+
+
+# magic, width, height and maxval, separated by whitespace and comments,
+# then the single whitespace byte that ends the header
+_PPM_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PPM_HEADER = re.compile(
+    rb"P6" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)\s"
+)
 
 
 def read_ppm(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P6"):
-        raise ParseError(f"{path}: not a binary PPM file")
-    fields, pos = [], 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
+    """Map a binary P6 file and return its pixels as a read-only
+    [H, W, 3] uint8 view, without copying them.
+
+    Only the header is read here; pixel pages fault in as they are used.
+    The mapping, and one file descriptor, live as long as the array.  The
+    file must not shrink while the array is in use: the size is checked
+    when it is mapped, and a later truncation would fault on access.
+    """
+    fd = os.open(path, os.O_RDONLY)
     try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise ParseError(f"{path}: malformed PPM header") from None
+        data = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+    except ValueError:  # an empty file cannot be mapped
+        raise ParseError(f"{path}: empty file, not a binary PPM") from None
+    finally:
+        os.close(fd)  # the mapping holds its own duplicate
+    if data[:2] != b"P6":
+        raise ParseError(f"{path}: not a binary PPM file")
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ParseError(f"{path}: malformed PPM header")
+    w, h, maxval = (int(f) for f in header.groups())
+    pos = header.end()
+    if w < 1 or h < 1:
+        raise ParseError(f"{path}: image size {w}x{h} is empty")
     if maxval != 255:
         raise ParseError(f"{path}: only maxval 255 supported, got {maxval}")
-    need = w * h * 3
-    raw = data[pos : pos + need]
-    if len(raw) != need:
+    if len(data) < pos + w * h * 3:
         raise ParseError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).copy()
+    return np.frombuffer(data, np.uint8, w * h * 3, pos).reshape(h, w, 3)
+
+
+class FrameFiles(_SequenceABC):
+    """The frames of a loaded sequence: an immutable sequence of PPM paths.
+
+    Indexing maps the frame with ``read_ppm`` and returns its read-only
+    view; a slice returns a list of such views.  Nothing is cached, so a
+    frame's mapping is released as soon as its array is dropped.  Each
+    live frame holds a file descriptor, so hold only the frames in use: a
+    slice longer than the process's descriptor limit raises OSError.
+    """
+
+    __slots__ = ("paths",)
+
+    def __init__(self, paths):
+        self.paths = tuple(paths)
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [read_ppm(p) for p in self.paths[index]]
+        return read_ppm(self.paths[index])
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +268,12 @@ def save_sequence(directory, seq):
 
 
 def load_sequence(directory):
-    """Read a sequence directory written by save_sequence (or compatible);
-    the sequence is named after the directory."""
+    """Open a sequence directory written by save_sequence (or compatible);
+    the sequence is named after the directory.
+
+    No pixels are read: the frames are ``FrameFiles``, mapped on access.
+    Every frame's header and size are still checked here, so a malformed
+    or short frame file is a ParseError at load."""
     gt_path = os.path.join(directory, "groundtruth.txt")
     if not os.path.exists(gt_path):
         raise ParseError(f"{directory}: no groundtruth.txt")
@@ -248,13 +301,14 @@ def load_sequence(directory):
     if not names:
         raise ParseError(f"{directory}: no .ppm frames")
     width = len(os.path.splitext(names[0])[0])
-    frames = []
+    paths = []
     count = max(len(names), len(gt) if len(gt) > 1 else len(names))
     for i in range(1, count + 1):
         path = os.path.join(directory, f"{i:0{width}d}.ppm")
         if not os.path.exists(path):
             raise ParseError(f"{directory}: missing frame {i}")
-        frames.append(read_ppm(path))
+        paths.append(path)
+    frames = FrameFiles(paths)
     if len(gt) not in (1, len(frames)):
         raise ParseError(
             f"{directory}: {len(gt)} ground-truth lines for {len(frames)} frames"

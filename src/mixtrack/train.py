@@ -142,7 +142,9 @@ class AdamW:
         self._gather()
         g64 = self._scratch.reshape(-1).view(np.float64)[:self.grad.size]
         g64[...] = self.grad
-        norm = float(np.sqrt(np.dot(g64, g64)))
+        # square and sum without BLAS, so the bits do not depend on its threads
+        g64 *= g64
+        norm = float(np.sqrt(np.add.reduce(g64)))
         if norm > self.clip_norm:
             self.grad *= np.asarray(self.clip_norm / norm, dtype=self.grad.dtype)
             return self.clip_norm

@@ -149,6 +149,16 @@ class TestTrack:
         assert list(work.glob("*.tmp")) == []
         assert out.is_dir() and list(out.iterdir()) == []
 
+    def test_truncated_frame_fails(self, work, ckpt, seq_dir, capsys):
+        broken = work / "seq_truncated"
+        shutil.copytree(seq_dir, broken)
+        frame = broken / "00000004.ppm"
+        frame.write_bytes(frame.read_bytes()[:-7])
+        rc = cli.main(["track", "--checkpoint", str(ckpt),
+                       "--sequence", str(broken),
+                       "--out", str(work / "nope.csv")])
+        assert_user_error(capsys, rc, "00000004.ppm: truncated")
+
     def test_truncated_checkpoint_fails(self, work, ckpt, seq_dir, capsys):
         broken = work / "broken.ckpt"
         broken.write_bytes(ckpt.read_bytes()[:-9])

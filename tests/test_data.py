@@ -104,6 +104,18 @@ class TestPpm:
         with pytest.raises(ParseError):
             data.read_ppm(p)
 
+    def test_rejects_empty_image(self, tmp_path):
+        p = tmp_path / "e.ppm"
+        p.write_bytes(b"P6\n0 4\n255\n")
+        with pytest.raises(ParseError, match="empty"):
+            data.read_ppm(p)
+
+    def test_header_comment_and_trailing_bytes(self, tmp_path):
+        img = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
+        p = tmp_path / "c.ppm"
+        p.write_bytes(b"P6\n# made by hand\n3 2\n255\n" + img.tobytes() + b"xx")
+        assert np.array_equal(data.read_ppm(p), img)
+
 
 class TestSequenceIo:
     def test_save_load_round_trip(self, tmp_path):
@@ -151,6 +163,74 @@ class TestSequenceIo:
         (d / "groundtruth.txt").write_text("\n".join(gt[:2]) + "\n")
         with pytest.raises(ParseError):
             data.load_sequence(d)
+
+
+def saved_sequence(tmp_path, frames=4):
+    seq = data.generate_synthetic(small_cfg(frames=frames), 9)
+    d = tmp_path / "seq"
+    data.save_sequence(d, seq)
+    return seq, d
+
+
+class TestStreamedFrames:
+    def test_frames_are_read_only_views(self, tmp_path):
+        seq, d = saved_sequence(tmp_path)
+        back = data.load_sequence(d)
+        assert len(back.frames) == len(seq.frames)
+        frame = back.frames[2]
+        assert frame.dtype == np.uint8 and frame.shape == (48, 64, 3)
+        assert not frame.flags.writeable
+        with pytest.raises(ValueError):
+            frame[0, 0, 0] = 1
+        assert np.array_equal(back.frames[-1], seq.frames[-1])
+
+    def test_slices_are_lists_of_frames(self, tmp_path):
+        seq, d = saved_sequence(tmp_path)
+        back = data.load_sequence(d)
+        part = back.frames[1:3]
+        assert isinstance(part, list) and len(part) == 2
+        for got, want in zip(part, seq.frames[1:3]):
+            assert np.array_equal(got, want)
+        short = data.Sequence(back.frames[:2], back.gt[:2])
+        assert short.size == (48, 64)
+
+    def test_frame_paths_are_immutable(self, tmp_path):
+        _, d = saved_sequence(tmp_path)
+        frames = data.load_sequence(d).frames
+        with pytest.raises(TypeError):
+            frames[0] = np.zeros((48, 64, 3), np.uint8)
+        with pytest.raises(AttributeError):
+            frames.extra = 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: b"",
+        lambda raw: b"P5" + raw[2:],
+        lambda raw: raw.replace(b"\n255\n", b"\n65535\n", 1),
+        lambda raw: raw[: len(raw) // 2],
+    ], ids=["empty", "bad-magic", "bad-maxval", "truncated-pixels"])
+    def test_bad_frame_file_fails_at_load(self, tmp_path, damage):
+        _, d = saved_sequence(tmp_path)
+        p = d / "00000003.ppm"
+        p.write_bytes(damage(p.read_bytes()))
+        with pytest.raises(ParseError, match="00000003.ppm"):
+            data.load_sequence(d)
+
+    def test_frame_truncated_after_load_fails_on_access(self, tmp_path):
+        seq, d = saved_sequence(tmp_path)
+        back = data.load_sequence(d)
+        p = d / "00000002.ppm"
+        with open(p, "r+b") as fh:
+            fh.truncate(100)
+        with pytest.raises(ParseError, match="truncated"):
+            back.frames[1]
+        assert np.array_equal(back.frames[2], seq.frames[2])
+
+    def test_saving_a_loaded_sequence_over_itself_keeps_it(self, tmp_path):
+        seq, d = saved_sequence(tmp_path)
+        data.save_sequence(d, data.load_sequence(d))
+        back = data.load_sequence(d)
+        for got, want in zip(back.frames, seq.frames):
+            assert np.array_equal(got, want)
 
 
 class TestMetrics:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -350,3 +352,29 @@ class TestTracking:
         seq = small_sequence(frames=4)
         _, scores = t.track(seq)
         assert all(0.0 <= s <= 1.0 for s in scores)
+
+
+class TestLoadedSequence:
+    """A sequence loaded from disk maps its frames on access; tracking it
+    must match the in-memory sequence it was saved from."""
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_tracks_bit_identically_to_in_memory(self, tmp_path, cache):
+        seq = small_sequence(frames=8)
+        data.save_sequence(tmp_path / "seq", seq)
+        loaded = data.load_sequence(tmp_path / "seq")
+        kw = dict(update_interval=3, score_threshold=0.0, use_template_cache=cache)
+        assert tiny_tracker(**kw).track(loaded) == tiny_tracker(**kw).track(seq)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_track_holds_no_frame_open(self, tmp_path):
+        # each live mapped frame holds a duplicated file descriptor
+        data.save_sequence(tmp_path / "seq", small_sequence(frames=6))
+        loaded = data.load_sequence(tmp_path / "seq")
+        before = len(os.listdir("/proc/self/fd"))
+        during = []
+        tiny_tracker().track(
+            loaded, on_frame=lambda *_: during.append(len(os.listdir("/proc/self/fd"))))
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert during == [before] * 5

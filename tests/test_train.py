@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mixtrack
 from mixtrack import autodiff as ad
 from mixtrack import train
 from mixtrack.autodiff import Tensor
@@ -207,6 +212,27 @@ class TestAdamW:
         opt.step()
         assert params["a"].data.base is opt.arena
         np.testing.assert_array_equal(params["a"].data, fresh - 1e-2 * (1e-2 * fresh))
+
+    def test_clip_norm_bits_do_not_depend_on_blas_threads(self):
+        # tiny's parameter count; OpenBLAS splits a dot product this long
+        # across threads, which changes its summation order
+        script = (
+            "import numpy as np\n"
+            "from mixtrack.autodiff import Tensor\n"
+            "from mixtrack.train import AdamW\n"
+            "rng = np.random.default_rng(11)\n"
+            "p = Tensor(np.zeros(238403, np.float32), requires_grad=True)\n"
+            "p.grad = rng.normal(size=p.shape).astype(np.float32)\n"
+            "print(AdamW({'p': p}, clip_norm=1e9).clip_grads().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mixtrack.__file__)))
+        norms = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            norms.append(run.stdout.strip())
+        assert norms[0] == norms[1]
 
     def test_mixed_parameter_dtypes_rejected(self):
         params = {"a": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
