@@ -23,6 +23,10 @@ only in the asymmetric mode.  The template keys and values stay rows of the
 projected k and v, so the joint pass never cuts them out, and a cached pass
 concatenates the cached rows with its own search rows.  Every op gives the
 same bits as the per-region, head-split chain it replaced.
+
+Keys carry no bias, in neither projection.  A key bias b adds the same q.b
+to every logit of a query's row, and softmax ignores a constant shift of its
+logits, so the bias could never change an output; its gradient is noise.
 """
 
 from dataclasses import dataclass, replace
@@ -109,10 +113,10 @@ class MixedAttention(nn.Module):
         self.heads = heads
         self.mode = check_mode(mode)
         self.dw_q = nn.DepthwiseConv(dim, rng, stride=1)
-        self.dw_k = nn.DepthwiseConv(dim, rng, stride=2)
+        self.dw_k = nn.depthwise_kernel(dim, rng)
         self.dw_v = nn.DepthwiseConv(dim, rng, stride=2)
         self.wq = nn.Linear(dim, dim, rng)
-        self.wk = nn.Linear(dim, dim, rng)
+        self.wk = ad.Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
         self.wv = nn.Linear(dim, dim, rng)
         self.wo = nn.Linear(dim, dim, rng)
 
@@ -147,10 +151,12 @@ class MixedAttention(nn.Module):
             grids.append((layout.templates, layout.t_h, layout.t_w))
         if ls:
             grids.append((1, layout.s_h, layout.s_w))
-        q, k, v = (conv(x, grids) for conv in (self.dw_q, self.dw_k, self.dw_v))
+        q = self.dw_q(x, grids)
+        k = ad.depthwise_conv2d(x, grids, self.dw_k, stride=2, pad=1)
+        v = self.dw_v(x, grids)
         if extra:
             q = ad.concat([q, x[:, lt + ls :]], axis=1)
-        q, k, v = self.wq(q), self.wk(k), self.wv(v)
+        q, k, v = self.wq(q), ad.linear(k, self.wk), self.wv(v)
         if kv is not None:
             k, v = (ad.concat([cached, fresh], axis=1) for cached, fresh in zip(kv, (k, v)))
         split = None

@@ -762,22 +762,19 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _record("layer_norm", out, (x, gain, bias), vjp)
 
 
-def batch_norm_frozen(x, mean, var, gain, bias, eps=1e-5):
+def batch_norm_frozen(x, gain, bias, eps=1e-5):
     """Inference-form batch norm over channel axis 1 of [B, C, H, W].
 
-    ``mean``/``var`` are fixed statistics (plain arrays); only gain and bias
-    are differentiable parameters.  One tape entry computes
-    ``(x - mean) * (gain * inv) + bias`` with ``inv = 1 / sqrt(var + eps)``.
+    The statistics are the identity (mean 0, variance 1), so one tape entry
+    computes ``x * (gain * inv) + bias`` with ``inv = 1 / sqrt(1 + eps)``
+    in x's dtype; gain and bias are the differentiable parameters.
     """
     if eps <= 0:
         raise ConfigError(f"batch_norm_frozen eps must be > 0, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mean = np.asarray(mean, dtype=x.dtype)
-    var = np.asarray(var, dtype=x.dtype)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(np.ones(1, dtype=x.dtype) + eps)
     scale = (gain.data * inv).reshape(1, -1, 1, 1)
-    xc = x.data - mean.reshape(1, -1, 1, 1)
-    y = xc * scale
+    y = x.data * scale
     y += bias.data.reshape(1, -1, 1, 1)
     out = Tensor(y)
 
@@ -785,7 +782,7 @@ def batch_norm_frozen(x, mean, var, gain, bias, eps=1e-5):
         gx = g * scale if x.requires_grad else None
         ggain = gbias = None
         if gain.requires_grad:
-            ggain = _unbroadcast(g * xc, scale.shape).reshape(-1) * inv
+            ggain = _unbroadcast(g * x.data, scale.shape).reshape(-1) * inv
         if bias.requires_grad:
             gbias = _unbroadcast(g, scale.shape).reshape(-1)
         return gx, ggain, gbias

@@ -159,8 +159,8 @@ def count_params_flops(config):
         params = d * c_in * k2 + d          # embed conv
         params += 2 * d                     # embed norm
         per_block = 4 * d                   # the two block norms
-        per_block += 3 * (d * 9 + d)        # depth-wise q/k/v (kernel 3)
-        per_block += 4 * (d * d + d)        # wq, wk, wv, wo
+        per_block += 3 * d * 9 + 2 * d      # depth-wise q/k/v (kernel 3), no k bias
+        per_block += 4 * d * d + 3 * d      # wq, wk, wv, wo, no wk bias
         hidden = stage.mlp_ratio * d
         per_block += d * hidden + hidden + hidden * d + d
         params += stage.blocks * per_block

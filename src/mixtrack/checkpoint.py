@@ -1,10 +1,15 @@
-"""Bit-exact binary checkpoints.
+"""Bit-exact binary checkpoints of a model's parameters, format version 2.
 
 Layout, all integers little-endian u32: magic "MIXF", format version,
 entry count, then per entry a name length, the UTF-8 name, a rank, that
 many dims, and the payload as little-endian float32; a CRC32 of every
 prior byte closes the file.  Entries are written in sorted name order so
-identical parameters always produce identical bytes.
+identical parameters always produce identical bytes.  Config text is one
+more entry, its UTF-8 bytes stored as float32 values.  Version 1 files also
+held batch-norm statistics and biases that could not change an output;
+they are rejected, not converted.  A file that passes its CRC but does not
+decode (a name or config text that is not UTF-8, config values that are
+not bytes) raises ``CheckpointError``.
 """
 
 import contextlib
@@ -18,7 +23,7 @@ from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"MIXF"
-VERSION = 1
+VERSION = 2
 CONFIG_KEY = "meta.config"
 
 _U32 = struct.Struct("<I")
@@ -83,58 +88,60 @@ def save_checkpoint(path, arrays, config_text=None):
     atomic_write(path, serialize(arrays, config_text=config_text))
 
 
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.offset = 0
-
-    def take(self, n):
-        end = self.offset + n
-        if n < 0 or end > len(self.blob):
-            raise CheckpointError("truncated checkpoint")
-        piece = self.blob[self.offset:end]
-        self.offset = end
-        return piece
-
-    def u32(self):
-        return _U32.unpack(self.take(4))[0]
-
-
 def deserialize(blob):
     """Parse checkpoint bytes into (arrays, config text or None)."""
     if len(blob) < 16:
         raise CheckpointError("truncated checkpoint")
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    stored = _U32.unpack(blob[-4:])[0]
-    actual = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    view = memoryview(blob)
+    stored = _U32.unpack(view[-4:])[0]
+    actual = zlib.crc32(view[:-4]) & 0xFFFFFFFF
     if stored != actual:
         raise CheckpointError(
             f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}"
         )
-    reader = _Reader(blob[4:-4])
-    version = reader.u32()
+    body, pos = view[4:-4], 0
+
+    def take(n):  # a view of the next n bytes
+        nonlocal pos
+        if n < 0 or pos + n > len(body):
+            raise CheckpointError("truncated checkpoint")
+        pos += n
+        return body[pos - n : pos]
+
+    def u32():
+        return _U32.unpack(take(4))[0]
+
+    version = u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported version {version}, expected {VERSION}")
-    count = reader.u32()
     arrays = {}
-    for _ in range(count):
-        name = reader.take(reader.u32()).decode("utf-8")
-        rank = reader.u32()
+    for _ in range(u32()):
+        name = _utf8(take(u32()), "entry name")
+        rank = u32()
         if rank > 16:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
-        shape = tuple(reader.u32() for _ in range(rank))
+        shape = tuple(u32() for _ in range(rank))
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = reader.take(size * 4)
-        arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-        arrays[name] = arr.astype(np.float32)
-    if reader.offset != len(reader.blob):
+        # astype makes the one copy of the payload
+        arrays[name] = np.frombuffer(take(size * 4), "<f4").reshape(shape).astype(np.float32)
+    if pos != len(body):
         raise CheckpointError("trailing bytes after the last entry")
     config_text = None
     if CONFIG_KEY in arrays:
         raw = arrays.pop(CONFIG_KEY)
-        config_text = bytes(raw.astype(np.uint8)).decode("utf-8")
+        if not np.all((raw >= 0) & (raw <= 255) & (raw == np.floor(raw))):
+            raise CheckpointError("config text holds values that are not bytes")
+        config_text = _utf8(raw.astype(np.uint8), "config text")
     return arrays, config_text
+
+
+def _utf8(raw, what):
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not UTF-8: {exc}") from None
 
 
 def load_checkpoint(path):
@@ -148,23 +155,16 @@ def load_checkpoint(path):
 
 
 def state_dict(model):
-    """All parameters and buffers under their hierarchical names."""
-    out = {}
-    for name, p in model.named_params().items():
-        out[name] = np.asarray(p.data)
-    for name, b in model.named_buffers().items():
-        if name in out:
-            raise ConfigError(f"buffer name {name!r} collides with a parameter")
-        out[name] = np.asarray(b)
-    return out
+    """All parameters under their hierarchical names."""
+    return {name: np.asarray(p.data) for name, p in model.named_params().items()}
 
 
 def load_state(model, arrays):
-    """Copy named arrays into a model's existing arrays.
+    """Copy named arrays into a model's existing parameter arrays.
 
     Names must match the model exactly, and so must every shape.
     """
-    targets = {**model.named_params(), **model.named_buffers()}
+    targets = model.named_params()
     missing = [n for n in targets if n not in arrays]
     extra = [n for n in arrays if n not in targets]
     if missing or extra:
@@ -173,9 +173,7 @@ def load_state(model, arrays):
             f"unexpected {sorted(extra)[:4]}"
         )
     for name, arr in arrays.items():
-        target = targets[name]
-        if isinstance(target, Tensor):
-            target = target.data
+        target = targets[name].data
         if tuple(arr.shape) != target.shape:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {arr.shape}, "

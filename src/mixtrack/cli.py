@@ -5,6 +5,10 @@ file is written atomically (temp file, then rename), so an interrupted
 run never leaves a half-written artifact behind.  ``track`` and ``eval``
 map each frame of the sequence only while it is used, so their memory
 does not grow with the sequence length.
+
+Reruns are bit-identical.  The ``tiny`` preset gives the same bits at any
+BLAS thread count; the large presets repeat bit for bit only at a fixed
+thread count (``OPENBLAS_NUM_THREADS``), which sets their sum orders.
 """
 
 import argparse

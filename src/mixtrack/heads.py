@@ -6,6 +6,11 @@ differentiable expectation over positions.  The query head instead owns one
 learnable token that rides through the final backbone stage and regresses
 center form directly through a small FFN.
 
+A corner stack is four conv, batch norm and ReLU layers, the norm in
+inference form with identity statistics (a per-channel scale and shift),
+then a 1x1 conv to one channel with no bias: the soft argmax ignores a
+constant added to its map, so a bias could never move a corner.
+
 Coordinates are normalized to [0, 1] over the search crop; position (i, j)
 of an h x w map sits at (j / (w-1), i / (h-1)).
 """
@@ -54,8 +59,8 @@ class ConvBNRelu(nn.Module):
 def _corner_stack(dim, rng):
     chans = [dim, dim // 2, dim // 4, dim // 8, dim // 16]
     stack = [ConvBNRelu(chans[i], chans[i + 1], rng) for i in range(4)]
-    stack.append(nn.Conv2d(dim // 16, 1, 1, 1, 0, rng))
-    return stack
+    w = nn.he_normal(rng, (1, chans[4], 1, 1), chans[4])
+    return stack + [Tensor(w, requires_grad=True)]
 
 
 class CornerHead(nn.Module):
@@ -69,8 +74,10 @@ class CornerHead(nn.Module):
         self.br = _corner_stack(dim, rng)
 
     def _score_map(self, stack, x):
-        for layer in stack:
+        *layers, w_out = stack
+        for layer in layers:
             x = layer(x)
+        x = ad.conv2d(x, w_out)
         b, _, h, w = x.shape
         return ad.reshape(x, (b, h, w))
 

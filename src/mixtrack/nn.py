@@ -1,9 +1,10 @@
 """Parameter containers and the layers the tracker is assembled from.
 
-Modules hold their parameters as ``Tensor`` attributes (plus plain-ndarray
-buffers) and expose them under stable hierarchical names such as
-``stage2.block3.attn.wq`` for checkpointing.  Name order follows attribute
-definition order, so a given configuration always enumerates identically.
+Modules hold their parameters as ``Tensor`` attributes and expose them
+under stable hierarchical names such as ``stage2.block3.attn.wq.w`` for
+checkpointing.  Name order follows attribute definition order, so a given
+configuration always enumerates identically.  There are no buffers: every
+array an output depends on is a parameter.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ def he_normal(rng, shape, fan_in):
 
 
 class Module:
-    """Base class: walks attributes to enumerate parameters and buffers."""
+    """Base class: walks attributes to enumerate parameters."""
 
     def _children(self):
         for name, value in vars(self).items():
@@ -49,22 +50,6 @@ class Module:
             else:
                 out.update(value.named_params(prefix=f"{full}."))
         return out
-
-    def named_buffers(self, prefix=""):
-        out = {}
-        buffers = getattr(self, "_buffers", None)
-        if buffers:
-            for name, arr in buffers.items():
-                out[f"{prefix}{name}"] = arr
-        for name, value in self._children():
-            if isinstance(value, Module):
-                out.update(value.named_buffers(prefix=f"{prefix}{name}."))
-        return out
-
-    def register_buffer(self, name, arr):
-        if not hasattr(self, "_buffers"):
-            self._buffers = {}
-        self._buffers[name] = arr
 
 
 class Linear(Module):
@@ -89,20 +74,21 @@ class LayerNorm(Module):
         return ad.layer_norm(x, self.gain, self.bias)
 
 
-class DepthwiseConv(Module):
-    """Per-channel 3x3 projection, initialized near identity.
+def depthwise_kernel(dim, rng):
+    """Per-channel 3x3 kernel [dim, 3, 3] whose center tap starts at one, so
+    a projection begins as (sub)sampling and learns local mixing from there;
+    no norm layer sits between it and the linear projection that follows."""
+    k = trunc_normal(rng, (dim, 3, 3))
+    k[:, 1, 1] += 1.0
+    return Tensor(k, requires_grad=True)
 
-    It maps the region grids of token rows [B, L, dim] to the output grids'
-    rows [B, L', dim] (see ``ad.depthwise_conv2d``); the kernel is
-    [dim, 3, 3].  The center tap starts at one so the projection begins as
-    (sub)sampling and learns local mixing from there; there is no norm layer
-    between this and the linear projection that follows it.
-    """
+
+class DepthwiseConv(Module):
+    """Per-channel 3x3 projection with a bias, from the region grids of token
+    rows [B, L, dim] to the output grids' rows (see ``ad.depthwise_conv2d``)."""
 
     def __init__(self, dim, rng, stride=1):
-        k = trunc_normal(rng, (dim, 3, 3))
-        k[:, 1, 1] += 1.0
-        self.kernel = Tensor(k, requires_grad=True)
+        self.kernel = depthwise_kernel(dim, rng)
         self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
         self.stride = stride
 
@@ -128,18 +114,14 @@ class Conv2d(Module):
 
 
 class BatchNormFrozen(Module):
-    """Batch norm running in inference form: statistics are fixed buffers."""
+    """Batch norm in inference form with identity statistics (mean 0, var 1)."""
 
     def __init__(self, dim):
         self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.register_buffer("mean", np.zeros(dim, dtype=np.float32))
-        self.register_buffer("var", np.ones(dim, dtype=np.float32))
 
     def __call__(self, x):
-        return ad.batch_norm_frozen(
-            x, self._buffers["mean"], self._buffers["var"], self.gain, self.bias
-        )
+        return ad.batch_norm_frozen(x, self.gain, self.bias)
 
 
 class Mlp(Module):

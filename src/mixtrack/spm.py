@@ -71,12 +71,13 @@ def roi_tokens(search_feat, box, grid=4):
 
 
 class CrossAttnBlock(nn.Module):
-    """Single-head cross-attention with residual and layer norm."""
+    """Single-head cross-attention with residual and layer norm; the key
+    projection has no bias, which softmax would ignore (see ``attention``)."""
 
     def __init__(self, dim, rng):
         self.dim = dim
         self.wq = nn.Linear(dim, dim, rng)
-        self.wk = nn.Linear(dim, dim, rng)
+        self.wk = Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
         self.wv = nn.Linear(dim, dim, rng)
         self.wo = nn.Linear(dim, dim, rng)
         self.norm = nn.LayerNorm(dim)
@@ -84,7 +85,7 @@ class CrossAttnBlock(nn.Module):
     def __call__(self, queries, keys):
         """queries [Nq, dim] attend keys [Nk, dim]."""
         q = self.wq(queries)
-        k = self.wk(keys)
+        k = ad.linear(keys, self.wk)
         v = self.wv(keys)
         att = ad.attention(q, k, v, 1)
         return self.norm(ad.add(queries, self.wo(att)))

@@ -63,9 +63,14 @@ def test_layout_rejects_bad_extents():
 # conv projections
 
 
+def key_conv(attn):
+    """The key's depth-wise projection: a bare stride-2 kernel, no bias."""
+    return lambda x, grids: ad.depthwise_conv2d(x, grids, attn.dw_k, stride=2, pad=1)
+
+
 def projections(attn, x, grids):
     """The q, k and v depth-wise projections of token rows x over grids."""
-    return tuple(conv(x, grids) for conv in (attn.dw_q, attn.dw_k, attn.dw_v))
+    return tuple(conv(x, grids) for conv in (attn.dw_q, key_conv(attn), attn.dw_v))
 
 
 def test_conv_projection_extents():
@@ -120,7 +125,7 @@ def region_projections(attn, x, lay):
         streams = projections(attn, Tensor(rows), [grid])
         out.append(tuple(
             proj(s).numpy()[0].astype(np.float64)
-            for proj, s in zip((attn.wq, attn.wk, attn.wv), streams)
+            for proj, s in zip((attn.wq, lambda s: ad.linear(s, attn.wk), attn.wv), streams)
         ))
     return out
 
@@ -263,15 +268,18 @@ def former_joint_attention(attn, x, lay, extra):
     """The former joint pass of MixedAttention, op for op: one depth-wise
     call per region and role with a concat, matmul-then-add projections, the
     head split, the template keys cut out and concatenated back, one softmax
-    chain per query group, and the head merge."""
+    chain per query group, and the head merge.  The keys' projections have
+    no bias."""
     lt, ls = lay.template_total, lay.search_total
     regions = [(0, lt, (lay.templates, lay.t_h, lay.t_w)), (lt, lt + ls, (1, lay.s_h, lay.s_w))]
     q, k, v = (ad.concat([conv(x[:, a:z], [grid]) for a, z, grid in regions], axis=1)
-               for conv in (attn.dw_q, attn.dw_k, attn.dw_v))
+               for conv in (attn.dw_q, key_conv(attn), attn.dw_v))
     if extra:
         q = ad.concat([q, x[:, lt + ls :]], axis=1)
 
     def project(lin, t):
+        if isinstance(lin, Tensor):
+            return ad.matmul(t, lin)
         return ad.add(ad.matmul(t, lin.w), lin.b)
 
     def split(t):

@@ -460,25 +460,21 @@ def test_linear_matches_matmul_then_add_bit_for_bit(x_shape, dtype):
 def test_batch_norm_frozen_matches_formula():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 3, 4, 4)).astype(np.float64)
-    mean = rng.normal(size=3)
-    var = rng.uniform(0.5, 2.0, size=3)
     gain = rng.normal(size=3)
     bias = rng.normal(size=3)
-    y = ad.batch_norm_frozen(
-        Tensor(x), mean, var, Tensor(gain), Tensor(bias), eps=1e-5
-    ).numpy()
-    want = (x - mean[None, :, None, None]) / np.sqrt(var + 1e-5)[None, :, None, None]
-    want = want * gain[None, :, None, None] + bias[None, :, None, None]
+    y = ad.batch_norm_frozen(Tensor(x), Tensor(gain), Tensor(bias), eps=1e-5).numpy()
+    want = x / np.sqrt(1.0 + 1e-5) * gain[None, :, None, None] + bias[None, :, None, None]
     np.testing.assert_allclose(y, want, rtol=1e-10)
     with pytest.raises(ConfigError):
-        ad.batch_norm_frozen(Tensor(x), mean, var, Tensor(gain), Tensor(bias), eps=-1.0)
+        ad.batch_norm_frozen(Tensor(x), Tensor(gain), Tensor(bias), eps=-1.0)
 
 
-def _batch_norm_chain(x, mean, var, gain, bias, eps=1e-5):
-    """batch_norm_frozen as a chain of elementwise ops, one tape entry each."""
-    inv = (1.0 / np.sqrt(var + eps)).reshape(1, -1, 1, 1)
-    scale = ad.mul(gain, Tensor(inv.reshape(-1)))
-    xn = ad.mul(ad.sub(x, Tensor(mean.reshape(1, -1, 1, 1))), ad.reshape(scale, (1, -1, 1, 1)))
+def _batch_norm_chain(x, gain, bias, eps=1e-5):
+    """batch_norm_frozen as a chain of elementwise ops, one tape entry each:
+    with mean 0 and variance 1 the scale is gain / sqrt(1 + eps)."""
+    inv = 1.0 / np.sqrt(np.ones(gain.shape, dtype=x.dtype) + eps)
+    scale = ad.mul(gain, Tensor(inv))
+    xn = ad.mul(x, ad.reshape(scale, (1, -1, 1, 1)))
     return ad.add(xn, ad.reshape(bias, (1, -1, 1, 1)))
 
 
@@ -486,8 +482,6 @@ def _batch_norm_chain(x, mean, var, gain, bias, eps=1e-5):
 def test_batch_norm_frozen_matches_op_chain_bit_for_bit(bsz):
     rng = np.random.default_rng(29)
     x = rng.normal(size=(bsz, 3, 4, 5)).astype(np.float32)
-    mean = rng.normal(size=3).astype(np.float32)
-    var = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
     gain = rng.normal(size=3).astype(np.float32)
     bias = rng.normal(size=3).astype(np.float32)
     upstream = Tensor(rng.normal(size=x.shape).astype(np.float32))
@@ -495,11 +489,11 @@ def test_batch_norm_frozen_matches_op_chain_bit_for_bit(bsz):
     for op in (ad.batch_norm_frozen, _batch_norm_chain):
         leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
         with Tape() as tape:
-            y = op(leaves[0], mean, var, leaves[1], leaves[2])
+            y = op(*leaves)
             tape.backward(ad.sum_(ad.mul(y, upstream)))
         results.append((len(tape), [y.numpy()] + [t.grad for t in leaves]))
     (fused_len, fused), (chain_len, chain) = results
-    assert (fused_len, chain_len) == (3, 8)
+    assert (fused_len, chain_len) == (3, 7)
     for name, f, c in zip(("out", "dx", "dgain", "dbias"), fused, chain):
         assert f.dtype == c.dtype and np.array_equal(f, c), name
 
@@ -1128,10 +1122,8 @@ def _fd_case(name):
         )
     if name == "batch_norm_frozen":
         a, g, b = t((2, 3, 2, 2)), t((3,), lo=0.5, hi=1.5), t((3,))
-        mean = np.zeros(3)
-        var = np.ones(3)
         return {"a": a, "g": g, "b": b}, lambda: ad.sum_(
-            ad.mul(y := ad.batch_norm_frozen(a, mean, var, g, b), y)
+            ad.mul(y := ad.batch_norm_frozen(a, g, b), y)
         )
     if name == "edge_pad":
         a = t((2, 2, 3, 4))

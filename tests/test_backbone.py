@@ -275,9 +275,11 @@ class TestTemplateCache:
 
 class TestCost:
     def test_param_formula_matches_instance(self):
-        cfg, net = tiny_net()
-        count = sum(p.size for p in net.named_params().values())
-        assert bb.count_params_flops(cfg)["params"] == count
+        for name in ("tiny", "mixformer"):
+            cfg = bb.preset(name, templates=2, mode=ASYMMETRIC)
+            net = bb.Backbone(cfg, np.random.default_rng(0))
+            count = sum(p.size for p in net.named_params().values())
+            assert bb.count_params_flops(cfg)["params"] == count, name
 
     def test_base_flops_near_reference(self):
         cost = bb.count_params_flops(bb.preset("mixformer", templates=2))

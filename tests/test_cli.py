@@ -1,8 +1,10 @@
 import shutil
+import zlib
 
 import numpy as np
 import pytest
 
+from mixtrack import checkpoint as ck
 from mixtrack import cli
 from mixtrack.checkpoint import load_checkpoint
 from mixtrack.data import SyntheticConfig, generate_synthetic, save_sequence
@@ -167,6 +169,51 @@ class TestTrack:
                        "--out", str(work / "nope.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def crafted_checkpoint(ckpt, case):
+    """Bytes of ckpt changed as ``case`` says, under a valid CRC."""
+    arrays, text = load_checkpoint(ckpt)
+    codes = np.frombuffer(text.encode("utf-8"), dtype=np.uint8).astype(np.float32)
+    if case == "undecodable config":
+        codes = np.frombuffer(UNDECODABLE, dtype=np.uint8).astype(np.float32)
+    elif case == "config value 288":
+        # 288 wraps to a space in uint8, which the parser would accept
+        codes[text.index(" ")] = 288.0
+    blob = bytearray(ck.serialize({**arrays, ck.CONFIG_KEY: codes})[:-4])
+    if case == "undecodable name":
+        blob[blob.index(b"backbone.")] = 0xFF
+    elif case == "version 1":
+        blob[4:8] = (1).to_bytes(4, "little")
+    return bytes(blob) + (zlib.crc32(blob) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+class TestCraftedCheckpoint:
+    """Checkpoints that pass their CRC but cannot be decoded fail closed."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("undecodable name", "entry name is not UTF-8"),
+        ("undecodable config", "config text is not UTF-8"),
+        ("config value 288", "config text holds values that are not bytes"),
+        ("version 1", "unsupported version 1, expected 2"),
+    ])
+    def test_track_fails_with_a_checkpoint_error(self, work, ckpt, seq_dir, capsys,
+                                                 case, message):
+        path = work / "crafted.ckpt"
+        path.write_bytes(crafted_checkpoint(ckpt, case))
+        rc = cli.main(["track", "--checkpoint", str(path),
+                       "--sequence", str(seq_dir),
+                       "--out", str(work / "nope.csv")])
+        assert_user_error(capsys, rc, message)
+
+    def test_unchanged_rebuild_still_tracks(self, work, ckpt, seq_dir):
+        path = work / "rebuilt.ckpt"
+        path.write_bytes(crafted_checkpoint(ckpt, "none"))
+        assert path.read_bytes() == ckpt.read_bytes()
+        rc = cli.main(["track", "--checkpoint", str(path),
+                       "--sequence", str(seq_dir),
+                       "--out", str(work / "rebuilt.csv")])
+        assert rc == 0
 
 
 class TestEval:

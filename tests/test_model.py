@@ -59,10 +59,39 @@ class TestAssembly:
         }
         assert all(k.startswith("head.") for k in corner ^ query)
 
-    def test_buffers_present_for_corner_head(self):
-        m = tiny_model("corner")
-        buffers = m.named_buffers()
-        assert any("bn.mean" in k or "mean" in k for k in buffers)
+    @pytest.mark.parametrize("head", ["corner", "query"])
+    def test_every_parameter_moves_the_output(self, head):
+        # A parameter that softmax or the soft argmax cancels, such as a key
+        # bias or a bias on a corner map, moves the output only by rounding.
+        # In float64 that is at most a few 1e-16 here, while the live tensor
+        # that moves it least moves it by about 3e-10.  Each tensor gets a
+        # small random change in turn; the box must move, or for score.* the
+        # score, which reads a fixed box so that its pooled tokens differ.
+        m = tiny_model(head)
+        params = m.named_params()
+        for p in params.values():
+            p.data = p.data.astype(np.float64)
+        t, s = (a.astype(np.float64) for a in tiny_batch(batch=1))
+
+        def outputs():
+            box, feat, tmpl = m.forward_box(t, s)
+            score = m.predict_score(feat[0], (0.2, 0.3, 0.7, 0.8), tmpl[0])
+            return box.numpy(), score.item()
+
+        box0, score0 = outputs()
+        rng = np.random.default_rng(2)
+        for name, p in params.items():
+            if head == "query" and not name.startswith("head."):
+                continue  # the corner case covers the shared parameters
+            saved = p.data
+            p.data = saved + 1e-2 * rng.standard_normal(saved.shape)
+            box, score = outputs()
+            p.data = saved
+            if name.startswith("score."):
+                moved = abs(score - score0)
+            else:
+                moved = np.abs(box - box0).max()
+            assert moved > 1e-12, name
 
     def test_tokens_per_template(self):
         assert tiny_model().tokens_per_template() == 4

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -378,3 +380,37 @@ class TestLoadedSequence:
             loaded, on_frame=lambda *_: during.append(len(os.listdir("/proc/self/fd"))))
         assert len(os.listdir("/proc/self/fd")) == before
         assert during == [before] * 5
+
+
+def test_tiny_bits_do_not_depend_on_blas_threads():
+    # tracking, cached and uncached and with template installs, and a short
+    # training run of the tiny preset give the same bits with one and with
+    # two OpenBLAS threads
+    script = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from mixtrack import data, model, tracker, train\n"
+        "def digest(values):\n"
+        "    return hashlib.sha256(np.asarray(values, np.float64).tobytes()).hexdigest()\n"
+        "seq = data.generate_synthetic(data.SyntheticConfig(frames=41), 3)\n"
+        "m = model.build_model('tiny', seed=3)\n"
+        "for cache in (False, True):\n"
+        "    t = tracker.Tracker(m, update_interval=10, score_threshold=0.0,\n"
+        "                        use_template_cache=cache)\n"
+        "    boxes, scores = t.track(seq)\n"
+        "    print(digest(boxes), digest(scores))\n"
+        "cfg = train.TrainConfig(seed=3, stage1_iters=10, stage2_iters=3)\n"
+        "sets = train.default_training_data(3, sequences=2)\n"
+        "curves = train.train_stage1(m, sets, cfg) + train.train_stage2_spm(m, sets, cfg)\n"
+        "print(digest(curves), digest(np.concatenate(\n"
+        "    [p.data.ravel() for p in m.named_params().values()])))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mdl.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0].split()) == 6
+    assert outputs[0] == outputs[1]

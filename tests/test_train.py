@@ -214,8 +214,8 @@ class TestAdamW:
         np.testing.assert_array_equal(params["a"].data, fresh - 1e-2 * (1e-2 * fresh))
 
     def test_clip_norm_bits_do_not_depend_on_blas_threads(self):
-        # tiny's parameter count; OpenBLAS splits a dot product this long
-        # across threads, which changes its summation order
+        # about tiny's parameter count (237,921); OpenBLAS splits a dot
+        # product this long across threads, which changes its summation order
         script = (
             "import numpy as np\n"
             "from mixtrack.autodiff import Tensor\n"
@@ -454,7 +454,6 @@ class TestStage2:
     def test_only_score_params_move(self):
         model = build_model("tiny", seed=5)
         before = {k: p.data.copy() for k, p in model.named_params().items()}
-        buffers = {k: b.copy() for k, b in model.named_buffers().items()}
         curve = train_stage2_spm(model, tiny_data(), self.cfg())
         assert len(curve) == 3
         moved, frozen_ok = [], True
@@ -467,8 +466,6 @@ class TestStage2:
                 frozen_ok = frozen_ok and same
         assert frozen_ok
         assert moved
-        for k, b in model.named_buffers().items():
-            assert np.array_equal(buffers[k], b)
 
     def test_frozen_params_receive_no_gradient(self):
         model = build_model("tiny", seed=6)
