@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .errors import ConfigError, LayoutError, UsageError
+from .errors import ConfigError, LayoutError
 
 FULL_MIXED = "full"
 ASYMMETRIC = "asymmetric"
@@ -212,29 +212,20 @@ class MAMBlock(nn.Module):
         return weights
 
 
-def attention_weights_dump(block, tokens, layout, names=None):
-    """Slice a block's attention weights into named query->key maps.
+def attention_weights_dump(block, tokens, layout):
+    """Slice a block's attention weights into every named query->key map.
 
     ``tokens`` is [layout.total, dim] or [1, layout.total, dim].  Weights are
     averaged over heads.  Each returned array is [n_queries, n_keys]; a query
     row reshapes to the halved key grid of its slice.  Maps involving an
-    online template need layout.templates >= 2; requesting one otherwise
-    raises UsageError.  In asymmetric mode template queries hold no weights
-    over search keys, so no such map exists to dump.
+    online template exist only when layout.templates >= 2.  In asymmetric
+    mode template queries hold no weights over search keys, so no such map
+    exists to dump.
     """
     tokens = ad.as_tensor(tokens)
     if tokens.ndim == 2:
         tokens = ad.reshape(tokens, (1,) + tokens.shape)
-    if names is None:
-        names = [n for n in DUMP_NAMES if layout.templates >= 2 or "online" not in n]
-    for name in names:
-        if name not in DUMP_NAMES:
-            raise UsageError(f"unknown attention map {name!r}")
-        if "online" in name and layout.templates < 2:
-            raise UsageError(
-                f"map {name!r} needs at least 2 templates, layout has "
-                f"{layout.templates}"
-            )
+    names = [n for n in DUMP_NAMES if layout.templates >= 2 or "online" not in n]
     wt, ws = block.attention_weights(tokens, layout)
     wt = wt.numpy().mean(axis=1)[0]
     ws = ws.numpy().mean(axis=1)[0]

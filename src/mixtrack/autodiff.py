@@ -25,6 +25,7 @@ from .errors import ConfigError, GradCheckError, ShapeError, UsageError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+_NORM_EPS = 1e-5  # variance floor of layer_norm and batch_norm_frozen
 
 
 class _ThreadTapes(threading.local):
@@ -734,17 +735,15 @@ def attention(q, k, v, heads, split=None):
     return _record("attention", out, inputs, vjp)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize along the last axis then scale/shift; gain/bias broadcast."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be > 0, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     # np.add.reduce / n equals ndarray.mean bit for bit, without its wrapper
     n = x.data.shape[-1]
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat = xc * inv
     # C order whatever the input's layout, so a later reduction along the
     # rows sums in one order whether they came from a strided view or a concat
@@ -762,17 +761,15 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _record("layer_norm", out, (x, gain, bias), vjp)
 
 
-def batch_norm_frozen(x, gain, bias, eps=1e-5):
+def batch_norm_frozen(x, gain, bias):
     """Inference-form batch norm over channel axis 1 of [B, C, H, W].
 
     The statistics are the identity (mean 0, variance 1), so one tape entry
     computes ``x * (gain * inv) + bias`` with ``inv = 1 / sqrt(1 + eps)``
     in x's dtype; gain and bias are the differentiable parameters.
     """
-    if eps <= 0:
-        raise ConfigError(f"batch_norm_frozen eps must be > 0, got {eps}")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    inv = 1.0 / np.sqrt(np.ones(1, dtype=x.dtype) + eps)
+    inv = 1.0 / np.sqrt(np.ones(1, dtype=x.dtype) + _NORM_EPS)
     scale = (gain.data * inv).reshape(1, -1, 1, 1)
     y = x.data * scale
     y += bias.data.reshape(1, -1, 1, 1)

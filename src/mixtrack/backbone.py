@@ -27,6 +27,9 @@ from .autodiff import Tensor, _conv_out_extent
 from .errors import ConfigError, ShapeError
 
 PRESET_NAMES = ("mixformer", "mixformer_l", "tiny")
+# (kernel, stride) of each stage's overlapped patch embedding
+_EMBED = ((7, 4), (3, 2), (3, 2))
+_MLP_RATIO = 4  # hidden width of each block's MLP, per token dimension
 
 
 def _part(x, start, stop, axis):
@@ -48,19 +51,14 @@ def _tokens_to_map(tokens, b, n_maps, h, w, d):
 
 @dataclass(frozen=True)
 class StageConfig:
-    embed_kernel: int
-    embed_stride: int
     dim: int
     blocks: int
     heads: int
-    mlp_ratio: int
 
     def __post_init__(self):
-        for name in ("embed_kernel", "embed_stride", "dim", "blocks", "heads"):
+        for name in ("dim", "blocks", "heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"StageConfig.{name} must be >= 1")
-        if self.mlp_ratio < 1:
-            raise ConfigError("StageConfig.mlp_ratio must be >= 1")
         if self.dim % self.heads != 0:
             raise ConfigError(
                 f"stage dim {self.dim} not divisible by heads {self.heads}"
@@ -69,26 +67,21 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class BackboneConfig:
+    """A backbone's stages and its square crop sizes (crop side in pixels)."""
+
     stages: tuple
-    template_size: tuple
-    search_size: tuple
+    template_size: int
+    search_size: int
     templates: int
     mode: str
 
     def __post_init__(self):
         if len(self.stages) != 3:
             raise ConfigError(f"expected 3 stages, got {len(self.stages)}")
-        want = ((7, 4), (3, 2), (3, 2))
-        for i, (stage, (k, s)) in enumerate(zip(self.stages, want), start=1):
-            if (stage.embed_kernel, stage.embed_stride) != (k, s):
-                raise ConfigError(
-                    f"stage {i} embedding must be kernel {k} / stride {s}, got "
-                    f"{stage.embed_kernel}/{stage.embed_stride}"
-                )
         for name in ("template_size", "search_size"):
-            h, w = getattr(self, name)
-            if h % 16 or w % 16 or h < 16 or w < 16:
-                raise ConfigError(f"{name} {h}x{w} must be divisible by 16")
+            size = getattr(self, name)
+            if size % 16 or size < 16:
+                raise ConfigError(f"{name} {size} must be a positive multiple of 16")
         if self.templates < 1:
             raise ConfigError(
                 f"template count must be >= 1 (the static template plus "
@@ -98,18 +91,12 @@ class BackboneConfig:
 
     def stage_layouts(self):
         """Token layout after each stage's embedding."""
-        th, tw = self.template_size
-        sh, sw = self.search_size
+        t, s = self.template_size, self.search_size
         out = []
-        for stage in self.stages:
-            pad = stage.embed_kernel // 2
-            th = _conv_out_extent(th, stage.embed_kernel, stage.embed_stride, pad)
-            tw = _conv_out_extent(tw, stage.embed_kernel, stage.embed_stride, pad)
-            sh = _conv_out_extent(sh, stage.embed_kernel, stage.embed_stride, pad)
-            sw = _conv_out_extent(sw, stage.embed_kernel, stage.embed_stride, pad)
-            out.append(
-                TokenLayout(self.templates, th, tw, sh, sw, stage.dim)
-            )
+        for stage, (kernel, stride) in zip(self.stages, _EMBED):
+            t = _conv_out_extent(t, kernel, stride, kernel // 2)
+            s = _conv_out_extent(s, kernel, stride, kernel // 2)
+            out.append(TokenLayout(self.templates, t, t, s, s, stage.dim))
         return out
 
     @property
@@ -120,18 +107,14 @@ class BackboneConfig:
 def preset(name, templates=2, mode=ASYMMETRIC):
     """Named architecture: mixformer, mixformer_l, or tiny."""
     table = {
-        "mixformer": ((64, 192, 384), (1, 4, 16), (1, 3, 6), (128, 128), (320, 320)),
-        "mixformer_l": ((192, 768, 1024), (2, 2, 12), (3, 12, 16), (128, 128), (320, 320)),
-        "tiny": ((16, 32, 64), (1, 1, 2), (1, 2, 4), (32, 32), (64, 64)),
+        "mixformer": ((64, 192, 384), (1, 4, 16), (1, 3, 6), 128, 320),
+        "mixformer_l": ((192, 768, 1024), (2, 2, 12), (3, 12, 16), 128, 320),
+        "tiny": ((16, 32, 64), (1, 1, 2), (1, 2, 4), 32, 64),
     }
     if name not in table:
         raise ConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
     dims, blocks, heads, t_size, s_size = table[name]
-    kernels = ((7, 4), (3, 2), (3, 2))
-    stages = tuple(
-        StageConfig(k, s, d, n, h, 4)
-        for (k, s), d, n, h in zip(kernels, dims, blocks, heads)
-    )
+    stages = tuple(StageConfig(*row) for row in zip(dims, blocks, heads))
     return BackboneConfig(stages, t_size, s_size, templates, mode)
 
 
@@ -148,9 +131,11 @@ def count_params_flops(config):
     stages_out = []
     total_params = 0
     total_flops = 0
-    for idx, (stage, layout) in enumerate(zip(config.stages, layouts), start=1):
+    for idx, (stage, layout, (kernel, _)) in enumerate(
+        zip(config.stages, layouts, _EMBED), start=1
+    ):
         d = stage.dim
-        k2 = stage.embed_kernel * stage.embed_kernel
+        k2 = kernel * kernel
         half = layout.halved()
         n_q = layout.total
         n_kt, n_ks = half.template_total, half.search_total
@@ -161,7 +146,7 @@ def count_params_flops(config):
         per_block = 4 * d                   # the two block norms
         per_block += 3 * d * 9 + 2 * d      # depth-wise q/k/v (kernel 3), no k bias
         per_block += 4 * d * d + 3 * d      # wq, wk, wv, wo, no wk bias
-        hidden = stage.mlp_ratio * d
+        hidden = _MLP_RATIO * d
         per_block += d * hidden + hidden + hidden * d + d
         params += stage.blocks * per_block
 
@@ -195,12 +180,9 @@ def count_params_flops(config):
 class PatchEmbed(nn.Module):
     """Overlapped convolutional embedding followed by a token layer norm."""
 
-    def __init__(self, c_in, stage, rng):
-        pad = stage.embed_kernel // 2
-        self.conv = nn.Conv2d(
-            c_in, stage.dim, stage.embed_kernel, stage.embed_stride, pad, rng
-        )
-        self.norm = nn.LayerNorm(stage.dim)
+    def __init__(self, c_in, dim, kernel, stride, rng):
+        self.conv = nn.Conv2d(c_in, dim, kernel, stride, kernel // 2, rng)
+        self.norm = nn.LayerNorm(dim)
 
     def __call__(self, x):
         """[B, C, H, W] -> [B, H'*W', D]."""
@@ -211,11 +193,11 @@ class PatchEmbed(nn.Module):
 
 
 class Stage(nn.Module):
-    def __init__(self, c_in, cfg, layout, rng, mode):
+    def __init__(self, c_in, cfg, embed, layout, rng, mode):
         self.layout = layout
-        self.embed = PatchEmbed(c_in, cfg, rng)
+        self.embed = PatchEmbed(c_in, cfg.dim, *embed, rng)
         self.block = [
-            MAMBlock(cfg.dim, cfg.heads, cfg.mlp_ratio, rng, mode=mode)
+            MAMBlock(cfg.dim, cfg.heads, _MLP_RATIO, rng, mode=mode)
             for _ in range(cfg.blocks)
         ]
 
@@ -240,10 +222,11 @@ class Backbone(nn.Module):
     def __init__(self, config, rng):
         self.config = config
         s1, s2, s3 = config.stages
+        e1, e2, e3 = _EMBED
         l1, l2, l3 = config.stage_layouts()
-        self.stage1 = Stage(3, s1, l1, rng, config.mode)
-        self.stage2 = Stage(s1.dim, s2, l2, rng, config.mode)
-        self.stage3 = Stage(s2.dim, s3, l3, rng, config.mode)
+        self.stage1 = Stage(3, s1, e1, l1, rng, config.mode)
+        self.stage2 = Stage(s1.dim, s2, e2, l2, rng, config.mode)
+        self.stage3 = Stage(s2.dim, s3, e3, l3, rng, config.mode)
         self.norm = nn.LayerNorm(s3.dim)
 
     def _stages(self):
@@ -252,11 +235,11 @@ class Backbone(nn.Module):
     def _check_search(self, search, batch):
         """The search crops as a Tensor, checked to be [batch, 3, H, W] at
         the configured search size."""
-        size = tuple(self.config.search_size)
+        size = self.config.search_size
         s = ad.as_tensor(search)
-        if s.ndim != 4 or s.shape[1] != 3 or s.shape[2:] != size:
+        if s.ndim != 4 or s.shape[1] != 3 or s.shape[2:] != (size, size):
             raise ShapeError(
-                f"search must be [B, 3, {size[0]}, {size[1]}], got {s.shape}"
+                f"search must be [B, 3, {size}, {size}], got {s.shape}"
             )
         if s.shape[0] != batch:
             raise ShapeError(
@@ -273,9 +256,10 @@ class Backbone(nn.Module):
             raise ShapeError(
                 f"templates must be [B, {cfg.templates}, 3, H, W], got {t.shape}"
             )
-        if t.shape[3:] != tuple(cfg.template_size):
+        if t.shape[3:] != (cfg.template_size,) * 2:
             raise ShapeError(
-                f"template size {t.shape[3:]} != configured {cfg.template_size}"
+                f"template size {t.shape[3:]} != configured "
+                f"{cfg.template_size}x{cfg.template_size}"
             )
         return t
 

@@ -9,7 +9,7 @@ more entry, its UTF-8 bytes stored as float32 values.  Version 1 files also
 held batch-norm statistics and biases that could not change an output;
 they are rejected, not converted.  A file that passes its CRC but does not
 decode (a name or config text that is not UTF-8, config values that are
-not bytes) raises ``CheckpointError``.
+not bytes, a name that appears twice) raises ``CheckpointError``.
 """
 
 import contextlib
@@ -119,6 +119,8 @@ def deserialize(blob):
     arrays = {}
     for _ in range(u32()):
         name = _utf8(take(u32()), "entry name")
+        if name in arrays:
+            raise CheckpointError(f"entry {name!r} appears twice")
         rank = u32()
         if rank > 16:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")

@@ -167,12 +167,12 @@ def cmd_inspect(args):
     mc = model.config
     crop = cfg.crop_params()
     first = crop_template(seq.frames[0], seq.gt_corners(0),
-                          crop.template_factor, mc.template_size[0])
+                          crop.template_factor, mc.template_size)
     online = crop_template(seq.frames[prev], seq.gt_corners(prev),
-                           crop.template_factor, mc.template_size[0])
+                           crop.template_factor, mc.template_size)
     tmpl = np.stack([first] + [online] * (mc.templates - 1))
     patch, _ = crop_search(seq.frames[idx], seq.gt_corners(prev), crop,
-                           mc.search_size[0])
+                           mc.search_size)
     tokens, layout = model.backbone.final_block_tokens(tmpl[None], patch[None])
     maps = attention_weights_dump(model.backbone.stage3.block[-1], tokens,
                                   layout)

@@ -13,6 +13,8 @@ from . import nn
 from .autodiff import Tensor, as_tensor
 from .errors import ConfigError, ShapeError
 
+_ROI_GRID = 4  # the score head pools a 4x4 grid of tokens under the box
+
 
 def _axis_weights(lo, hi, extent, grid):
     """Per-sample (index, weight) rows for one axis of the ROI grid.
@@ -94,11 +96,8 @@ class CrossAttnBlock(nn.Module):
 class ScorePredictor(nn.Module):
     """Score token, two cross-attention blocks, 3-layer MLP, sigmoid."""
 
-    def __init__(self, dim, rng, grid=4):
-        if grid < 1:
-            raise ConfigError(f"roi grid must be >= 1, got {grid}")
+    def __init__(self, dim, rng):
         self.dim = dim
-        self.grid = grid
         self.token = Tensor(nn.trunc_normal(rng, (1, dim)), requires_grad=True)
         self.block_a = CrossAttnBlock(dim, rng)
         self.block_b = CrossAttnBlock(dim, rng)
@@ -121,7 +120,7 @@ class ScorePredictor(nn.Module):
             )
         if per_template is not None:
             tokens = tokens[:per_template]
-        roi = roi_tokens(search_feat, box, self.grid)
+        roi = roi_tokens(search_feat, box, _ROI_GRID)
         q = self.block_a(self.token, roi)
         q = self.block_b(q, tokens)
         hidden = ad.gelu(self.fc1(q))

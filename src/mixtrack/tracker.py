@@ -220,7 +220,7 @@ class Tracker:
         )
         if box[2] - box[0] <= 0 or box[3] - box[1] <= 0:
             raise UsageError(f"cannot initialize from an empty box {box}")
-        t_size = self.model.config.template_size[0]
+        t_size = self.model.config.template_size
         crop = crop_template(frame, box, self.params.template_factor, t_size)
         return TrackerState(
             first_template=crop,
@@ -244,7 +244,7 @@ class Tracker:
     def step(self, state, frame):
         """One frame: returns (box in frame pixels, score)."""
         fh, fw = frame.shape[:2]
-        s_size = self.model.config.search_size[0]
+        s_size = self.model.config.search_size
         patch, affine = crop_search(frame, state.prev_box, self.params, s_size)
         box_t, feat, tmpl = self._forward(state, patch)
         norm = tuple(float(v) for v in box_t.numpy()[0])
@@ -258,7 +258,7 @@ class Tracker:
         def candidate():
             return crop_template(
                 frame, frame_box, self.params.template_factor,
-                self.model.config.template_size[0],
+                self.model.config.template_size,
             )
 
         self._advance(state, candidate, score, frame_box)

@@ -1,9 +1,15 @@
-"""Two-stage training loop on synthetic sequences.
+"""Two-stage training on synthetic sequences, through one step loop.
 
 Stage 1 fits the backbone and the localization head with the weighted
 l1 + giou objective.  Stage 2 freezes those and fits the score head on
-balanced positive and negative candidate boxes.  Every random draw is
-keyed on (seed, stage, iteration), never on wall clock or worker id, so
+balanced positive and negative candidate boxes.  Both run ``_fit``: it
+picks the stage's parameters, and each iteration draws a batch, takes
+the loss on a tape, stops on a non-finite loss before any parameter
+moves, and takes one AdamW step.  A stage supplies only its batch
+builder, its loss and its learning rate.  Every example comes from
+``_draw_pair``, and stage 2 and ``spm_accuracy`` turn it into frozen
+features plus a negative box the same way.  Every random draw is keyed
+on (seed, stage, iteration), never on wall clock or worker id, so
 identical configs produce identical parameters bit for bit.
 """
 
@@ -29,6 +35,7 @@ _BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
 _STAGE1 = 1
 _STAGE2 = 2
+_EVAL = 3  # the stage tag of spm_accuracy's draws
 _TAG = 0x74726169
 
 
@@ -286,20 +293,77 @@ def _pick(data, rng):
     return data[int(rng.integers(0, len(data)))]
 
 
-def _stage1_batch(model, data, rng, cfg, crop_params):
+def _draw_pair(model, data, rng, cfg, crop_params, augment):
+    """One example from a randomly picked sequence at the model's crop
+    sizes; ``augment=False`` turns flip and brightness off."""
     mc = model.config
-    ts, ss = mc.template_size[0], mc.search_size[0]
-    tmpl, search, gt = [], [], []
-    for _ in range(cfg.batch_size):
-        t, s, b = make_training_pair(
-            _pick(data, rng), rng, ts, ss, templates=mc.templates,
-            crop_params=crop_params, flip=cfg.flip,
-            brightness=cfg.brightness, max_gap=cfg.max_gap,
-        )
-        tmpl.append(t)
-        search.append(s)
-        gt.append(b)
+    return make_training_pair(
+        _pick(data, rng), rng, mc.template_size, mc.search_size,
+        templates=mc.templates, crop_params=crop_params,
+        flip=augment and cfg.flip, brightness=augment and cfg.brightness,
+        max_gap=cfg.max_gap,
+    )
+
+
+def _scored_example(model, data, rng, cfg, crop_params, augment):
+    """(search features, template tokens, ground-truth box, negative box)
+    of one drawn example.
+
+    The backbone runs without a tape and its outputs are detached, so
+    stage-2 backprop can only ever reach the score head.
+    """
+    tmpl, patch, gt = _draw_pair(model, data, rng, cfg, crop_params, augment)
+    _, feat, tokens = model.forward_box(tmpl[None], patch[None])
+    neg = _negative_box(gt, rng)
+    return Tensor(feat.data[0]), Tensor(tokens.data[0]), gt, neg
+
+
+def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
+         on_iteration):
+    """The step loop of both stages; returns the loss curve.
+
+    Stage 2 steps the ``score.*`` parameters, stage 1 all the others.
+    Iteration ``it`` draws its batch with ``make_batch`` from the
+    generator keyed on (seed, stage, it), takes ``loss_of(model, batch)``
+    on a tape and steps at ``lr_at(it)``.
+    """
+    if not data:
+        raise ConfigError(f"stage {stage} needs at least one training sequence")
+    score = stage == _STAGE2
+    params = {k: v for k, v in model.named_params().items()
+              if k.startswith("score.") == score}
+    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                clip_norm=cfg.clip_norm)
+    curve = []
+    for it in range(cfg.stage2_iters if score else cfg.stage1_iters):
+        rng = _iteration_rng(cfg.seed, stage, it)
+        batch = make_batch(model, data, rng, cfg, crop_params)
+        opt.zero_grad()
+        with Tape() as tape:
+            loss = loss_of(model, batch)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise UsageError(f"non-finite loss at iteration {it}")
+            tape.backward(loss)
+        gnorm = opt.step(lr=lr_at(it))
+        curve.append((it, value, gnorm))
+        if on_iteration is not None:
+            on_iteration(it, value, gnorm)
+    return curve
+
+
+def _stage1_batch(model, data, rng, cfg, crop_params):
+    tmpl, search, gt = zip(*[
+        _draw_pair(model, data, rng, cfg, crop_params, augment=True)
+        for _ in range(cfg.batch_size)
+    ])
     return np.stack(tmpl), np.stack(search), np.stack(gt).astype(np.float32)
+
+
+def _stage1_loss(model, batch):
+    tmpl, search, gt = batch
+    box, _, _ = model.forward_box(tmpl, search)
+    return loc_loss(box, gt)
 
 
 def train_stage1(model, data, cfg, crop_params=CropParams(), on_iteration=None):
@@ -307,118 +371,57 @@ def train_stage1(model, data, cfg, crop_params=CropParams(), on_iteration=None):
 
     The curve holds one (iteration, loss, grad_norm) row per iteration,
     grad_norm being the post-clip global norm.  A non-finite loss aborts
-    before the parameters are touched.
+    before the parameters are touched.  The learning rate follows
+    ``cfg.lr_at``.
     """
-    if not data:
-        raise ConfigError("stage 1 needs at least one training sequence")
-    params = {
-        k: v for k, v in model.named_params().items()
-        if not k.startswith("score.")
-    }
-    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                clip_norm=cfg.clip_norm)
-    curve = []
-    for it in range(cfg.stage1_iters):
-        rng = _iteration_rng(cfg.seed, _STAGE1, it)
-        tmpl, search, gt = _stage1_batch(model, data, rng, cfg, crop_params)
-        opt.zero_grad()
-        with Tape() as tape:
-            box, _, _ = model.forward_box(tmpl, search)
-            loss = loc_loss(box, gt)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise UsageError(f"non-finite loss at iteration {it}")
-            tape.backward(loss)
-        gnorm = opt.step(lr=cfg.lr_at(it))
-        curve.append((it, value, gnorm))
-        if on_iteration is not None:
-            on_iteration(it, value, gnorm)
-    return curve
+    return _fit(model, data, cfg, _STAGE1, _stage1_batch, _stage1_loss,
+                cfg.lr_at, crop_params, on_iteration)
 
 
 def _stage2_batch(model, data, rng, cfg, crop_params):
-    """Backbone features plus one positive and one negative box each.
+    return [
+        _scored_example(model, data, rng, cfg, crop_params, augment=True)
+        for _ in range(cfg.batch_size)
+    ]
 
-    The backbone runs without a tape and its outputs are detached, so
-    stage-2 backprop can only ever reach the score head.
-    """
-    mc = model.config
-    ts, ss = mc.template_size[0], mc.search_size[0]
-    out = []
-    for _ in range(cfg.batch_size):
-        tmpl, patch, gt = make_training_pair(
-            _pick(data, rng), rng, ts, ss, templates=mc.templates,
-            crop_params=crop_params, flip=cfg.flip,
-            brightness=cfg.brightness, max_gap=cfg.max_gap,
-        )
-        _, feat, tokens = model.forward_box(tmpl[None], patch[None])
-        neg = _negative_box(gt, rng)
-        out.append((Tensor(feat.data[0]), Tensor(tokens.data[0]), gt, neg))
-    return out
+
+def _stage2_loss(model, batch):
+    """Score loss over each example's positive (label 1) and negative
+    (label 0) box."""
+    scores = [ad.reshape(model.predict_score(feat, tuple(box), tokens), (1,))
+              for feat, tokens, pos, neg in batch for box in (pos, neg)]
+    stacked = ad.concat(scores, axis=0)
+    labels = np.asarray([1.0, 0.0] * len(batch), dtype=np.float32)
+    return score_loss(stacked, labels)
 
 
 def train_stage2_spm(model, data, cfg, crop_params=CropParams(),
                      on_iteration=None):
     """Fit the score head on frozen features; returns the loss curve.
 
-    Only score-head parameters are stepped.
+    Same curve and abort rule as ``train_stage1``; only score-head
+    parameters are stepped, at the base rate ``cfg.lr`` throughout.
     """
-    if not data:
-        raise ConfigError("stage 2 needs at least one training sequence")
-    params = {
-        k: v for k, v in model.named_params().items()
-        if k.startswith("score.")
-    }
-    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                clip_norm=cfg.clip_norm)
-    curve = []
-    for it in range(cfg.stage2_iters):
-        rng = _iteration_rng(cfg.seed, _STAGE2, it)
-        batch = _stage2_batch(model, data, rng, cfg, crop_params)
-        labels = []
-        opt.zero_grad()
-        with Tape() as tape:
-            scores = []
-            for feat, tokens, pos, neg in batch:
-                scores.append(model.predict_score(feat, tuple(pos), tokens))
-                scores.append(model.predict_score(feat, tuple(neg), tokens))
-                labels += [1.0, 0.0]
-            stacked = ad.concat([ad.reshape(s, (1,)) for s in scores], axis=0)
-            loss = score_loss(stacked, np.asarray(labels, dtype=np.float32))
-            value = loss.item()
-            if not np.isfinite(value):
-                raise UsageError(f"non-finite loss at iteration {it}")
-            tape.backward(loss)
-        gnorm = opt.step()
-        curve.append((it, value, gnorm))
-        if on_iteration is not None:
-            on_iteration(it, value, gnorm)
-    return curve
+    return _fit(model, data, cfg, _STAGE2, _stage2_batch, _stage2_loss,
+                lambda it: cfg.lr, crop_params, on_iteration)
 
 
 def spm_accuracy(model, data, cfg, samples=100, seed=None,
                  crop_params=CropParams()):
     """Balanced accuracy of the score head at threshold 0.5.
 
-    Draws one positive and one negative candidate per sample from fresh
-    crops, so pass held-out sequences for an honest number.
+    Draws one positive and one negative candidate per sample from fresh,
+    unaugmented crops, so pass held-out sequences for an honest number.
     """
     seed = cfg.seed if seed is None else seed
     correct = 0
     for i in range(samples):
-        rng = _iteration_rng(seed, 3, i)
-        mc = model.config
-        tmpl, patch, gt = make_training_pair(
-            _pick(data, rng), rng, mc.template_size[0], mc.search_size[0],
-            templates=mc.templates, crop_params=crop_params,
-            flip=False, brightness=False, max_gap=cfg.max_gap,
+        rng = _iteration_rng(seed, _EVAL, i)
+        feat, tokens, pos, neg = _scored_example(
+            model, data, rng, cfg, crop_params, augment=False
         )
-        _, feat, tokens = model.forward_box(tmpl[None], patch[None])
-        neg = _negative_box(gt, rng)
-        feat0, tok0 = Tensor(feat.data[0]), Tensor(tokens.data[0])
-        pos_score = model.predict_score(feat0, tuple(gt), tok0).item()
-        neg_score = model.predict_score(feat0, tuple(neg), tok0).item()
-        correct += int(pos_score >= 0.5) + int(neg_score < 0.5)
+        correct += int(model.predict_score(feat, tuple(pos), tokens).item() >= 0.5)
+        correct += int(model.predict_score(feat, tuple(neg), tokens).item() < 0.5)
     return correct / (2.0 * samples)
 
 

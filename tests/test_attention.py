@@ -4,7 +4,7 @@ import pytest
 from mixtrack import attention as att
 from mixtrack import autodiff as ad
 from mixtrack.autodiff import Tensor
-from mixtrack.errors import ConfigError, LayoutError, ShapeError, UsageError
+from mixtrack.errors import ConfigError, LayoutError, ShapeError
 
 
 def brute_force_attention(q, k, v, d, masked_cols=()):
@@ -491,7 +491,3 @@ def test_dump_online_maps_need_two_templates():
     tokens = Tensor(np.zeros((lay.total, lay.dim), dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == {"search_to_template", "search_to_search"}
-    with pytest.raises(UsageError):
-        att.attention_weights_dump(block, tokens, lay, names=["search_to_online_template"])
-    with pytest.raises(UsageError):
-        att.attention_weights_dump(block, tokens, lay, names=["bogus"])

@@ -391,13 +391,6 @@ def test_layer_norm_matches_ndarray_mean_bit_for_bit(dtype):
         assert np.array_equal(leaf.grad, want_gx), x.shape
 
 
-def test_layer_norm_bad_eps_raises():
-    x = Tensor(np.zeros((1, 4)))
-    one = Tensor(np.ones(4))
-    with pytest.raises(ConfigError):
-        ad.layer_norm(x, one, one, eps=0.0)
-
-
 def test_gelu_at_zero():
     x = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True)
     with Tape() as tape:
@@ -462,11 +455,9 @@ def test_batch_norm_frozen_matches_formula():
     x = rng.normal(size=(2, 3, 4, 4)).astype(np.float64)
     gain = rng.normal(size=3)
     bias = rng.normal(size=3)
-    y = ad.batch_norm_frozen(Tensor(x), Tensor(gain), Tensor(bias), eps=1e-5).numpy()
+    y = ad.batch_norm_frozen(Tensor(x), Tensor(gain), Tensor(bias)).numpy()
     want = x / np.sqrt(1.0 + 1e-5) * gain[None, :, None, None] + bias[None, :, None, None]
     np.testing.assert_allclose(y, want, rtol=1e-10)
-    with pytest.raises(ConfigError):
-        ad.batch_norm_frozen(Tensor(x), Tensor(gain), Tensor(bias), eps=-1.0)
 
 
 def _batch_norm_chain(x, gain, bias, eps=1e-5):

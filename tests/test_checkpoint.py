@@ -1,3 +1,6 @@
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,18 @@ class TestCorruption:
 
         blob = body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
         with pytest.raises(CheckpointError, match="version"):
+            ck.deserialize(blob)
+
+    @pytest.mark.parametrize("name", ["a", ck.CONFIG_KEY])
+    def test_repeated_name_rejected(self, name):
+        # a CRC-valid file whose second copy would otherwise win silently
+        body = b"".join([
+            ck.MAGIC, (ck.VERSION).to_bytes(4, "little"), (2).to_bytes(4, "little"),
+            ck._encode_entry(name, np.ones(2)),
+            ck._encode_entry(name, np.full(2, 2.0)),
+        ])
+        blob = body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+        with pytest.raises(CheckpointError, match=re.escape(f"{name!r} appears twice")):
             ck.deserialize(blob)
 
     def test_missing_file(self, tmp_path):

@@ -322,7 +322,7 @@ class TestTracking:
             if best is None or score > best:
                 kept, best = kept + 1, score
                 want = real_crop(seq.frames[i], box, t.params.template_factor,
-                                 t.model.config.template_size[0])
+                                 t.model.config.template_size)
                 assert np.array_equal(crops[-1], want)
             if i % 3 == 0:
                 best = None

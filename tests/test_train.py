@@ -498,6 +498,51 @@ class TestStage2:
         assert not np.array_equal(params[0], params[1])
 
 
+class TestSharedLoop:
+    """Both stages run one step loop, so they fail the same way."""
+
+    @pytest.mark.parametrize("stage, fit", [(1, train_stage1), (2, train_stage2_spm)])
+    def test_fails_closed(self, stage, fit):
+        cfg = TrainConfig(stage1_iters=2, stage2_iters=2, batch_size=2, seed=13)
+        with pytest.raises(ConfigError, match=f"stage {stage} needs"):
+            fit(build_model("tiny"), [], cfg)
+        model = build_model("tiny", seed=4)
+        params = model.named_params()
+        stepped = [k for k in params if k.startswith("score.") == (stage == 2)]
+        params[stepped[0]].data[...] = np.nan
+        before = {k: p.data.copy() for k, p in params.items()}
+        with pytest.raises(UsageError, match="iteration 0"):
+            fit(model, tiny_data(), cfg)
+        after = model.named_params()
+        assert after.keys() == before.keys()
+        for k, old in before.items():
+            assert np.array_equal(after[k].data, old, equal_nan=True), k
+
+
+def test_benchmark_entry_points_are_called(monkeypatch):
+    """The benchmark tracer wraps these attributes by name; each must exist,
+    and training must reach the train functions through this module's
+    globals, or the tracer's spans stop landing."""
+    from mixtrack import backbone
+
+    calls = []
+    entry_points = [
+        (train, "make_training_pair"), (train, "crop_search"),
+        (train, "crop_template"), (train, "loc_loss"), (train, "score_loss"),
+        (train.AdamW, "step"), (backbone.PatchEmbed, "__call__"),
+    ]
+    for owner, attr in entry_points:
+        def counted(*args, _fn=getattr(owner, attr), _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)  # raises if attr is gone
+    cfg = TrainConfig(stage1_iters=1, stage2_iters=1, batch_size=1, seed=17)
+    model = build_model("tiny", seed=1)
+    train_stage1(model, tiny_data(1), cfg)
+    train_stage2_spm(model, tiny_data(1), cfg)
+    assert {attr for _, attr in entry_points} == set(calls)
+
+
 class TestEvalHelpers:
     def test_spm_accuracy_bounds_and_determinism(self):
         model = build_model("tiny", seed=9)
