@@ -62,31 +62,30 @@ def _half(n):
 
 @dataclass(frozen=True)
 class TokenLayout:
-    """Describes how a token sequence splits into template and search grids."""
+    """Describes how a token sequence splits into template and search grids:
+    ``templates`` square grids of side ``t``, then one of side ``s``."""
 
     templates: int
-    t_h: int
-    t_w: int
-    s_h: int
-    s_w: int
+    t: int
+    s: int
     dim: int
 
     def __post_init__(self):
-        for name in ("templates", "t_h", "t_w", "s_h", "s_w", "dim"):
+        for name in ("templates", "t", "s", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"TokenLayout.{name} must be >= 1")
 
     @property
     def tokens_per_template(self):
-        return self.t_h * self.t_w
+        return self.t * self.t
 
     @property
     def template_total(self):
-        return self.templates * self.t_h * self.t_w
+        return self.templates * self.t * self.t
 
     @property
     def search_total(self):
-        return self.s_h * self.s_w
+        return self.s * self.s
 
     @property
     def total(self):
@@ -94,13 +93,7 @@ class TokenLayout:
 
     def halved(self):
         """Layout of the stride-2 projected key/value grids."""
-        return replace(
-            self,
-            t_h=_half(self.t_h),
-            t_w=_half(self.t_w),
-            s_h=_half(self.s_h),
-            s_w=_half(self.s_w),
-        )
+        return replace(self, t=_half(self.t), s=_half(self.s))
 
 
 class MixedAttention(nn.Module):
@@ -148,9 +141,9 @@ class MixedAttention(nn.Module):
             )
         grids = []
         if lt:
-            grids.append((layout.templates, layout.t_h, layout.t_w))
+            grids.append((layout.templates, layout.t, layout.t))
         if ls:
-            grids.append((1, layout.s_h, layout.s_w))
+            grids.append((1, layout.s, layout.s))
         q = self.dw_q(x, grids)
         k = ad.depthwise_conv2d(x, grids, self.dw_k, stride=2, pad=1)
         v = self.dw_v(x, grids)

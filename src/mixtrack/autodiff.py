@@ -1,11 +1,14 @@
 """Tape-based reverse-mode autodiff over dense numpy arrays.
 
-A ``Tensor`` wraps one ndarray plus an optional gradient accumulator.  While a
-``Tape`` is active, every operation appends a record holding the tensors it
-touched and a closure computing its vector-Jacobian product.  ``Tape.backward``
-walks the records in reverse execution order (a valid reverse topological
-order, since records are appended as operations run) and accumulates, never
-overwrites, gradient contributions.
+A ``Tensor`` wraps one ndarray plus an optional gradient accumulator.  Every
+operation is a function of this module (``add(a, b)``, ``matmul(a, b)``,
+``sum_(x)``): a Tensor has no arithmetic operators and no op methods, and
+indexing it is the ``take`` op.  While a ``Tape`` is active, every operation
+appends a record holding the tensors it touched and a closure computing its
+vector-Jacobian product.  ``Tape.backward`` walks the records in reverse
+execution order (a valid reverse topological order, since records are
+appended as operations run) and accumulates, never overwrites, gradient
+contributions.
 
 Without an active tape all operations are plain numpy and build no graph,
 which is the inference fast path.  Reductions run in numpy's fixed order, so
@@ -97,16 +100,12 @@ class Tape:
                     t.grad += gi
 
 
-def backward(loss):
-    """Run the active tape backward from ``loss``."""
-    tape = Tape.active()
-    if tape is None:
-        raise UsageError("backward called with no active tape")
-    tape.backward(loss)
-
-
 class Tensor:
-    """Dense N-d array, optionally participating in gradient recording."""
+    """Dense N-d array, optionally participating in gradient recording.
+
+    Arithmetic goes through this module's op functions, not operators;
+    ``t[idx]`` is ``take(t, idx)``.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -147,69 +146,19 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}{flag})"
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
 
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-
-def as_tensor(x, dtype=None):
+def as_tensor(x):
     """Wrap scalars/arrays as a constant Tensor; pass Tensors through."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x), dtype=dtype)
+    return Tensor(np.asarray(x))
 
 
 def _coerce_pair(a, b):
@@ -338,22 +287,10 @@ def neg(x):
     return _record("neg", out, (x,), lambda g: (-g,))
 
 
-def exp(x):
-    x = as_tensor(x)
-    out = Tensor(np.exp(x.data))
-    return _record("exp", out, (x,), lambda g: (g * out.data,))
-
-
 def log(x):
     x = as_tensor(x)
     out = Tensor(np.log(x.data))
     return _record("log", out, (x,), lambda g: (g / x.data,))
-
-
-def sqrt(x):
-    x = as_tensor(x)
-    out = Tensor(np.sqrt(x.data))
-    return _record("sqrt", out, (x,), lambda g: (g * (0.5 / out.data),))
 
 
 def abs_(x):
@@ -388,19 +325,12 @@ def gelu(x):
     return _record("gelu", out, (x,), vjp)
 
 
-def clamp(x, lo=None, hi=None):
+def clamp(x, lo, hi):
     x = as_tensor(x)
     out = Tensor(np.clip(x.data, lo, hi))
-
-    def vjp(g):
-        mask = np.ones_like(x.data, dtype=bool)
-        if lo is not None:
-            mask &= x.data >= lo
-        if hi is not None:
-            mask &= x.data <= hi
-        return (g * mask,)
-
-    return _record("clamp", out, (x,), vjp)
+    return _record(
+        "clamp", out, (x,), lambda g: (g * ((x.data >= lo) & (x.data <= hi)),)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +356,10 @@ def sum_(x, axis=None, keepdims=False):
     return _record("sum", out, (x,), vjp)
 
 
-def mean_(x, axis=None, keepdims=False):
+def mean_(x):
+    """Mean over every element."""
     x = as_tensor(x)
-    count = x.size if axis is None else np.prod(
-        [x.data.shape[a % x.ndim] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / float(count))
+    return mul(sum_(x), 1.0 / float(x.size))
 
 
 def reshape(x, shape):
@@ -1062,27 +990,6 @@ def depthwise_conv2d(x, grids, w, b=None, stride=1, pad=0):
 # gradient checking
 
 
-class GradCheckReport:
-    """Per-parameter max relative error between analytic and numeric grads."""
-
-    def __init__(self):
-        self.errors = {}
-
-    def add(self, name, err):
-        self.errors[name] = err
-
-    @property
-    def max_error(self):
-        return max(self.errors.values()) if self.errors else 0.0
-
-    def ok(self, tol):
-        return self.max_error < tol
-
-    def __repr__(self):
-        rows = ", ".join(f"{k}={v:.3g}" for k, v in self.errors.items())
-        return f"GradCheckReport({rows})"
-
-
 def _rel_err(a, n, atol):
     """Relative error, after discounting ``atol`` of absolute disagreement.
 
@@ -1095,11 +1002,12 @@ def _rel_err(a, n, atol):
     return diff / np.where(scale < 1e-7, 1.0, scale)
 
 
-def grad_check(f, params, h=1e-5, tol=1e-4):
+def grad_check(f, params, h=1e-5):
     """Compare analytic gradients of scalar ``f()`` against central differences.
 
     ``params`` maps names to float64 leaf Tensors that ``f`` closes over.
-    Returns a GradCheckReport; raises GradCheckError on non-finite values.
+    Returns {name: max relative error}, 0.0 for an empty parameter; raises
+    GradCheckError on non-finite values.
     """
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
@@ -1121,7 +1029,7 @@ def grad_check(f, params, h=1e-5, tol=1e-4):
             analytic[name] = p.grad.copy()
         p.zero_grad()
 
-    report = GradCheckReport()
+    report = {}
     for name, p in params.items():
         flat = p.data.reshape(-1)
         numeric = np.zeros_like(flat)
@@ -1136,5 +1044,5 @@ def grad_check(f, params, h=1e-5, tol=1e-4):
         if not np.all(np.isfinite(numeric)):
             raise GradCheckError(f"numeric gradient of '{name}' is non-finite")
         err = _rel_err(analytic[name].reshape(-1), numeric, atol)
-        report.add(name, float(err.max()) if err.size else 0.0)
+        report[name] = float(err.max()) if err.size else 0.0
     return report

@@ -44,9 +44,9 @@ def _cat(parts, axis):
     return parts[0] if len(parts) == 1 else ad.concat(parts, axis=axis)
 
 
-def _tokens_to_map(tokens, b, n_maps, h, w, d):
-    """[B, n_maps*h*w, d] tokens -> [B*n_maps, d, h, w] maps."""
-    return ad.transpose(ad.reshape(tokens, (b * n_maps, h, w, d)), (0, 3, 1, 2))
+def _tokens_to_map(tokens, b, n_maps, side, d):
+    """[B, n_maps*side*side, d] tokens -> [B*n_maps, d, side, side] maps."""
+    return ad.transpose(ad.reshape(tokens, (b * n_maps, side, side, d)), (0, 3, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class BackboneConfig:
         for stage, (kernel, stride) in zip(self.stages, _EMBED):
             t = _conv_out_extent(t, kernel, stride, kernel // 2)
             s = _conv_out_extent(s, kernel, stride, kernel // 2)
-            out.append(TokenLayout(self.templates, t, t, s, s, stage.dim))
+            out.append(TokenLayout(self.templates, t, s, stage.dim))
         return out
 
     @property
@@ -150,10 +150,7 @@ def count_params_flops(config):
         per_block += d * hidden + hidden + hidden * d + d
         params += stage.blocks * per_block
 
-        maps_positions = (
-            config.templates * layout.tokens_per_template + layout.search_total
-        )
-        flops = maps_positions * d * c_in * k2      # embed conv
+        flops = n_q * d * c_in * k2                 # embed conv, one per token
         per_block_f = n_q * d * 9                   # stride-1 depth-wise q
         per_block_f += 2 * n_k * d * 9              # stride-2 depth-wise k, v
         per_block_f += 2 * n_q * d * d              # wq, wo
@@ -310,13 +307,9 @@ class Backbone(nn.Module):
                 x, kv = blk(x, layout, extra, kv=kv, search=bool(ls))
                 kv_all[-1].append(kv)
             if i < 2 and lt:
-                t_maps = _tokens_to_map(
-                    _part(x, 0, lt, 1), b, n_t, layout.t_h, layout.t_w, layout.dim
-                )
+                t_maps = _tokens_to_map(_part(x, 0, lt, 1), b, n_t, layout.t, layout.dim)
             if i < 2 and ls:
-                s_map = _tokens_to_map(
-                    _part(x, lt, lt + ls, 1), b, 1, layout.s_h, layout.s_w, layout.dim
-                )
+                s_map = _tokens_to_map(_part(x, lt, lt + ls, 1), b, 1, layout.s, layout.dim)
         return x, kv_all
 
     def _search_outputs(self, x, start, reg_token):
@@ -326,7 +319,7 @@ class Backbone(nn.Module):
         b = x.shape[0]
         stop = start + layout.search_total
         s_out = _part(x, start, stop, 1)
-        search_feat = _tokens_to_map(s_out, b, 1, layout.s_h, layout.s_w, layout.dim)
+        search_feat = _tokens_to_map(s_out, b, 1, layout.s, layout.dim)
         reg_out = None
         if reg_token is not None:
             reg_out = ad.reshape(x[:, stop:], (b, layout.dim))

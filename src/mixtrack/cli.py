@@ -139,6 +139,11 @@ def _read_box_lines(path):
 
 def cmd_eval(args):
     seq = load_sequence(args.sequence)
+    if len(seq.gt) != len(seq.frames):
+        raise ParseError(
+            f"eval needs a ground-truth box for every frame, but "
+            f"{args.sequence} has {len(seq.gt)} for {len(seq.frames)} frames"
+        )
     rows = _read_box_lines(args.boxes)
     if len(rows) != len(seq.frames):
         raise ParseError(
@@ -164,6 +169,12 @@ def cmd_inspect(args):
         raise UsageError(f"frame must lie in [1, {n}], got {args.frame}")
     idx = args.frame - 1
     prev = max(idx - 1, 0)
+    if prev >= len(seq.gt):
+        raise UsageError(
+            f"inspect --frame {args.frame} needs a ground-truth box for every "
+            f"frame it reads (1 and {prev + 1}), but {args.sequence} has "
+            f"{len(seq.gt)}"
+        )
     mc = model.config
     crop = cfg.crop_params()
     first = crop_template(seq.frames[0], seq.gt_corners(0),

@@ -72,7 +72,6 @@ class SyntheticConfig:
     frames: int = 40
     translation: float = 4.0
     scale_jitter: float = 0.0
-    brightness: float = 0.0
     noise: float = 0.02
     distractors: int = 2
 
@@ -87,7 +86,7 @@ class SyntheticConfig:
             raise ConfigError(
                 f"object {oh}x{ow} does not fit in frame {fh}x{fw}"
             )
-        for name in ("translation", "scale_jitter", "brightness", "noise"):
+        for name in ("translation", "scale_jitter", "noise"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.distractors < 0:
@@ -155,8 +154,6 @@ def generate_synthetic(cfg, seed):
         iw, ih = max(4, int(round(ow))), max(4, int(round(oh)))
         patch = _checkerboard(ih, iw, 4, target_colors[0], target_colors[1])
         _draw_rect(img, ix0, iy0, iw, ih, patch)
-        if cfg.brightness > 0:
-            img *= 1.0 + rng.uniform(-cfg.brightness, cfg.brightness)
         frames.append((np.clip(img, 0.0, 1.0) * 255.0).round().astype(np.uint8))
         gt.append((float(ix0), float(iy0), float(iw), float(ih)))
     return Sequence(frames, gt, name=f"synthetic-{seed}")

@@ -265,7 +265,9 @@ class Tracker:
         return frame_box, score
 
     def _advance(self, state, candidate, score, frame_box):
-        """Shared bookkeeping for real and scripted steps.
+        """The update state machine of ``step`` after the model has scored
+        the frame: candidate selection, interval boundary, template
+        installation and the new previous box.
 
         ``candidate()`` returns the frame's template crop; it is called only
         when the score beats the interval's best, the one case that keeps it.
@@ -277,18 +279,6 @@ class Tracker:
         if state.interval_counter >= self.update_interval:
             maybe_update_template(state, self.score_threshold)
         state.prev_box = frame_box
-        return state
-
-    def step_scripted(self, state, candidate_crop, score, frame_box=None):
-        """Run the update state machine with an externally supplied score.
-
-        Exercises exactly the bookkeeping of step (candidate selection,
-        interval boundary, template installation) without a model forward.
-        """
-        if frame_box is None:
-            frame_box = state.prev_box
-        self._advance(state, lambda: candidate_crop, score, frame_box)
-        return state
 
     def track(self, sequence, on_frame=None):
         """Track a whole Sequence from its first ground-truth box.

@@ -413,6 +413,10 @@ def spm_accuracy(model, data, cfg, samples=100, seed=None,
     Draws one positive and one negative candidate per sample from fresh,
     unaugmented crops, so pass held-out sequences for an honest number.
     """
+    if not data:
+        raise ConfigError("spm_accuracy needs at least one sequence")
+    if samples < 1:
+        raise ConfigError(f"spm_accuracy needs samples >= 1, got {samples}")
     seed = cfg.seed if seed is None else seed
     correct = 0
     for i in range(samples):

@@ -24,7 +24,7 @@ def brute_force_attention(q, k, v, d, masked_cols=()):
 
 
 def small_layout(dim=8):
-    return att.TokenLayout(templates=2, t_h=2, t_w=2, s_h=4, s_w=4, dim=dim)
+    return att.TokenLayout(templates=2, t=2, s=4, dim=dim)
 
 
 def rand_streams(rng, lt, ls, d, kt=None, ks=None):
@@ -39,7 +39,7 @@ def rand_streams(rng, lt, ls, d, kt=None, ks=None):
 
 
 def test_layout_totals():
-    lay = att.TokenLayout(templates=2, t_h=32, t_w=32, s_h=80, s_w=80, dim=64)
+    lay = att.TokenLayout(templates=2, t=32, s=80, dim=64)
     assert lay.total == 8448
     assert lay.template_total == 2048
     assert lay.search_total == 6400
@@ -48,15 +48,15 @@ def test_layout_totals():
 def test_layout_halved_extents():
     lay = small_layout()
     half = lay.halved()
-    assert (half.t_h, half.t_w, half.s_h, half.s_w) == (1, 1, 2, 2)
-    assert att.TokenLayout(1, 5, 5, 20, 20, 4).halved().s_h == 10
+    assert (half.t, half.s) == (1, 2)
+    assert att.TokenLayout(1, 5, 20, 4).halved().s == 10
 
 
 def test_layout_rejects_bad_extents():
     with pytest.raises(ConfigError):
-        att.TokenLayout(0, 2, 2, 4, 4, 8)
+        att.TokenLayout(0, 2, 4, 8)
     with pytest.raises(ConfigError):
-        att.TokenLayout(1, 2, 2, 0, 4, 8)
+        att.TokenLayout(1, 2, 0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_template_projections_independent():
     x = rng.normal(size=(1, lay.template_total, lay.dim)).astype(np.float32)
     x2 = x.copy()
     x2[:, lay.tokens_per_template :] = 0.0
-    grids = [(lay.templates, lay.t_h, lay.t_w)]
+    grids = [(lay.templates, lay.t, lay.t)]
     q1, k1, v1 = projections(attn, Tensor(x), grids)
     q2, k2, v2 = projections(attn, Tensor(x2), grids)
     n = lay.tokens_per_template
@@ -120,8 +120,8 @@ def region_projections(attn, x, lay):
     [rows, dim] in float64, projected the way the module projects them."""
     lt = lay.template_total
     out = []
-    for rows, grid in ((x[:, :lt], (lay.templates, lay.t_h, lay.t_w)),
-                       (x[:, lt:], (1, lay.s_h, lay.s_w))):
+    for rows, grid in ((x[:, :lt], (lay.templates, lay.t, lay.t)),
+                       (x[:, lt:], (1, lay.s, lay.s))):
         streams = projections(attn, Tensor(rows), [grid])
         out.append(tuple(
             proj(s).numpy()[0].astype(np.float64)
@@ -222,7 +222,7 @@ def test_asymmetric_single_template_token_passthrough():
     # a 2x2 template has one stride-2 key, so every template query returns
     # that key's value
     rng = np.random.default_rng(6)
-    lay = att.TokenLayout(templates=1, t_h=2, t_w=2, s_h=4, s_w=4, dim=4)
+    lay = att.TokenLayout(templates=1, t=2, s=4, dim=4)
     attn = one_head(lay, att.ASYMMETRIC, 6)
     y, (_, v) = attn(Tensor(random_tokens(rng, lay)), lay)
     assert lay.halved().template_total == 1
@@ -271,7 +271,7 @@ def former_joint_attention(attn, x, lay, extra):
     chain per query group, and the head merge.  The keys' projections have
     no bias."""
     lt, ls = lay.template_total, lay.search_total
-    regions = [(0, lt, (lay.templates, lay.t_h, lay.t_w)), (lt, lt + ls, (1, lay.s_h, lay.s_w))]
+    regions = [(0, lt, (lay.templates, lay.t, lay.t)), (lt, lt + ls, (1, lay.s, lay.s))]
     q, k, v = (ad.concat([conv(x[:, a:z], [grid]) for a, z, grid in regions], axis=1)
                for conv in (attn.dw_q, key_conv(attn), attn.dw_v))
     if extra:
@@ -370,7 +370,7 @@ def test_block_preserves_length():
     rng = np.random.default_rng(10)
     for lay, extra in [
         (small_layout(), 0),
-        (att.TokenLayout(1, 3, 3, 5, 5, 8), 0),
+        (att.TokenLayout(1, 3, 5, 8), 0),
         (small_layout(), 1),
     ]:
         block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
@@ -437,8 +437,8 @@ def test_block_full_gradients_match_finite_differences():
         y, _ = block(x, lay)
         return ad.sum_(ad.mul(y, y))
 
-    report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
-    assert report.ok(1e-4), report
+    report = ad.grad_check(f, params, h=1e-5)
+    assert max(report.values()) < 1e-4, report
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def test_dump_uniform_tokens_give_uniform_maps():
 
 def test_dump_online_maps_need_two_templates():
     rng = np.random.default_rng(19)
-    lay = att.TokenLayout(1, 2, 2, 4, 4, 8)
+    lay = att.TokenLayout(1, 2, 4, 8)
     block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
     tokens = Tensor(np.zeros((lay.total, lay.dim), dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)

@@ -1,5 +1,7 @@
+import ast
 import inspect
 import itertools
+import pathlib
 import threading
 import zlib
 
@@ -164,8 +166,8 @@ def test_matmul_grad_matches_central_difference():
     def f():
         return ad.sum_(ad.matmul(a, b))
 
-    report = ad.grad_check(f, {"a": a, "b": b}, h=1e-5, tol=1e-6)
-    assert report.ok(1e-6), report
+    report = ad.grad_check(f, {"a": a, "b": b}, h=1e-5)
+    assert max(report.values()) < 1e-6, report
     # grad of sum(A.B) wrt A in closed form is ones @ B^T
     with Tape() as tape:
         tape.backward(f())
@@ -181,8 +183,8 @@ def test_matmul_batched_broadcast_grad():
         y = ad.matmul(a, b)
         return ad.sum_(ad.mul(y, y))
 
-    report = ad.grad_check(f, {"a": a, "b": b}, h=1e-5, tol=1e-6)
-    assert report.ok(1e-6), report
+    report = ad.grad_check(f, {"a": a, "b": b}, h=1e-5)
+    assert max(report.values()) < 1e-6, report
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +506,7 @@ def test_edge_pad_gradient_on_thin_maps(shape):
     w = Tensor(rng.uniform(-1.0, 1.0, size=shape[:-2] + (shape[-2] + 2, shape[-1] + 2)),
                dtype=np.float64)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(ad.edge_pad(x), w)), {"x": x})
-    assert report.ok(1e-6), report
+    assert max(report.values()) < 1e-6, report
 
 
 def test_edge_pad_rejects_vectors():
@@ -547,11 +549,6 @@ def test_backward_nonscalar_loss_raises():
             tape.backward(y)
 
 
-def test_backward_without_tape_raises():
-    with pytest.raises(UsageError):
-        ad.backward(Tensor(np.zeros(())))
-
-
 def test_frozen_tensor_receives_no_grad():
     x = Tensor(np.ones(3), requires_grad=True)
     w = Tensor(np.ones(3), requires_grad=False)
@@ -573,7 +570,7 @@ def test_vjps_skip_inputs_that_need_no_gradient():
         ad.add(a, 1.0), ad.sub(2.0, a), ad.mul(a, 0.5), ad.matmul(a, const)
         ad.div(a, positive), ad.div(positive, a)
         ad.maximum(a, 1e-12), ad.minimum(0.0, a)
-        ad.attention(a, const, const, 1), ad.attention(const[:2], const, a.transpose(), 1)
+        ad.attention(a, const, const, 1), ad.attention(const[:2], const, ad.transpose(a), 1)
     grads = [vjp(np.ones_like(out.data)) for _, out, _, vjp in tape._entries]
     assert grads[0][0] is None and grads[0][1].shape == w.shape
     assert grads[1][1] is None and grads[2][0] is None and grads[3][1] is None
@@ -1052,15 +1049,9 @@ def _fd_case(name):
     if name == "neg":
         a = t((4,))
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.neg(a), y))
-    if name == "exp":
-        a = t((3, 2))
-        return {"a": a}, lambda: ad.sum_(ad.exp(a))
     if name == "log":
         a = t((3, 2), lo=0.5, hi=2.0)
         return {"a": a}, lambda: ad.sum_(ad.log(a))
-    if name == "sqrt":
-        a = t((3, 2), lo=0.5, hi=2.0)
-        return {"a": a}, lambda: ad.sum_(ad.sqrt(a))
     if name == "abs":
         a = t((3, 2), lo=0.2, hi=1.0)
         return {"a": a}, lambda: ad.sum_(ad.abs_(ad.neg(a)))
@@ -1086,7 +1077,7 @@ def _fd_case(name):
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.sum_(a, axis=1, keepdims=True), a))
     if name == "mean":
         a = t((3, 4))
-        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.mean_(a, axis=0), y))
+        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.mean_(a), y))
     if name == "reshape":
         a = t((2, 6))
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.reshape(a, (3, 4)), y))
@@ -1151,8 +1142,8 @@ def _fd_case(name):
 
 
 ALL_OPS = [
-    "add", "sub", "mul", "div", "maximum", "minimum", "neg", "exp", "log",
-    "sqrt", "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
+    "add", "sub", "mul", "div", "maximum", "minimum", "neg", "log",
+    "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
     "sum_keepdims", "mean", "reshape", "transpose", "concat", "take",
     "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "edge_pad",
     "conv2d", "depthwise_conv2d", "matmul", "linear", "attention", "attention_split",
@@ -1163,25 +1154,71 @@ CASE_FUNCTIONS = {
     "take_repeated": "take", "attention_split": "attention",
 }
 # public functions that are not ops: they record nothing of their own
-NOT_OPS = {"as_tensor", "backward", "grad_check"}
+NOT_OPS = {"as_tensor", "grad_check"}
 
 
-def test_every_public_autodiff_function_has_a_finite_difference_case():
-    public = {
+def _public_functions():
+    return {
         name for name, fn in vars(ad).items()
         if inspect.isfunction(fn) and fn.__module__ == ad.__name__
         and not name.startswith("_")
     }
+
+
+def test_every_public_autodiff_function_has_a_finite_difference_case():
+    public = _public_functions()
     covered = {CASE_FUNCTIONS.get(case, case) for case in ALL_OPS}
     assert covered <= public and not covered & NOT_OPS and NOT_OPS <= public
     assert public - covered - NOT_OPS == set()
 
 
+# public functions that no other package module calls: ``take`` is reached
+# through ``Tensor.__getitem__``, and ``grad_check`` is the test utility
+UNCALLED = {"take", "grad_check"}
+
+
+def _autodiff_calls(path):
+    """Names of autodiff functions that the package module at ``path`` calls,
+    as ``alias.name(...)`` after ``from . import autodiff as alias`` or as
+    ``name(...)`` after ``from .autodiff import name``."""
+    tree = ast.parse(path.read_text())
+    aliases, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None and a.name == "autodiff":
+                    aliases.add(a.asname or a.name)
+                elif node.module == "autodiff":
+                    imported[a.asname or a.name] = a.name
+    called = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in aliases:
+            called.add(f.attr)
+        elif isinstance(f, ast.Name) and f.id in imported:
+            called.add(imported[f.id])
+    return called
+
+
+def test_every_public_autodiff_function_has_a_package_caller():
+    """No op lives on for tests alone: each is called from another module."""
+    package = pathlib.Path(ad.__file__).parent
+    called = set().union(*(
+        _autodiff_calls(p) for p in package.glob("*.py") if p.name != "autodiff.py"
+    ))
+    public = _public_functions()
+    assert UNCALLED <= public and not UNCALLED & called
+    assert public - called - UNCALLED == set()
+
+
 @pytest.mark.parametrize("op", ALL_OPS)
 def test_op_gradient_matches_finite_difference(op):
     params, f = _fd_case(op)
-    report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
-    assert report.ok(1e-4), f"{op}: {report}"
+    report = ad.grad_check(f, params, h=1e-5)
+    assert max(report.values()) < 1e-4, f"{op}: {report}"
 
 
 @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
@@ -1198,8 +1235,8 @@ def test_depthwise_gradient_matches_finite_difference(stride, pad):
                                 stride=stride, pad=pad)
         return ad.sum_(ad.mul(y, y))
 
-    report = ad.grad_check(f, {"x": x, "w": w, "b": b}, h=1e-5, tol=1e-4)
-    assert report.ok(1e-4), report
+    report = ad.grad_check(f, {"x": x, "w": w, "b": b}, h=1e-5)
+    assert max(report.values()) < 1e-4, report
 
 
 # ---------------------------------------------------------------------------
@@ -1216,7 +1253,7 @@ def test_grad_check_linear_layer_tight():
         y = ad.linear(x, w, b)
         return ad.sum_(ad.mul(y, y))
 
-    assert ad.grad_check(f, {"w": w, "b": b}, h=1e-5, tol=1e-6).ok(1e-6)
+    assert max(ad.grad_check(f, {"w": w, "b": b}, h=1e-5).values()) < 1e-6
 
 
 def test_grad_check_attention_core():
@@ -1229,8 +1266,8 @@ def test_grad_check_attention_core():
         logits = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(6.0))
         return ad.sum_(ad.matmul(ad.softmax(logits, axis=-1), v))
 
-    report = ad.grad_check(f, {"q": q, "k": k, "v": v}, h=1e-5, tol=1e-5)
-    assert report.ok(1e-5), report
+    report = ad.grad_check(f, {"q": q, "k": k, "v": v}, h=1e-5)
+    assert max(report.values()) < 1e-5, report
 
 
 def test_grad_check_catches_corrupted_backward():
@@ -1243,7 +1280,7 @@ def test_grad_check_catches_corrupted_backward():
         return ad._record("bad_square", out, (t,), lambda g: (g * t.data,))
 
     report = ad.grad_check(lambda: ad.sum_(bad_square(x)), {"x": x})
-    assert not report.ok(1e-4)
+    assert max(report.values()) >= 1e-4
 
 
 def test_grad_check_nonfinite_names_op():
@@ -1258,8 +1295,8 @@ def test_grad_check_unused_param_reports_zero():
     x = Tensor(np.ones(2), dtype=np.float64, requires_grad=True)
     unused = Tensor(np.ones(2), dtype=np.float64, requires_grad=True)
     report = ad.grad_check(lambda: ad.sum_(ad.mul(x, x)), {"x": x, "unused": unused})
-    assert report.ok(1e-6)
-    assert report.errors["unused"] == 0.0
+    assert max(report.values()) < 1e-6
+    assert report["unused"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1287,8 +1324,8 @@ def test_dtype_rules():
     assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
     assert Tensor(np.zeros(2, dtype=np.float16)).dtype == np.float32
     x = Tensor(np.ones(3, dtype=np.float32))
-    assert (x * 2.0).dtype == np.float32
-    assert (x + 1).dtype == np.float32
+    assert ad.mul(x, 2.0).dtype == np.float32
+    assert ad.add(x, 1).dtype == np.float32
     assert ad.mean_(x).dtype == np.float32
     assert ad.softmax(x).dtype == np.float32
     assert ad.gelu(x).dtype == np.float32

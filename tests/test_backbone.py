@@ -61,7 +61,7 @@ class TestPresets:
 
     def test_base_final_map_shape(self):
         last = bb.preset("mixformer").stage_layouts()[-1]
-        assert (last.s_h, last.s_w, last.dim) == (20, 20, 384)
+        assert (last.s, last.dim) == (20, 384)
 
     def test_base_dims_blocks_heads(self):
         cfg = bb.preset("mixformer")
@@ -84,12 +84,12 @@ class TestPresets:
 
     def test_tiny_final_map(self):
         last = bb.preset("tiny").stage_layouts()[-1]
-        assert (last.s_h, last.s_w, last.dim) == (4, 4, 64)
+        assert (last.s, last.dim) == (4, 64)
 
     def test_embed_extent_halving(self):
         # 128/320 inputs shrink 4x then 2x twice
         cfg = bb.preset("mixformer")
-        grids = [(l.t_h, l.s_h) for l in cfg.stage_layouts()]
+        grids = [(l.t, l.s) for l in cfg.stage_layouts()]
         assert grids == [(32, 80), (16, 40), (8, 20)]
 
 
@@ -209,7 +209,7 @@ class TestTemplateCache:
         feat, tmpl, _ = net.forward(t, s)
         lt = layout.template_total
         assert np.array_equal(y[:, :lt], tmpl.numpy())
-        search = y[:, lt:].reshape(1, layout.s_h, layout.s_w, layout.dim)
+        search = y[:, lt:].reshape(1, layout.s, layout.s, layout.dim)
         assert np.array_equal(search.transpose(0, 3, 1, 2), feat.numpy())
 
     def test_template_recompute_is_bit_identical(self):

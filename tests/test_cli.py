@@ -7,7 +7,7 @@ import pytest
 from mixtrack import checkpoint as ck
 from mixtrack import cli
 from mixtrack.checkpoint import load_checkpoint
-from mixtrack.data import SyntheticConfig, generate_synthetic, save_sequence
+from mixtrack.data import Sequence, SyntheticConfig, generate_synthetic, save_sequence
 
 MICRO_CONFIG = """\
 preset = tiny
@@ -287,6 +287,30 @@ class TestEval:
                        "--sequence", str(bad_seq),
                        "--out", str(work / "m.csv")])
         assert_user_error(capsys, rc, "groundtruth.txt")
+
+
+@pytest.fixture(scope="module")
+def one_box_seq(work):
+    """A 3-frame sequence whose groundtruth.txt holds only the first box."""
+    seq = generate_synthetic(SyntheticConfig(frames=3), seed=7)
+    path = work / "one-box-seq"
+    save_sequence(path, Sequence(seq.frames, seq.gt[:1]))
+    return path
+
+
+def test_eval_needs_a_box_for_every_frame(work, one_box_seq, capsys):
+    boxes = work / "three.csv"
+    boxes.write_text("".join(f"{i},10,12,5,6,0.9\n" for i in (1, 2, 3)))
+    rc = cli.main(["eval", "--boxes", str(boxes),
+                   "--sequence", str(one_box_seq), "--out", str(work / "m.csv")])
+    assert_user_error(capsys, rc, "ground-truth box for every frame")
+
+
+def test_inspect_needs_a_box_for_every_frame_it_reads(work, ckpt, one_box_seq, capsys):
+    rc = cli.main(["inspect", "--checkpoint", str(ckpt),
+                   "--sequence", str(one_box_seq), "--frame", "3",
+                   "--out", str(work / "maps3")])
+    assert_user_error(capsys, rc, "ground-truth box for every frame it reads")
 
 
 class TestInspect:

@@ -127,8 +127,8 @@ class TestCornerHead:
         def f():
             return losses.loc_loss(head(feat), tgt)
 
-        report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
-        assert report.ok(1e-4), report
+        report = ad.grad_check(f, params, h=1e-5)
+        assert max(report.values()) < 1e-4, report
 
     def test_fused_ops_match_the_op_chains_bit_for_bit(self, monkeypatch):
         # edge_pad and batch_norm_frozen against the chains of smaller ops the
@@ -208,8 +208,8 @@ class TestQueryHead:
         def f():
             return losses.loc_loss(head(tok), tgt)
 
-        report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
-        assert report.ok(1e-4), report
+        report = ad.grad_check(f, params, h=1e-5)
+        assert max(report.values()) < 1e-4, report
 
     def test_wrong_token_width(self):
         head = heads.QueryHead(8, np.random.default_rng(10))

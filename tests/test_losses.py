@@ -78,8 +78,8 @@ class TestLocLoss:
         def f():
             return losses.loc_loss(pred, tgt)
 
-        report = ad.grad_check(f, {"pred": pred}, h=1e-6, tol=1e-5)
-        assert report.ok(1e-5), report
+        report = ad.grad_check(f, {"pred": pred}, h=1e-6)
+        assert max(report.values()) < 1e-5, report
 
     def test_batched_mean_reduction(self):
         # two rows, one perfect: loss is the mean of per-row losses
@@ -126,5 +126,5 @@ class TestScoreLoss:
         def f():
             return losses.score_loss(p, 1.0)
 
-        report = ad.grad_check(f, {"p": p}, h=1e-6, tol=1e-6)
-        assert report.ok(1e-6), report
+        report = ad.grad_check(f, {"p": p}, h=1e-6)
+        assert max(report.values()) < 1e-6, report

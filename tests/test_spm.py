@@ -154,6 +154,6 @@ class TestScorePredictor:
         def f():
             return losses.score_loss(model(feat, box, tmpl), 1.0)
 
-        report = ad.grad_check(f, params, h=1e-5, tol=1e-4)
-        assert report.ok(1e-4), report
-        assert "token" in report.errors
+        report = ad.grad_check(f, params, h=1e-5)
+        assert max(report.values()) < 1e-4, report
+        assert "token" in report

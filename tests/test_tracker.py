@@ -214,7 +214,8 @@ class TestStateMachine:
             prev_box=(0.0, 0.0, 10.0, 10.0),
         )
         for i, s in enumerate(scores, start=1):
-            t.step_scripted(state, self.fake_crop(i), s)
+            crop = self.fake_crop(i)
+            t._advance(state, lambda: crop, s, state.prev_box)
         return state
 
     def test_mutations_only_at_interval_boundaries(self):

@@ -553,6 +553,16 @@ class TestEvalHelpers:
         assert 0.0 <= a <= 1.0
         assert a == b
 
+    @pytest.mark.parametrize("sequences, samples, match", [
+        (0, 4, "at least one sequence"),
+        (1, 0, "samples >= 1"),
+        (1, -3, "samples >= 1"),
+    ])
+    def test_spm_accuracy_rejects_bad_arguments(self, sequences, samples, match):
+        data = tiny_data(1)[:sequences]
+        with pytest.raises(ConfigError, match=match):
+            spm_accuracy(build_model("tiny"), data, TrainConfig(), samples=samples)
+
     def test_write_loss_curve(self, tmp_path):
         path = tmp_path / "curve.csv"
         write_loss_curve(path, [(0, 1.5, 0.1), (1, 1.25, 0.09)])
