@@ -99,7 +99,7 @@ class TokenLayout:
 class MixedAttention(nn.Module):
     """Multi-head mixed attention with per-region depth-wise projections."""
 
-    def __init__(self, dim, heads, rng, mode=FULL_MIXED):
+    def __init__(self, dim, heads, rng, mode):
         if dim % heads != 0:
             raise ConfigError(f"dim {dim} not divisible by heads {heads}")
         self.dim = dim
@@ -179,9 +179,9 @@ def _weights(q, k, heads, split):
 class MAMBlock(nn.Module):
     """Pre-norm residual block: x + Attn(LN(x)), then y + MLP(LN(y))."""
 
-    def __init__(self, dim, heads, mlp_ratio, rng, mode=FULL_MIXED):
+    def __init__(self, dim, heads, mlp_ratio, rng, mode):
         self.norm1 = nn.LayerNorm(dim)
-        self.attn = MixedAttention(dim, heads, rng, mode=mode)
+        self.attn = MixedAttention(dim, heads, rng, mode)
         self.norm2 = nn.LayerNorm(dim)
         self.mlp = nn.Mlp(dim, mlp_ratio, rng)
 
@@ -199,9 +199,9 @@ class MAMBlock(nn.Module):
     # because the benchmark tracer (perfbench/tracing.py) wraps them.
     forward_template = forward_search = __call__
 
-    def attention_weights(self, x, layout, extra=0):
+    def attention_weights(self, x, layout):
         """Softmax matrices of this block's attention at input x."""
-        _, _, weights = self.attn(self.norm1(x), layout, extra, want_weights=True)
+        _, _, weights = self.attn(self.norm1(x), layout, want_weights=True)
         return weights
 
 

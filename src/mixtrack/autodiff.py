@@ -337,21 +337,17 @@ def clamp(x, lo, hi):
 # reductions and shape ops
 
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x, axis=None):
     x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(x.data.sum(axis=axis))
 
     def vjp(g):
         if axis is None:
             return (np.broadcast_to(g.reshape((1,) * x.ndim), x.data.shape).copy(),)
         axes = axis if isinstance(axis, tuple) else (axis,)
         axes = tuple(a % x.ndim for a in axes)
-        if not keepdims:
-            shape = tuple(
-                1 if i in axes else n for i, n in enumerate(x.data.shape)
-            )
-            g = g.reshape(shape)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        shape = tuple(1 if i in axes else n for i, n in enumerate(x.data.shape))
+        return (np.broadcast_to(g.reshape(shape), x.data.shape).copy(),)
 
     return _record("sum", out, (x,), vjp)
 
@@ -369,9 +365,9 @@ def reshape(x, shape):
     return _record("reshape", out, (x,), lambda g: (g.reshape(orig),))
 
 
-def transpose(x, axes=None):
+def transpose(x, axes):
     x = as_tensor(x)
-    axes = tuple(axes) if axes else tuple(reversed(range(x.ndim)))
+    axes = tuple(axes)
     out = Tensor(x.data.transpose(axes))
 
     def vjp(g):
@@ -493,16 +489,16 @@ def linear(x, w, b=None):
 # normalization and softmax
 
 
-def softmax(x, axis=-1):
-    """Max-subtracted softmax along ``axis``."""
+def softmax(x):
+    """Max-subtracted softmax along the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _record("softmax", out, (x,), vjp)

@@ -4,7 +4,9 @@ Five subcommands: train, track, eval, inspect and cost.  Every output
 file is written atomically (temp file, then rename), so an interrupted
 run never leaves a half-written artifact behind.  ``track`` and ``eval``
 map each frame of the sequence only while it is used, so their memory
-does not grow with the sequence length.
+does not grow with the sequence length.  Under asymmetric attention
+``track`` computes the template features once per template set and reuses
+them on every search frame, with the same bits as the joint pass.
 
 Reruns are bit-identical.  The ``tiny`` preset gives the same bits at any
 BLAS thread count; the large presets repeat bit for bit only at a fixed
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 
 from . import backbone as bb
-from .attention import attention_weights_dump
+from .attention import ASYMMETRIC, attention_weights_dump
 from .boxes import to_corners, to_xywh
 from .checkpoint import (
     atomic_write,
@@ -92,7 +94,7 @@ def cmd_track(args):
         params=cfg.crop_params(),
         update_interval=cfg.update_interval,
         score_threshold=cfg.score_threshold,
-        use_template_cache=args.cache,
+        use_template_cache=cfg.attention == ASYMMETRIC,
     )
     boxes, scores = tracker.track(seq)
     lines = []
@@ -234,8 +236,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="boxes csv to write")
     p.add_argument("--config", default=None,
                    help="override the checkpoint's embedded config")
-    p.add_argument("--cache", action="store_true",
-                   help="reuse template features between frames")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="score a boxes csv against ground truth")

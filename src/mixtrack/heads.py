@@ -36,7 +36,7 @@ def _soft_argmax_batched(maps):
     and y = sum p(i,j) * i/(h-1).
     """
     b, h, w = maps.shape
-    p = ad.softmax(ad.reshape(maps, (b, h * w)), axis=-1)
+    p = ad.softmax(ad.reshape(maps, (b, h * w)))
     p = ad.reshape(p, (b, h, w))
     xs = _axis_coords(w, maps.dtype)
     ys = _axis_coords(h, maps.dtype)

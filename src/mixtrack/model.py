@@ -28,7 +28,8 @@ class TrackModel(nn.Module):
             self.head = CornerHead(dim, rng)
         else:
             self.head = QueryHead(dim, rng)
-        self.score = ScorePredictor(dim, rng)
+        per_template = bb_config.stage_layouts()[-1].tokens_per_template
+        self.score = ScorePredictor(dim, per_template, rng)
 
     def forward_box(self, templates, search, cache=None):
         """Predict [B, 4] normalized corner boxes over the search crop.
@@ -46,18 +47,13 @@ class TrackModel(nn.Module):
         box = self.head(reg_out if self.head_type == "query" else feat)
         return box, feat, tmpl
 
-    def tokens_per_template(self):
-        return self.config.stage_layouts()[-1].tokens_per_template
-
     def predict_score(self, search_feat, box, template_tokens):
         """Confidence of one unbatched prediction.
 
         search_feat is [C, h, w], template_tokens the full final template
         sequence [L, C]; only the initial template's rows are read.
         """
-        return self.score(
-            search_feat, box, template_tokens, per_template=self.tokens_per_template()
-        )
+        return self.score(search_feat, box, template_tokens)
 
 
 def build_model(preset="mixformer", head="corner", mode="asymmetric", templates=2, seed=0):

@@ -11,12 +11,12 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor, as_tensor
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 _ROI_GRID = 4  # the score head pools a 4x4 grid of tokens under the box
 
 
-def _axis_weights(lo, hi, extent, grid):
+def _axis_weights(lo, hi, extent):
     """Per-sample (index, weight) rows for one axis of the ROI grid.
 
     Sample points span [lo, hi] inclusive in normalized coordinates; cell
@@ -24,16 +24,13 @@ def _axis_weights(lo, hi, extent, grid):
     A degenerate axis (hi <= lo) snaps every sample to the nearest cell.
     """
     span = extent - 1
-    rows = np.zeros((grid, extent), dtype=np.float64)
+    rows = np.zeros((_ROI_GRID, extent), dtype=np.float64)
     if hi <= lo:
         j = int(round(min(max(lo, 0.0), 1.0) * span))
         rows[:, j] = 1.0
         return rows
-    for c in range(grid):
-        if grid == 1:
-            u = (lo + hi) / 2.0
-        else:
-            u = lo + (c * (hi - lo)) / (grid - 1)
+    for c in range(_ROI_GRID):
+        u = lo + (c * (hi - lo)) / (_ROI_GRID - 1)
         pos = u * span
         j0 = int(np.floor(pos))
         j0 = min(max(j0, 0), span)
@@ -44,29 +41,27 @@ def _axis_weights(lo, hi, extent, grid):
     return rows
 
 
-def roi_tokens(search_feat, box, grid=4):
-    """Bilinear ROI pooling of [C, h, w] features onto a grid*grid token set.
+def roi_tokens(search_feat, box):
+    """Bilinear ROI pooling of [C, h, w] features onto the 4x4 ROI grid.
 
     ``box`` is plain-float corners in [0, 1] over the map (clamped here);
-    a non-finite corner raises ShapeError.  Returns [grid*grid, C]; rows
+    a non-finite corner raises ShapeError.  Returns [16, C]; rows
     scan the grid in row-major order.  The box takes no gradient; features
     do.
     """
     feat = as_tensor(search_feat)
     if feat.ndim != 3:
         raise ShapeError(f"search features must be [C, h, w], got {feat.shape}")
-    if grid < 1:
-        raise ConfigError(f"roi grid must be >= 1, got {grid}")
     corners = [float(v) for v in box]
     if not all(np.isfinite(corners)):
         raise ShapeError(f"roi box must be finite, got {tuple(corners)}")
     c, h, w = feat.shape
     x0, y0, x1, y1 = (min(max(v, 0.0), 1.0) for v in corners)
-    wx = _axis_weights(x0, x1, w, grid)
-    wy = _axis_weights(y0, y1, h, grid)
+    wx = _axis_weights(x0, x1, w)
+    wy = _axis_weights(y0, y1, h)
     # [g, g, h, w] sample weights -> [g*g, h*w]
     weights = (wy[:, None, :, None] * wx[None, :, None, :]).reshape(
-        grid * grid, h * w
+        _ROI_GRID * _ROI_GRID, h * w
     )
     flat = ad.reshape(ad.transpose(feat, (1, 2, 0)), (h * w, c))
     return ad.matmul(Tensor(weights.astype(feat.dtype)), flat)
@@ -94,10 +89,15 @@ class CrossAttnBlock(nn.Module):
 
 
 class ScorePredictor(nn.Module):
-    """Score token, two cross-attention blocks, 3-layer MLP, sigmoid."""
+    """Score token, two cross-attention blocks, 3-layer MLP, sigmoid.
 
-    def __init__(self, dim, rng):
+    Only the first ``per_template`` template rows, the initial template's,
+    are read, so online-template rows cannot influence the score.
+    """
+
+    def __init__(self, dim, per_template, rng):
         self.dim = dim
+        self.per_template = per_template
         self.token = Tensor(nn.trunc_normal(rng, (1, dim)), requires_grad=True)
         self.block_a = CrossAttnBlock(dim, rng)
         self.block_b = CrossAttnBlock(dim, rng)
@@ -105,22 +105,16 @@ class ScorePredictor(nn.Module):
         self.fc2 = nn.Linear(dim, dim, rng)
         self.out = nn.Linear(dim, 1, rng)
 
-    def __call__(self, search_feat, box, template_tokens, per_template=None):
-        """Scalar confidence for ``box`` over [C, h, w] search features.
-
-        ``template_tokens`` holds final-stage template tokens [L, dim]; with
-        ``per_template`` set, only the first that many rows (the initial
-        template) are read, so later online-template rows cannot influence
-        the result.
-        """
+    def __call__(self, search_feat, box, template_tokens):
+        """Scalar confidence for ``box`` over [C, h, w] search features and
+        the final-stage template tokens [L, dim]."""
         tokens = as_tensor(template_tokens)
         if tokens.ndim != 2 or tokens.shape[1] != self.dim:
             raise ShapeError(
                 f"template tokens must be [L, {self.dim}], got {tokens.shape}"
             )
-        if per_template is not None:
-            tokens = tokens[:per_template]
-        roi = roi_tokens(search_feat, box, _ROI_GRID)
+        tokens = tokens[:self.per_template]
+        roi = roi_tokens(search_feat, box)
         q = self.block_a(self.token, roi)
         q = self.block_b(q, tokens)
         hidden = ad.gelu(self.fc1(q))

@@ -214,7 +214,14 @@ class Tracker:
     # ------------------------------------------------------------------
 
     def init(self, frame, box):
-        """Start tracking: box is pixel corners on the first frame."""
+        """Start tracking: box is pixel corners on the first frame.  Its
+        width and height must be finite and positive before it is clamped,
+        which would mirror or clip a bad box into one the tracker runs with.
+        """
+        w, h = float(box[2]) - float(box[0]), float(box[3]) - float(box[1])
+        if not (0.0 < w < math.inf and 0.0 < h < math.inf):  # so corners are finite
+            raise UsageError(f"the first box needs a finite, positive width and "
+                             f"height, got width {w} and height {h}")
         box = boxes.clamp_box(
             box, float(frame.shape[1]), float(frame.shape[0])
         )

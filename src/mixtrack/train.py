@@ -68,6 +68,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.decay_fraction < 1.0:
             raise ConfigError(
                 f"decay_fraction must lie in (0, 1), got {self.decay_fraction}"
@@ -92,9 +94,8 @@ class AdamW:
     copied back into the arena at the next gather.
     """
 
-    def __init__(self, params, lr=1e-4, weight_decay=1e-4, clip_norm=0.1):
+    def __init__(self, params, weight_decay, clip_norm):
         self.items = list(params.items())
-        self.lr = lr
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.t = 0
@@ -157,10 +158,10 @@ class AdamW:
             return self.clip_norm
         return norm
 
-    def step(self, lr=None):
-        """Clip, then apply one update; returns the post-clip grad norm."""
+    def step(self, lr):
+        """Clip, then apply one update at rate ``lr``; returns the post-clip
+        grad norm."""
         gnorm = self.clip_grads()
-        lr = self.lr if lr is None else lr
         self.t += 1
         b1, b2 = _BETAS
         bc1 = 1.0 - b1 ** self.t
@@ -332,8 +333,7 @@ def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
     score = stage == _STAGE2
     params = {k: v for k, v in model.named_params().items()
               if k.startswith("score.") == score}
-    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                clip_norm=cfg.clip_norm)
+    opt = AdamW(params, cfg.weight_decay, cfg.clip_norm)
     curve = []
     for it in range(cfg.stage2_iters if score else cfg.stage1_iters):
         rng = _iteration_rng(cfg.seed, stage, it)
@@ -345,7 +345,7 @@ def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
             if not np.isfinite(value):
                 raise UsageError(f"non-finite loss at iteration {it}")
             tape.backward(loss)
-        gnorm = opt.step(lr=lr_at(it))
+        gnorm = opt.step(lr_at(it))
         curve.append((it, value, gnorm))
         if on_iteration is not None:
             on_iteration(it, value, gnorm)
@@ -406,8 +406,7 @@ def train_stage2_spm(model, data, cfg, crop_params=CropParams(),
                 lambda it: cfg.lr, crop_params, on_iteration)
 
 
-def spm_accuracy(model, data, cfg, samples=100, seed=None,
-                 crop_params=CropParams()):
+def spm_accuracy(model, data, cfg, samples=100, crop_params=CropParams()):
     """Balanced accuracy of the score head at threshold 0.5.
 
     Draws one positive and one negative candidate per sample from fresh,
@@ -417,10 +416,9 @@ def spm_accuracy(model, data, cfg, samples=100, seed=None,
         raise ConfigError("spm_accuracy needs at least one sequence")
     if samples < 1:
         raise ConfigError(f"spm_accuracy needs samples >= 1, got {samples}")
-    seed = cfg.seed if seed is None else seed
     correct = 0
     for i in range(samples):
-        rng = _iteration_rng(seed, _EVAL, i)
+        rng = _iteration_rng(cfg.seed, _EVAL, i)
         feat, tokens, pos, neg = _scored_example(
             model, data, rng, cfg, crop_params, augment=False
         )

@@ -75,7 +75,7 @@ def projections(attn, x, grids):
 
 def test_conv_projection_extents():
     rng = np.random.default_rng(1)
-    attn = att.MixedAttention(dim=4, heads=1, rng=rng)
+    attn = att.MixedAttention(dim=4, heads=1, rng=rng, mode=att.FULL_MIXED)
     tokens = Tensor(rng.normal(size=(2, 3 * 400 + 36, 4)).astype(np.float32))
     q, k, v = projections(attn, tokens, [(3, 20, 20)])
     assert q.shape == (2, 3 * 400, 4)
@@ -88,7 +88,7 @@ def test_conv_projection_extents():
 def test_template_projections_independent():
     rng = np.random.default_rng(2)
     lay = small_layout()
-    attn = att.MixedAttention(dim=lay.dim, heads=2, rng=rng)
+    attn = att.MixedAttention(dim=lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     x = rng.normal(size=(1, lay.template_total, lay.dim)).astype(np.float32)
     x2 = x.copy()
     x2[:, lay.tokens_per_template :] = 0.0
@@ -210,7 +210,9 @@ def test_asymmetric_search_branch_matches_mixed():
     rng = np.random.default_rng(5)
     lay = small_layout()
     x = Tensor(random_tokens(rng, lay))
-    y_full, _ = att.MixedAttention(lay.dim, 2, np.random.default_rng(5))(x, lay)
+    y_full, _ = att.MixedAttention(
+        lay.dim, 2, np.random.default_rng(5), mode=att.FULL_MIXED
+    )(x, lay)
     y_asym, _ = att.MixedAttention(
         lay.dim, 2, np.random.default_rng(5), mode=att.ASYMMETRIC
     )(x, lay)
@@ -288,7 +290,7 @@ def former_joint_attention(attn, x, lay, extra):
 
     def chain(q, k, v):
         logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
-        return ad.matmul(ad.softmax(logits, axis=-1), v)
+        return ad.matmul(ad.softmax(logits), v)
 
     q, k, v = (split(project(lin, t)) for lin, t in ((attn.wq, q), (attn.wk, k), (attn.wv, v)))
     kt = lay.halved().template_total
@@ -328,7 +330,7 @@ def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch, extra):
 
 def test_template_only_and_cached_passes_need_asymmetric_mode():
     lay = small_layout()
-    attn = att.MixedAttention(lay.dim, 2, np.random.default_rng(21))
+    attn = att.MixedAttention(lay.dim, 2, np.random.default_rng(21), mode=att.FULL_MIXED)
     x = Tensor(np.zeros((1, lay.template_total, lay.dim), dtype=np.float32))
     with pytest.raises(ConfigError):
         attn(x, lay, search=False)
@@ -373,7 +375,7 @@ def test_block_preserves_length():
         (att.TokenLayout(1, 3, 5, 8), 0),
         (small_layout(), 1),
     ]:
-        block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
+        block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
         x = Tensor(rng.normal(size=(1, lay.total + extra, lay.dim)).astype(np.float32))
         y, _ = block(x, lay, extra=extra)
         assert y.shape == x.shape
@@ -382,7 +384,7 @@ def test_block_preserves_length():
 def test_block_layout_mismatch_raises():
     rng = np.random.default_rng(11)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
+    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
     with pytest.raises(LayoutError):
         block(Tensor(np.zeros((1, lay.total + 3, lay.dim), dtype=np.float32)), lay)
 
@@ -390,7 +392,7 @@ def test_block_layout_mismatch_raises():
 def test_block_zero_output_projection_leaves_mlp_path():
     rng = np.random.default_rng(12)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
+    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
     block.attn.wo.w.data[:] = 0.0
     block.attn.wo.b.data[:] = 0.0
     x = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
@@ -415,7 +417,7 @@ def test_block_asymmetric_template_rows_ignore_search():
 def test_block_extra_token_is_query_only():
     rng = np.random.default_rng(14)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
+    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
     x = rng.normal(size=(1, lay.total + 1, lay.dim)).astype(np.float32)
     y1 = block(Tensor(x), lay, extra=1)[0].numpy()
     x2 = x.copy()
@@ -427,7 +429,7 @@ def test_block_extra_token_is_query_only():
 def test_block_full_gradients_match_finite_differences():
     rng = np.random.default_rng(15)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=1, rng=rng)
+    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=1, rng=rng, mode=att.FULL_MIXED)
     params = block.named_params()
     for p in params.values():
         p.data = p.data.astype(np.float64)
@@ -448,7 +450,7 @@ def test_block_full_gradients_match_finite_differences():
 def test_dump_slices_partition_each_query_row():
     rng = np.random.default_rng(16)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
+    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
     tokens = Tensor(rng.normal(size=(lay.total, lay.dim)).astype(np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == set(att.DUMP_NAMES)
@@ -477,7 +479,7 @@ def test_dump_asymmetric_template_weights_cover_templates_only():
 def test_dump_uniform_tokens_give_uniform_maps():
     rng = np.random.default_rng(18)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
+    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
     tokens = Tensor(np.full((lay.total, lay.dim), 0.25, dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     for name, m in maps.items():
@@ -487,7 +489,7 @@ def test_dump_uniform_tokens_give_uniform_maps():
 def test_dump_online_maps_need_two_templates():
     rng = np.random.default_rng(19)
     lay = att.TokenLayout(1, 2, 4, 8)
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng)
+    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
     tokens = Tensor(np.zeros((lay.total, lay.dim), dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == {"search_to_template", "search_to_search"}

@@ -211,10 +211,10 @@ def test_softmax_ln2_case():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(scale=50.0, size=(4, 7, 9)).astype(np.float32))
-    y = ad.softmax(x, axis=1).numpy()
+    y = ad.softmax(x).numpy()
     assert y.dtype == np.float32
     assert np.all(y >= 0)
-    np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ def test_vjps_skip_inputs_that_need_no_gradient():
         ad.add(a, 1.0), ad.sub(2.0, a), ad.mul(a, 0.5), ad.matmul(a, const)
         ad.div(a, positive), ad.div(positive, a)
         ad.maximum(a, 1e-12), ad.minimum(0.0, a)
-        ad.attention(a, const, const, 1), ad.attention(const[:2], const, ad.transpose(a), 1)
+        ad.attention(a, const, const, 1), ad.attention(const[:2], const, ad.transpose(a, (1, 0)), 1)
     grads = [vjp(np.ones_like(out.data)) for _, out, _, vjp in tape._entries]
     assert grads[0][0] is None and grads[0][1].shape == w.shape
     assert grads[1][1] is None and grads[2][0] is None and grads[3][1] is None
@@ -760,7 +760,7 @@ def attention_chain(q, k, v, scale):
     score predictor ran it: kᵀ, matmul, mul by the scale, softmax, matmul."""
     kt = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
     logits = ad.mul(ad.matmul(q, kt), scale)
-    return ad.matmul(ad.softmax(logits, axis=-1), v)
+    return ad.matmul(ad.softmax(logits), v)
 
 
 # (q, k, v) token shapes and head count: MAM rows, including B=4, and the
@@ -1072,9 +1072,6 @@ def _fd_case(name):
     if name == "sum_axis":
         a = t((2, 3, 4))
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.sum_(a, axis=(0, 2)), y))
-    if name == "sum_keepdims":
-        a = t((2, 3))
-        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.sum_(a, axis=1, keepdims=True), a))
     if name == "mean":
         a = t((3, 4))
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.mean_(a), y))
@@ -1096,7 +1093,7 @@ def _fd_case(name):
         return {"a": a}, lambda: ad.sum_(ad.mul(y := a[rows, cols], y))
     if name == "softmax":
         a = t((3, 5), lo=-2.0, hi=2.0)
-        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.softmax(a, axis=-1), y))
+        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.softmax(a), y))
     if name == "layer_norm":
         a, g, b = t((2, 6)), t((6,), lo=0.5, hi=1.5), t((6,))
         return {"a": a, "g": g, "b": b}, lambda: ad.sum_(
@@ -1144,13 +1141,13 @@ def _fd_case(name):
 ALL_OPS = [
     "add", "sub", "mul", "div", "maximum", "minimum", "neg", "log",
     "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
-    "sum_keepdims", "mean", "reshape", "transpose", "concat", "take",
+    "mean", "reshape", "transpose", "concat", "take",
     "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "edge_pad",
     "conv2d", "depthwise_conv2d", "matmul", "linear", "attention", "attention_split",
 ]
 # cases named otherwise than the function they check
 CASE_FUNCTIONS = {
-    "abs": "abs_", "sum_axis": "sum_", "sum_keepdims": "sum_", "mean": "mean_",
+    "abs": "abs_", "sum_axis": "sum_", "mean": "mean_",
     "take_repeated": "take", "attention_split": "attention",
 }
 # public functions that are not ops: they record nothing of their own
@@ -1178,11 +1175,14 @@ UNCALLED = {"take", "grad_check"}
 
 
 def _autodiff_calls(path):
-    """Names of autodiff functions that the package module at ``path`` calls,
-    as ``alias.name(...)`` after ``from . import autodiff as alias`` or as
-    ``name(...)`` after ``from .autodiff import name``."""
+    """(name, call node) of each autodiff function call in the package module
+    at ``path``: ``alias.name(...)`` after ``from . import autodiff as
+    alias``, ``name(...)`` after ``from .autodiff import name``, and in
+    autodiff itself ``name(...)`` of one of its own functions."""
     tree = ast.parse(path.read_text())
     aliases, imported = set(), {}
+    if path.name == "autodiff.py":
+        imported = {name: name for name in _public_functions()}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for a in node.names:
@@ -1190,28 +1190,67 @@ def _autodiff_calls(path):
                     aliases.add(a.asname or a.name)
                 elif node.module == "autodiff":
                     imported[a.asname or a.name] = a.name
-    called = set()
+    calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         f = node.func
         if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
                 and f.value.id in aliases:
-            called.add(f.attr)
+            calls.append((f.attr, node))
         elif isinstance(f, ast.Name) and f.id in imported:
-            called.add(imported[f.id])
-    return called
+            calls.append((imported[f.id], node))
+    return calls
+
+
+def _package_modules():
+    return sorted(pathlib.Path(ad.__file__).parent.glob("*.py"))
 
 
 def test_every_public_autodiff_function_has_a_package_caller():
     """No op lives on for tests alone: each is called from another module."""
-    package = pathlib.Path(ad.__file__).parent
-    called = set().union(*(
-        _autodiff_calls(p) for p in package.glob("*.py") if p.name != "autodiff.py"
-    ))
+    called = {name for p in _package_modules() if p.name != "autodiff.py"
+              for name, _ in _autodiff_calls(p)}
     public = _public_functions()
     assert UNCALLED <= public and not UNCALLED & called
     assert public - called - UNCALLED == set()
+
+
+def _set_parameters(name, call):
+    """Parameters of autodiff function ``name`` that ``call`` passes a value
+    other than their default literal; any non-literal value counts as set."""
+    params = list(inspect.signature(getattr(ad, name)).parameters.values())
+    passed = [(params[i], arg) for i, arg in enumerate(call.args)
+              if not isinstance(arg, ast.Starred)]
+    passed += [(p, kw.value) for kw in call.keywords
+               for p in params if p.name == kw.arg]
+    unpacked = any(isinstance(a, ast.Starred) for a in call.args) \
+        or any(kw.arg is None for kw in call.keywords)
+    out = {p.name for p in params if unpacked}
+    for p, value in passed:
+        try:
+            literal = ast.literal_eval(value)
+        except ValueError:
+            out.add(p.name)
+            continue
+        if type(literal) is not type(p.default) or literal != p.default:
+            out.add(p.name)
+    return out
+
+
+def test_every_defaulted_autodiff_parameter_is_set_by_the_package():
+    """No op parameter lives on for tests alone: each one with a default is
+    passed another value by some call under the package; ``grad_check`` is
+    the test utility."""
+    set_by_package = {(name, p) for path in _package_modules()
+                      for name, call in _autodiff_calls(path)
+                      for p in _set_parameters(name, call)}
+    defaulted = {
+        (name, p.name) for name in _public_functions() - {"grad_check"}
+        for p in inspect.signature(getattr(ad, name)).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    }
+    assert defaulted - set_by_package == set()
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -1263,8 +1302,8 @@ def test_grad_check_attention_core():
     v = Tensor(rng.normal(size=(5, 6)), dtype=np.float64, requires_grad=True)
 
     def f():
-        logits = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(6.0))
-        return ad.sum_(ad.matmul(ad.softmax(logits, axis=-1), v))
+        logits = ad.mul(ad.matmul(q, ad.transpose(k, (1, 0))), 1.0 / np.sqrt(6.0))
+        return ad.sum_(ad.matmul(ad.softmax(logits), v))
 
     report = ad.grad_check(f, {"q": q, "k": k, "v": v}, h=1e-5)
     assert max(report.values()) < 1e-5, report
@@ -1309,7 +1348,7 @@ def _run_pipeline():
     w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
         y = ad.conv2d(x, w, stride=2, pad=1)
-        z = ad.softmax(ad.reshape(y, (2, 64)), axis=-1)
+        z = ad.softmax(ad.reshape(y, (2, 64)))
         loss = ad.sum_(ad.mul(z, z))
         tape.backward(loss)
     return loss.numpy().tobytes(), x.grad.tobytes(), w.grad.tobytes()

@@ -1,4 +1,6 @@
+import random
 import shutil
+import warnings
 import zlib
 
 import numpy as np
@@ -6,8 +8,18 @@ import pytest
 
 from mixtrack import checkpoint as ck
 from mixtrack import cli
+from mixtrack.backbone import Backbone
+from mixtrack.boxes import to_xywh
 from mixtrack.checkpoint import load_checkpoint
-from mixtrack.data import Sequence, SyntheticConfig, generate_synthetic, save_sequence
+from mixtrack.config import RunConfig, format_run_config
+from mixtrack.data import (
+    Sequence,
+    SyntheticConfig,
+    generate_synthetic,
+    load_sequence,
+    save_sequence,
+)
+from mixtrack.tracker import Tracker
 
 MICRO_CONFIG = """\
 preset = tiny
@@ -107,6 +119,16 @@ class TestTrain:
                        "--out", str(work / "x.ckpt")])
         assert_user_error(capsys, rc, "utf16.cfg")
 
+    def test_negative_seed_fails(self, work, ckpt, seq_dir, capsys):
+        path = work / "negative-seed.cfg"
+        path.write_text(MICRO_CONFIG.replace("seed = 5", "seed = -1"))
+        rc = cli.main(["train", "--config", str(path),
+                       "--out", str(work / "x.ckpt")])
+        assert_user_error(capsys, rc, "seed must be >= 0, got -1")
+        rc = cli.main(["track", "--checkpoint", str(ckpt), "--config", str(path),
+                       "--sequence", str(seq_dir), "--out", str(work / "x.csv")])
+        assert_user_error(capsys, rc, "seed must be >= 0, got -1")
+
 
 class TestTrack:
     def test_writes_one_line_per_frame(self, work, ckpt, seq_dir):
@@ -132,13 +154,56 @@ class TestTrack:
                              "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_cache_flag_runs(self, work, ckpt, seq_dir):
-        out = work / "cached.csv"
-        rc = cli.main(["track", "--checkpoint", str(ckpt),
-                       "--sequence", str(seq_dir), "--out", str(out),
-                       "--cache"])
-        assert rc == 0
-        assert len(out.read_text().splitlines()) == 6
+    @pytest.mark.parametrize("head, attention", [
+        ("corner", "asymmetric"), ("query", "asymmetric"), ("corner", "full"),
+    ])
+    def test_caches_templates_under_asymmetric_attention(
+            self, work, seq_dir, monkeypatch, head, attention):
+        """Rows equal to an uncached Tracker's; templates that installs keep
+        changing are recomputed, and only under asymmetric attention."""
+        cfg = RunConfig(preset="tiny", head=head, attention=attention,
+                        update_interval=2, score_threshold=0.0, seed=3)
+        model = cfg.build_model()
+        path = work / f"{head}-{attention}.ckpt"
+        ck.save_checkpoint(path, ck.state_dict(model),
+                           config_text=format_run_config(cfg))
+        passes = []
+        forward_template = Backbone.forward_template
+
+        def counted(bb, templates):
+            passes.append(1)
+            return forward_template(bb, templates)
+
+        monkeypatch.setattr(Backbone, "forward_template", counted)
+        out = work / f"{head}-{attention}.csv"
+        assert cli.main(["track", "--checkpoint", str(path),
+                         "--sequence", str(seq_dir), "--out", str(out)]) == 0
+        # 5 tracked frames; installs after frames 2 and 4 renew the templates
+        assert len(passes) == (3 if attention == "asymmetric" else 0)
+        boxes, scores = Tracker(model, params=cfg.crop_params(), update_interval=2,
+                                score_threshold=0.0).track(load_sequence(seq_dir))
+        want = []
+        for i, (box, score) in enumerate(zip(boxes, scores), start=1):
+            x, y, w, h = to_xywh(box)
+            want.append(f"{i},{x:.6f},{y:.6f},{w:.6f},{h:.6f},{score:.6f}")
+        assert out.read_text().splitlines() == want
+
+    @pytest.mark.parametrize("first", [
+        "50,39,-24,24", "50,39,inf,24", "nan,nan,24,24",
+    ])
+    def test_bad_first_box_fails(self, work, ckpt, seq_dir, capsys, first):
+        bad = work / "seq_bad_first_box"
+        if not bad.exists():
+            shutil.copytree(seq_dir, bad)
+        lines = (seq_dir / "groundtruth.txt").read_text().splitlines()
+        (bad / "groundtruth.txt").write_text("\n".join([first] + lines[1:]) + "\n")
+        out = work / "bad_first_box.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["track", "--checkpoint", str(ckpt),
+                           "--sequence", str(bad), "--out", str(out)])
+        assert_user_error(capsys, rc, "first box needs a finite, positive width and height")
+        assert not out.exists()
 
     def test_failed_write_leaves_no_temp_file(self, work, ckpt, seq_dir, capsys):
         out = work / "outdir"
@@ -335,3 +400,81 @@ class TestInspect:
                        "--out", str(work / "maps2")])
         assert rc == 1
         assert "frame must lie in" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- bad-input fuzz
+
+# Inputs that once escaped as a traceback or as a boxes file eval rejects.
+FUZZ_KNOWN = [
+    ("gt", 0, "50,39,-24,24"),
+    ("gt", 0, "50,39,inf,24"),
+    ("gt", 0, "nan,nan,24,24"),
+    ("config", "seed", "-1"),
+]
+FUZZ_NUMBERS = [
+    "-24", "0", "-0", "0.5", "1", "-1", "200", "1e20", "-1e20", "1e308",
+    "-1e308", "1e-300", "5e-324", "nan", "-nan", "inf", "-inf", "", "x", "0x10",
+]
+FUZZ_CONFIG = {
+    "seed": ["-1", "-7", "0", "18446744073709551617", "1.5", "x"],
+    "update_interval": ["0", "-3", "1", "nan"],
+    "score_threshold": ["-0.1", "1.5", "nan", "inf", "0", "1"],
+    "search_factor": ["1", "0.5", "-5", "1.0001", "1e308", "1e-300", "nan", "inf"],
+    "template_factor": ["1", "0.5", "-5", "1.0001", "1e308", "1e-300", "nan", "inf"],
+    "online_templates": ["-1", "0", "2", "1.5"],
+    "head": ["query", "cornr", ""],
+    "attention": ["full", "asym", ""],
+    "preset": ["nope", ""],
+    "stage1_iters": ["0", "-1"],
+    "lr": ["0", "-1e-4", "nan", "inf"],
+    "decay_fraction": ["0", "1", "nan"],
+    "flip": ["no", "maybe"],
+}
+
+
+def fuzz_cases(rng, n, gt_lines):
+    """The known cases, then random one- or two-field changes of the first
+    (mostly) or a later ground-truth line, or one run-config value."""
+    cases = list(FUZZ_KNOWN)
+    while len(cases) < n:
+        if rng.random() < 0.6:
+            line = 0 if rng.random() < 0.8 else rng.randrange(1, len(gt_lines))
+            fields = gt_lines[line].split(",")
+            for _ in range(rng.randint(1, 2)):
+                fields[rng.randrange(4)] = rng.choice(FUZZ_NUMBERS)
+            cases.append(("gt", line, ",".join(fields)))
+        else:
+            key = rng.choice(sorted(FUZZ_CONFIG))
+            cases.append(("config", key, rng.choice(FUZZ_CONFIG[key])))
+    return cases
+
+
+def test_fuzzed_bad_input_exits_cleanly(tmp_path):
+    """Mutated ground truth and run configs end in exit 0 or 1, never in an
+    escaping exception, and every boxes file track writes passes eval."""
+    seq = generate_synthetic(SyntheticConfig(frames=3), seed=7)
+    seq_path = tmp_path / "seq"
+    save_sequence(seq_path, seq)
+    gt_lines = (seq_path / "groundtruth.txt").read_text().splitlines()
+    base = dict(line.split(" = ") for line in MICRO_CONFIG.splitlines())
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MICRO_CONFIG)
+    ckpt_path = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(ckpt_path)]) == 0
+    boxes, metrics = tmp_path / "boxes.csv", tmp_path / "metrics.csv"
+    for case in fuzz_cases(random.Random(20260), 150, gt_lines):
+        kind, where, value = case
+        lines, config = list(gt_lines), dict(base)
+        (lines if kind == "gt" else config)[where] = value
+        (seq_path / "groundtruth.txt").write_text("\n".join(lines) + "\n")
+        cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        boxes.unlink(missing_ok=True)
+        rc = cli.main(["track", "--checkpoint", str(ckpt_path), "--config", str(cfg_path),
+                       "--sequence", str(seq_path), "--out", str(boxes)])
+        assert rc in (0, 1), case
+        if rc == 0:
+            rc = cli.main(["eval", "--boxes", str(boxes), "--sequence", str(seq_path),
+                           "--out", str(metrics)])
+            assert rc == 0, (case, boxes.read_text())
+        else:
+            assert not boxes.exists(), case

@@ -94,4 +94,4 @@ class TestAssembly:
             assert moved > 1e-12, name
 
     def test_tokens_per_template(self):
-        assert tiny_model().tokens_per_template() == 4
+        assert tiny_model().score.per_template == 4

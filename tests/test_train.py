@@ -52,6 +52,7 @@ class TestTrainConfig:
         {"decay_fraction": float("nan")},
         {"decay_fraction": 1.0},
         {"decay_fraction": 0.0},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -115,8 +116,8 @@ class TestAdamW:
         params = self.make_params(rng)
         for p in params.values():
             p.grad = np.full(p.shape, 7.0, dtype=np.float32)
-        opt = AdamW(params, clip_norm=0.1)
-        gnorm = opt.step()
+        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
+        gnorm = opt.step(1e-4)
         assert gnorm <= 0.1 + 1e-6
 
     def test_clip_scales_grads_to_the_rate(self):
@@ -124,7 +125,7 @@ class TestAdamW:
         params = self.make_params(rng)
         for p in params.values():
             p.grad = rng.normal(size=p.shape).astype(np.float32)
-        opt = AdamW(params, clip_norm=0.1)
+        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
         opt.clip_grads()
         assert self.global_norm(params) == pytest.approx(0.1, rel=1e-5)
 
@@ -134,7 +135,7 @@ class TestAdamW:
         for p in params.values():
             p.grad = np.full(p.shape, 1e-4, dtype=np.float32)
         before = self.global_norm(params)
-        opt = AdamW(params, clip_norm=0.1)
+        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
         gnorm = opt.clip_grads()
         assert gnorm == pytest.approx(before)
         assert self.global_norm(params) == pytest.approx(before)
@@ -144,8 +145,8 @@ class TestAdamW:
         rng = np.random.default_rng(3)
         params = self.make_params(rng)
         p0 = {k: p.data.copy() for k, p in params.items()}
-        opt = AdamW(params, lr=1e-2, weight_decay=1e-2)
-        opt.step()
+        opt = AdamW(params, weight_decay=1e-2, clip_norm=0.1)
+        opt.step(1e-2)
         for k, p in params.items():
             expected = p0[k] - 1e-2 * (1e-2 * p0[k])
             np.testing.assert_allclose(p.data, expected, rtol=0, atol=1e-9)
@@ -155,11 +156,11 @@ class TestAdamW:
         for _ in range(2):
             rng = np.random.default_rng(4)
             params = self.make_params(rng)
-            opt = AdamW(params, clip_norm=0.1)
+            opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
             for i in range(5):
                 for p in params.values():
                     p.grad = (rng.normal(size=p.shape) * 0.01).astype(np.float32)
-                opt.step()
+                opt.step(1e-4)
             outs.append({k: p.data.copy() for k, p in params.items()})
         for k in outs[0]:
             assert np.array_equal(outs[0][k], outs[1][k])
@@ -168,12 +169,12 @@ class TestAdamW:
         rng = np.random.default_rng(6)
         params = self.make_params(rng)
         before = np.concatenate([p.data.ravel() for p in params.values()])
-        opt = AdamW(params)
+        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
         assert all(p.data.base is opt.arena for p in params.values())
         assert np.array_equal(opt.arena, before)
         for p in params.values():
             p.grad = rng.normal(size=p.shape).astype(np.float32)
-        opt.step()
+        opt.step(1e-4)
         assert all(p.data.base is opt.arena for p in params.values())
         assert np.array_equal(opt.arena, np.concatenate(
             [p.data.ravel() for p in params.values()]))
@@ -186,7 +187,7 @@ class TestAdamW:
         params["c"] = Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32),
                              requires_grad=True)
         ref = {k: p.data.copy() for k, p in params.items()}
-        opt = AdamW(params, lr=1e-2, weight_decay=1e-2, clip_norm=0.1)
+        opt = AdamW(params, weight_decay=1e-2, clip_norm=0.1)
         ref_opt = PerTensorAdamW(ref, lr=1e-2, weight_decay=1e-2, clip_norm=0.1)
         for i in range(5):
             grads = {k: (rng.normal(size=p.shape) * grad_scale).astype(np.float32)
@@ -194,7 +195,7 @@ class TestAdamW:
             grads["b" if i % 2 else "c"] = None  # a missing gradient counts as zero
             for k, p in params.items():
                 p.grad = grads[k]
-            gnorm, ref_gnorm = opt.step(), ref_opt.step(grads)
+            gnorm, ref_gnorm = opt.step(1e-2), ref_opt.step(grads)
             assert (ref_gnorm == 0.1) is clipped
             assert gnorm == pytest.approx(ref_gnorm, rel=1e-6)
         for k, p in params.items():
@@ -206,10 +207,10 @@ class TestAdamW:
     def test_rebound_parameter_is_stepped_from_its_new_values(self):
         rng = np.random.default_rng(8)
         params = self.make_params(rng)
-        opt = AdamW(params, lr=1e-2, weight_decay=1e-2)
+        opt = AdamW(params, weight_decay=1e-2, clip_norm=0.1)
         fresh = rng.normal(size=(4, 3)).astype(np.float32)
         params["a"].data = fresh.copy()
-        opt.step()
+        opt.step(1e-2)
         assert params["a"].data.base is opt.arena
         np.testing.assert_array_equal(params["a"].data, fresh - 1e-2 * (1e-2 * fresh))
 
@@ -223,7 +224,7 @@ class TestAdamW:
             "rng = np.random.default_rng(11)\n"
             "p = Tensor(np.zeros(238403, np.float32), requires_grad=True)\n"
             "p.grad = rng.normal(size=p.shape).astype(np.float32)\n"
-            "print(AdamW({'p': p}, clip_norm=1e9).clip_grads().hex())\n"
+            "print(AdamW({'p': p}, weight_decay=1e-4, clip_norm=1e9).clip_grads().hex())\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(mixtrack.__file__)))
         norms = []
@@ -238,14 +239,14 @@ class TestAdamW:
         params = {"a": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
                   "b": Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)}
         with pytest.raises(ConfigError):
-            AdamW(params)
+            AdamW(params, weight_decay=1e-4, clip_norm=0.1)
 
     def test_zero_grad_clears(self):
         rng = np.random.default_rng(5)
         params = self.make_params(rng)
         for p in params.values():
             p.grad = np.ones(p.shape, dtype=np.float32)
-        AdamW(params).zero_grad()
+        AdamW(params, weight_decay=1e-4, clip_norm=0.1).zero_grad()
         assert all(p.grad is None for p in params.values())
 
 
