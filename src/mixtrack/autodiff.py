@@ -8,7 +8,11 @@ appends a record holding the tensors it touched and a closure computing its
 vector-Jacobian product.  ``Tape.backward`` walks the records in reverse
 execution order (a valid reverse topological order, since records are
 appended as operations run) and accumulates, never overwrites, gradient
-contributions.
+contributions.  A tape is backpropagated once: each record, with the arrays
+its closure saved, is dropped as soon as its vector-Jacobian product has run,
+and so is the gradient of its output, so the backward pass holds no more
+than the forward did.  Only the loss's seed and the gradients of leaves
+(tensors made with ``requires_grad=True``) remain.
 
 Without an active tape all operations are plain numpy and build no graph,
 which is the inference fast path.  Reductions run in numpy's fixed order, so
@@ -50,6 +54,7 @@ class Tape:
 
     def __init__(self, check_finite=False):
         self._entries = []
+        self._consumed = False
         self.check_finite = check_finite
 
     def __enter__(self):
@@ -74,18 +79,33 @@ class Tape:
         self._entries.append((name, out, inputs, vjp))
 
     def backward(self, loss):
-        """Populate ``.grad`` of every tracked tensor reachable from ``loss``."""
+        """Populate ``.grad`` of every leaf reachable from ``loss``.
+
+        Consumes the tape: records are popped and freed as their
+        vector-Jacobian products run, and each intermediate output's
+        ``.grad`` is reset to None once used, since every consumer of that
+        output was recorded after it and has already been processed.  The
+        loss keeps its seed gradient.  A second call raises UsageError.
+        """
         if loss.size != 1:
             raise UsageError(
                 f"backward needs a scalar loss, got shape {loss.shape}"
             )
+        if self._consumed:
+            raise UsageError("backward was already run on this tape")
+        self._consumed = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
-        for name, out, inputs, vjp in reversed(self._entries):
+        entries = self._entries
+        while entries:
+            name, out, inputs, vjp = entries.pop()
             g = out.grad
             if g is None:
                 continue
             grads = vjp(g)
+            vjp = g = None  # free the closure's saved arrays before accumulating
+            if out is not loss:
+                out.grad = None
             for t, gi in zip(inputs, grads):
                 if gi is None or not t.requires_grad:
                     continue
@@ -98,6 +118,7 @@ class Tape:
                     t.grad = np.array(gi, dtype=t.data.dtype, copy=True)
                 else:
                     t.grad += gi
+            grads = gi = None
 
 
 class Tensor:

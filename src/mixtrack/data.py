@@ -205,7 +205,10 @@ def read_ppm(path):
     header = _PPM_HEADER.match(data)
     if header is None:
         raise ParseError(f"{path}: malformed PPM header")
-    w, h, maxval = (int(f) for f in header.groups())
+    try:
+        w, h, maxval = (int(f) for f in header.groups())
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{path}: PPM header number too long") from None
     pos = header.end()
     if w < 1 or h < 1:
         raise ParseError(f"{path}: image size {w}x{h} is empty")

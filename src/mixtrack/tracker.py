@@ -17,6 +17,7 @@ from . import boxes
 from .errors import ConfigError, UsageError
 
 _MIN_SIDE = 16.0
+_MAX_SIDE = 2.0 ** 53  # beyond it, float64 pixel coordinates are not exact
 
 
 @dataclass(frozen=True)
@@ -134,17 +135,24 @@ def _bilinear_crop(frame, left, top, side, out_size):
     return np.ascontiguousarray(patch.transpose(2, 0, 1))
 
 
-def _square_side(box, factor):
+def _square_side(box, factor, name):
+    """factor * sqrt(area), at least _MIN_SIDE.  A side too large to
+    sample is a ConfigError naming the factor's setting, ``name``."""
     x0, y0, x1, y1 = box
     w, h = max(0.0, x1 - x0), max(0.0, y1 - y0)
     side = factor * float(np.sqrt(w * h))
+    if not side < _MAX_SIDE:
+        raise ConfigError(
+            f"{name} = {factor} makes a crop side of {side} pixels around "
+            f"{tuple(float(v) for v in box)}; it must stay below 2**53"
+        )
     return max(side, _MIN_SIDE)
 
 
 def crop_template(frame, box, factor, out_size):
     """Square crop of factor * sqrt(area) around the box center."""
     cx, cy = (box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0
-    side = _square_side(box, factor)
+    side = _square_side(box, factor, "template_factor")
     left, top = cx - side / 2.0, cy - side / 2.0
     return _bilinear_crop(frame, left, top, side, out_size)
 
@@ -153,7 +161,7 @@ def crop_search(frame, prev_box, params, out_size):
     """Search crop around the previous box plus its exact affine mapping."""
     cx = (prev_box[0] + prev_box[2]) / 2.0
     cy = (prev_box[1] + prev_box[3]) / 2.0
-    side = _square_side(prev_box, params.search_factor)
+    side = _square_side(prev_box, params.search_factor, "search_factor")
     left, top = cx - side / 2.0, cy - side / 2.0
     patch = _bilinear_crop(frame, left, top, side, out_size)
     return patch, Affine(left=left, top=top, scale=out_size / side)

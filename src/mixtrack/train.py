@@ -7,10 +7,10 @@ picks the stage's parameters, and each iteration draws a batch, takes
 the loss on a tape, stops on a non-finite loss before any parameter
 moves, and takes one AdamW step.  A stage supplies only its batch
 builder, its loss and its learning rate.  Every example comes from
-``_draw_pair``, and stage 2 and ``spm_accuracy`` turn it into frozen
-features plus a negative box the same way.  Every random draw is keyed
-on (seed, stage, iteration), never on wall clock or worker id, so
-identical configs produce identical parameters bit for bit.
+``_draw_pair``, and stage 2 and ``spm_accuracy`` both turn examples into
+frozen features plus a negative box through ``_scored_examples``.  Every
+random draw is keyed on (seed, stage, iteration), never on wall clock or
+worker id, so identical configs produce identical parameters bit for bit.
 """
 
 import math
@@ -87,11 +87,14 @@ class AdamW:
 
     On construction the parameters are copied, in their dictionary order
     (fixed by module construction), into one contiguous arena and each
-    ``p.data`` becomes a view of it.  The moments, the gathered gradient
-    and the scratch space are flat buffers of the same layout, so a step
-    runs a fixed handful of whole-buffer ufuncs however many tensors there
-    are.  A parameter whose ``data`` is later rebound to another array is
-    copied back into the arena at the next gather.
+    ``p.data`` becomes a view of it.  The moments are flat buffers of the
+    same layout, so a step runs a fixed handful of whole-buffer ufuncs
+    however many tensors there are.  Between steps the optimizer holds
+    only the arena and the two moments.  Each step gathers the gradients
+    into a fresh flat buffer, whose slices ``p.grad`` then points at until
+    ``zero_grad``, and holds its float64 norm buffer and its two scratch
+    rows only while it runs.  A parameter whose ``data`` is later rebound
+    to another array is copied back into the arena at the next gather.
     """
 
     def __init__(self, params, weight_decay, clip_norm):
@@ -109,11 +112,7 @@ class AdamW:
         self.arena = np.empty(size, dtype=dtype)
         self.m = np.zeros(size, dtype=dtype)
         self.v = np.zeros(size, dtype=dtype)
-        self.grad = np.empty(size, dtype=dtype)
-        # two rows for the update; the norm reads its bytes as float64
-        self._scratch = np.empty((2, size), dtype=dtype)
         self._data_views = []
-        self._grad_views = []
         offset = 0
         for _, p in self.items:
             n = p.data.size
@@ -121,7 +120,6 @@ class AdamW:
             view[...] = p.data
             p.data = view
             self._data_views.append(view)
-            self._grad_views.append(self.grad[offset:offset + n].reshape(view.shape))
             offset += n
 
     def zero_grad(self):
@@ -129,17 +127,34 @@ class AdamW:
             p.grad = None
 
     def _gather(self):
-        """Copy every gradient into the flat buffer (zeros where missing)
-        and point ``p.grad`` at its slice of it."""
-        for (_, p), data, grad in zip(self.items, self._data_views, self._grad_views):
+        """Copy every gradient into a new flat buffer (zeros where missing),
+        point ``p.grad`` at its slice of it, and return the buffer."""
+        flat = np.empty_like(self.arena)
+        offset = 0
+        for (_, p), data in zip(self.items, self._data_views):
             if p.data is not data:
                 data[...] = p.data
                 p.data = data
+            grad = flat[offset:offset + data.size].reshape(data.shape)
+            offset += data.size
             if p.grad is None:
                 grad[...] = 0.0
             else:
                 grad[...] = p.grad
                 p.grad = grad
+        return flat
+
+    def _clip(self, grad):
+        """Scale the flat gradient in place so its norm is at most
+        clip_norm; returns the post-clip norm."""
+        g64 = grad.astype(np.float64)
+        # square and sum without BLAS, so the bits do not depend on its threads
+        g64 *= g64
+        norm = float(np.sqrt(np.add.reduce(g64)))
+        if norm > self.clip_norm:
+            grad *= np.asarray(self.clip_norm / norm, dtype=grad.dtype)
+            return self.clip_norm
+        return norm
 
     def clip_grads(self):
         """Scale every gradient so the global norm is at most clip_norm.
@@ -147,27 +162,19 @@ class AdamW:
         Returns the post-clip global norm; missing gradients count as zero
         and stay None.
         """
-        self._gather()
-        g64 = self._scratch.reshape(-1).view(np.float64)[:self.grad.size]
-        g64[...] = self.grad
-        # square and sum without BLAS, so the bits do not depend on its threads
-        g64 *= g64
-        norm = float(np.sqrt(np.add.reduce(g64)))
-        if norm > self.clip_norm:
-            self.grad *= np.asarray(self.clip_norm / norm, dtype=self.grad.dtype)
-            return self.clip_norm
-        return norm
+        return self._clip(self._gather())
 
     def step(self, lr):
         """Clip, then apply one update at rate ``lr``; returns the post-clip
         grad norm."""
-        gnorm = self.clip_grads()
+        g = self._gather()
+        gnorm = self._clip(g)
         self.t += 1
         b1, b2 = _BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        p, g, m, v = self.arena, self.grad, self.m, self.v
-        a, b = self._scratch
+        p, m, v = self.arena, self.m, self.v
+        a, b = np.empty((2, g.size), dtype=g.dtype)
         m *= b1
         v *= b2
         m += np.multiply(g, 1.0 - b1, out=a)
@@ -306,17 +313,23 @@ def _draw_pair(model, data, rng, cfg, crop_params, augment):
     )
 
 
-def _scored_example(model, data, rng, cfg, crop_params, augment):
-    """(search features, template tokens, ground-truth box, negative box)
-    of one drawn example.
+def _scored_examples(model, data, rng, cfg, crop_params, augment, count):
+    """[(search features, template tokens, ground-truth box, negative
+    box)] of ``count`` drawn examples.
 
-    The backbone runs without a tape and its outputs are detached, so
-    stage-2 backprop can only ever reach the score head.
+    Each example draws its pair and then its negative box, in turn.  The
+    backbone then runs once over the stacked crops, without a tape, and
+    its outputs are detached, so stage-2 backprop can only ever reach the
+    score head.
     """
-    tmpl, patch, gt = _draw_pair(model, data, rng, cfg, crop_params, augment)
-    _, feat, tokens = model.forward_box(tmpl[None], patch[None])
-    neg = _negative_box(gt, rng)
-    return Tensor(feat.data[0]), Tensor(tokens.data[0]), gt, neg
+    drawn = []
+    for _ in range(count):
+        tmpl, patch, gt = _draw_pair(model, data, rng, cfg, crop_params, augment)
+        drawn.append((tmpl, patch, gt, _negative_box(gt, rng)))
+    tmpl, patch, gt, neg = zip(*drawn)
+    _, feat, tokens = model.forward_box(np.stack(tmpl), np.stack(patch))
+    return [(Tensor(feat.data[i]), Tensor(tokens.data[i]), gt[i], neg[i])
+            for i in range(count)]
 
 
 def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
@@ -379,10 +392,8 @@ def train_stage1(model, data, cfg, crop_params=CropParams(), on_iteration=None):
 
 
 def _stage2_batch(model, data, rng, cfg, crop_params):
-    return [
-        _scored_example(model, data, rng, cfg, crop_params, augment=True)
-        for _ in range(cfg.batch_size)
-    ]
+    return _scored_examples(model, data, rng, cfg, crop_params, augment=True,
+                            count=cfg.batch_size)
 
 
 def _stage2_loss(model, batch):
@@ -419,8 +430,8 @@ def spm_accuracy(model, data, cfg, samples=100, crop_params=CropParams()):
     correct = 0
     for i in range(samples):
         rng = _iteration_rng(cfg.seed, _EVAL, i)
-        feat, tokens, pos, neg = _scored_example(
-            model, data, rng, cfg, crop_params, augment=False
+        (feat, tokens, pos, neg), = _scored_examples(
+            model, data, rng, cfg, crop_params, augment=False, count=1
         )
         correct += int(model.predict_score(feat, tuple(pos), tokens).item() >= 0.5)
         correct += int(model.predict_score(feat, tuple(neg), tokens).item() < 0.5)

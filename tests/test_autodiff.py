@@ -3,6 +3,7 @@ import inspect
 import itertools
 import pathlib
 import threading
+import weakref
 import zlib
 
 import numpy as np
@@ -483,8 +484,10 @@ def test_batch_norm_frozen_matches_op_chain_bit_for_bit(bsz):
         leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
         with Tape() as tape:
             y = op(*leaves)
-            tape.backward(ad.sum_(ad.mul(y, upstream)))
-        results.append((len(tape), [y.numpy()] + [t.grad for t in leaves]))
+            loss = ad.sum_(ad.mul(y, upstream))
+            recorded = len(tape)
+            tape.backward(loss)
+        results.append((recorded, [y.numpy()] + [t.grad for t in leaves]))
     (fused_len, fused), (chain_len, chain) = results
     assert (fused_len, chain_len) == (3, 7)
     for name, f, c in zip(("out", "dx", "dgain", "dbias"), fused, chain):
@@ -583,6 +586,27 @@ def test_vjps_skip_inputs_that_need_no_gradient():
     # entry 10 is the transpose feeding v
     assert grads[11][:2] == (None, None) and grads[11][2].shape == (3, 2)
     assert y.requires_grad
+
+
+def test_backward_consumes_the_tape():
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        h = ad.matmul(x, w)
+        saved = weakref.ref(h.data)
+        y = ad.gelu(h)
+        del h
+        loss = ad.sum_(y)
+        tape.backward(loss)
+    # the gelu record held the only other reference to h's array
+    assert saved() is None
+    assert y.grad is None
+    assert loss.grad is not None and loss.grad.item() == 1.0
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    assert len(tape) == 0
+    with pytest.raises(UsageError, match="already"):
+        tape.backward(loss)
 
 
 def test_tape_on_another_thread_records_nothing_from_this_one():

@@ -205,6 +205,21 @@ class TestTrack:
         assert_user_error(capsys, rc, "first box needs a finite, positive width and height")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("search_factor", "1e308"), ("template_factor", "1e308"),
+        ("search_factor", "1e300"),
+    ])
+    def test_overflowing_crop_side_fails(self, work, ckpt, seq_dir, capsys, key, value):
+        path = work / "huge-factor.cfg"
+        path.write_text(MICRO_CONFIG + f"{key} = {value}\n")
+        out = work / "huge_factor.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["track", "--checkpoint", str(ckpt), "--config", str(path),
+                           "--sequence", str(seq_dir), "--out", str(out)])
+        assert_user_error(capsys, rc, f"{key} = {float(value)} makes a crop side")
+        assert not out.exists()
+
     def test_failed_write_leaves_no_temp_file(self, work, ckpt, seq_dir, capsys):
         out = work / "outdir"
         out.mkdir()
@@ -478,3 +493,104 @@ def test_fuzzed_bad_input_exits_cleanly(tmp_path):
             assert rc == 0, (case, boxes.read_text())
         else:
             assert not boxes.exists(), case
+
+
+FUZZ_BOX_FIELDS = [
+    "0", "-0", "1", "2", "-1", "0.5", "1e308", "-1e308", "1e309", "5e-324",
+    "nan", "inf", "-inf", "", "x", "0x10", "1_0", "9" * 5000,
+]
+
+
+def box_csv_cases(rng, n, rows):
+    """Boxes csv texts: one or two fields of a row changed, a row dropped,
+    repeated or split, or the file cut at a random byte."""
+    cases = []
+    while len(cases) < n:
+        lines = [list(r) for r in rows]
+        kind = rng.random()
+        if kind < 0.6:
+            row = rng.choice(lines)
+            for _ in range(rng.randint(1, 2)):
+                row[rng.randrange(6)] = rng.choice(FUZZ_BOX_FIELDS)
+        elif kind < 0.8:
+            i = rng.randrange(len(lines))
+            op = rng.choice(("drop", "repeat", "split"))
+            if op == "drop":
+                del lines[i]
+            elif op == "repeat":
+                lines.insert(i, list(lines[i]))
+            else:
+                lines[i] = lines[i][:3] + [""] + lines[i][3:]
+        text = "".join(",".join(r) + "\n" for r in lines)
+        if kind >= 0.8:
+            text = text[:rng.randrange(len(text))]
+        cases.append(text)
+    return cases
+
+
+FUZZ_PPM_FIELDS = {
+    "magic": [b"P5", b"P3", b"p6", b"P66", b"P", b"", b"\xff\xfe"],
+    "size": [b"0", b"-1", b"1", b"2", b"x", b"1e2", b"", b"0x10",
+             b"99999999999999999999", b"9" * 5000],
+    "maxval": [b"0", b"1", b"254", b"256", b"65535", b"-255", b"", b"x", b"9" * 5000],
+    "sep": [b"", b"\t", b"  ", b"\n# a comment\n", b"#", b"\x00"],
+}
+
+
+def ppm_cases(rng, n, width, height, pixels):
+    """PPM files: magic, width, height, maxval or a separator of the
+    header changed, the size off by one, or the file cut at a random byte."""
+    cases = []
+    while len(cases) < n:
+        fields = [("magic", b"P6"), ("sep", b"\n"), ("size", str(width).encode()),
+                  ("sep", b" "), ("size", str(height).encode()), ("sep", b"\n"),
+                  ("maxval", b"255"), ("sep", b"\n")]
+        kind = rng.random()
+        if kind < 0.7:
+            i = rng.randrange(len(fields))
+            name = fields[i][0]
+            fields[i] = (name, rng.choice(FUZZ_PPM_FIELDS[name]))
+        elif kind < 0.85:
+            i = rng.choice((2, 4))
+            fields[i] = ("size", str(int(fields[i][1]) + rng.choice((-1, 1))).encode())
+        data = b"".join(value for _, value in fields) + pixels
+        if kind >= 0.85:
+            data = data[:rng.randrange(len(data))]
+        cases.append(data)
+    return cases
+
+
+def test_fuzzed_boxes_and_frames_exit_cleanly(tmp_path, ckpt, capsys):
+    """Mutated boxes csv files and PPM headers end ``eval`` (and ``track``
+    on frames that load) in exit 0 or 1 with a one-line error, never in an
+    escaping exception or a numpy warning."""
+    seq = generate_synthetic(SyntheticConfig(frames=3), seed=7)
+    seq_path = tmp_path / "seq"
+    save_sequence(seq_path, seq)
+    rows = [[str(i + 1)] + [repr(float(v)) for v in box] + ["0.5"]
+            for i, box in enumerate(seq.gt)]
+    boxes, metrics = tmp_path / "boxes.csv", tmp_path / "metrics.csv"
+    rng = random.Random(20261)
+
+    def check(argv):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1), argv
+        assert (rc == 1) == err.startswith("error:") and "Traceback" not in err
+        return rc
+
+    eval_argv = ["eval", "--boxes", str(boxes), "--sequence", str(seq_path),
+                 "--out", str(metrics)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text in box_csv_cases(rng, 150, rows):
+            boxes.write_text(text)
+            check(eval_argv)
+        boxes.write_text("".join(",".join(r) + "\n" for r in rows))
+        frame = seq_path / "00000002.ppm"
+        height, width = seq.frames[1].shape[:2]
+        for data in ppm_cases(rng, 150, width, height, seq.frames[1].tobytes()):
+            frame.write_bytes(data)
+            if check(eval_argv) == 0:
+                check(["track", "--checkpoint", str(ckpt), "--sequence",
+                       str(seq_path), "--out", str(tmp_path / "track.csv")])

@@ -72,10 +72,10 @@ class TestCropping:
         assert np.allclose(got, want, atol=1e-6)
 
     def test_template_factor_two_side(self):
-        assert trk._square_side((10.0, 10.0, 50.0, 50.0), 2.0) == 80.0
+        assert trk._square_side((10.0, 10.0, 50.0, 50.0), 2.0, "template_factor") == 80.0
 
     def test_degenerate_box_minimum_side(self):
-        assert trk._square_side((5.0, 5.0, 5.0, 5.0), 5.0) == 16.0
+        assert trk._square_side((5.0, 5.0, 5.0, 5.0), 5.0, "search_factor") == 16.0
 
     def test_out_of_frame_filled_with_mean(self):
         frame = np.full((40, 40, 3), 100, dtype=np.uint8)
