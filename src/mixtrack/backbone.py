@@ -104,7 +104,7 @@ class BackboneConfig:
         return self.stages[2].dim
 
 
-def preset(name, templates=2, mode=ASYMMETRIC):
+def preset(name, templates, mode):
     """Named architecture: mixformer, mixformer_l, or tiny."""
     table = {
         "mixformer": ((64, 192, 384), (1, 4, 16), (1, 3, 6), 128, 320),

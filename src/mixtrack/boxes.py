@@ -19,7 +19,7 @@ def to_xywh(box):
     return (x0, y0, x1 - x0, y1 - y0)
 
 
-def clamp_box(box, x_max=1.0, y_max=1.0):
+def clamp_box(box, x_max, y_max):
     """Clip corners into [0, x_max] x [0, y_max], keeping x0<=x1, y0<=y1."""
     x0, y0, x1, y1 = box
     x0 = min(max(float(x0), 0.0), x_max)

@@ -164,7 +164,8 @@ def state_dict(model):
 def load_state(model, arrays):
     """Copy named arrays into a model's existing parameter arrays.
 
-    Names must match the model exactly, and so must every shape.
+    Names and shapes must match the model exactly and every value must be
+    finite; all entries are checked before any is copied.
     """
     targets = model.named_params()
     missing = [n for n in targets if n not in arrays]
@@ -175,12 +176,13 @@ def load_state(model, arrays):
             f"unexpected {sorted(extra)[:4]}"
         )
     for name, arr in arrays.items():
-        target = targets[name].data
-        if tuple(arr.shape) != target.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: checkpoint {arr.shape}, "
-                f"model {target.shape}"
-            )
-        # in place, so views onto the arrays (an optimizer's arena) stay valid
-        target[...] = arr
+        shape = targets[name].data.shape
+        if tuple(arr.shape) != shape:
+            raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
+                                  f"{arr.shape}, model {shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"entry {name!r} holds non-finite values")
+    for name, arr in arrays.items():
+        # in place: every parameter is a view of the model's arena
+        targets[name].data[...] = arr
     return model

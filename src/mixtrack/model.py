@@ -1,6 +1,7 @@
 """Full tracking model: backbone plus one localization head plus the score
 predictor.  The head type is interchangeable; both operate on the same
-backbone outputs, so checkpoints differ only in head parameters.
+backbone outputs, so checkpoints differ only in head parameters.  Every
+parameter is a view of the model's float32 ``arena``, in named order.
 """
 
 import numpy as np
@@ -30,6 +31,17 @@ class TrackModel(nn.Module):
             self.head = QueryHead(dim, rng)
         per_template = bb_config.stage_layouts()[-1].tokens_per_template
         self.score = ScorePredictor(dim, per_template, rng)
+        self.arena = nn.pack(list(self.named_params().values()))
+
+    def stage_params(self, score):
+        """(arena slice, tensors) of the score head if ``score``, else of all
+        other parameters; the score head, built last, is the arena's tail."""
+        params = list(self.named_params().values())
+        split = len(params) - len(self.score.named_params())
+        offset = sum(p.data.size for p in params[:split])
+        if score:
+            return self.arena[offset:], params[split:]
+        return self.arena[:offset], params[:split]
 
     def forward_box(self, templates, search, cache=None):
         """Predict [B, 4] normalized corner boxes over the search crop.

@@ -4,7 +4,9 @@ Modules hold their parameters as ``Tensor`` attributes and expose them
 under stable hierarchical names such as ``stage2.block3.attn.wq.w`` for
 checkpointing.  Name order follows attribute definition order, so a given
 configuration always enumerates identically.  There are no buffers: every
-array an output depends on is a parameter.
+array an output depends on is a parameter, and ``pack`` makes a model's
+parameters views of one float32 arena in named order, so consecutive
+parameters are one contiguous slice of it.
 """
 
 import numpy as np
@@ -25,6 +27,19 @@ def trunc_normal(rng, shape):
 def he_normal(rng, shape, fan_in):
     v = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
     return v.astype(np.float32)
+
+
+def pack(tensors):
+    """Copy tensors, in order, into one new float32 buffer, rebind each
+    ``data`` to its view of it, and return the buffer."""
+    arena = np.empty(sum(t.data.size for t in tensors), dtype=np.float32)
+    offset = 0
+    for t in tensors:
+        view = arena[offset:offset + t.data.size].reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
+        offset += t.data.size
+    return arena
 
 
 class Module:

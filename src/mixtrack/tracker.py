@@ -178,7 +178,7 @@ class TrackerState:
     mutation_frames: list = field(default_factory=list)
 
 
-def maybe_update_template(state, threshold=0.5):
+def maybe_update_template(state, threshold):
     """Install the interval's best candidate if it clears the threshold.
 
     The oldest online slot is replaced (slots are kept oldest-first), then

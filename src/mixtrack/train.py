@@ -3,14 +3,15 @@
 Stage 1 fits the backbone and the localization head with the weighted
 l1 + giou objective.  Stage 2 freezes those and fits the score head on
 balanced positive and negative candidate boxes.  Both run ``_fit``: it
-picks the stage's parameters, and each iteration draws a batch, takes
-the loss on a tape, stops on a non-finite loss before any parameter
-moves, and takes one AdamW step.  A stage supplies only its batch
-builder, its loss and its learning rate.  Every example comes from
-``_draw_pair``, and stage 2 and ``spm_accuracy`` both turn examples into
-frozen features plus a negative box through ``_scored_examples``.  Every
-random draw is keyed on (seed, stage, iteration), never on wall clock or
-worker id, so identical configs produce identical parameters bit for bit.
+steps the stage's slice of the model's parameter arena in place (no copy,
+no rebinding), and each iteration draws a batch, takes the loss on a
+tape, stops on a non-finite loss before any parameter moves, and takes
+one AdamW step.  A stage supplies only its batch builder, its loss and
+its learning rate.  Every example comes from ``_draw_pair``, and stage 2
+and ``spm_accuracy`` both turn examples into frozen features plus a
+negative box through ``_scored_examples``.  Every random draw is keyed on
+(seed, stage, iteration), never on wall clock or worker id, so identical
+configs produce identical parameters bit for bit.
 """
 
 import math
@@ -85,45 +86,27 @@ class TrainConfig:
 class AdamW:
     """Adam with decoupled weight decay and a global gradient-norm clip.
 
-    On construction the parameters are copied, in their dictionary order
-    (fixed by module construction), into one contiguous arena and each
-    ``p.data`` becomes a view of it.  The moments are flat buffers of the
-    same layout, so a step runs a fixed handful of whole-buffer ufuncs
-    however many tensors there are.  Between steps the optimizer holds
-    only the arena and the two moments.  Each step gathers the gradients
-    into a fresh flat buffer, whose slices ``p.grad`` then points at until
-    ``zero_grad``, and holds its float64 norm buffer and its two scratch
-    rows only while it runs.  A parameter whose ``data`` is later rebound
-    to another array is copied back into the arena at the next gather.
+    ``params`` are views, in order, of the contiguous float32 ``arena`` (a
+    model's ``stage_params``), which is stepped in place: no copy and no
+    rebinding of ``p.data``.  The moments are flat buffers of its layout,
+    so a step runs a fixed handful of whole-buffer ufuncs however many
+    tensors there are.  Between steps the optimizer holds only the arena
+    and the two moments.  Each step gathers the gradients into a fresh flat
+    buffer, whose slices ``p.grad`` then points at until ``zero_grad``, and
+    holds its float64 norm buffer and two scratch rows only while it runs.
     """
 
-    def __init__(self, params, weight_decay, clip_norm):
-        self.items = list(params.items())
+    def __init__(self, arena, params, weight_decay, clip_norm):
+        self.arena = arena
+        self.params = list(params)
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.t = 0
-        dtypes = {p.data.dtype for _, p in self.items}
-        if len(dtypes) > 1:
-            raise ConfigError(
-                f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}"
-            )
-        dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
-        size = sum(p.data.size for _, p in self.items)
-        self.arena = np.empty(size, dtype=dtype)
-        self.m = np.zeros(size, dtype=dtype)
-        self.v = np.zeros(size, dtype=dtype)
-        self._data_views = []
-        offset = 0
-        for _, p in self.items:
-            n = p.data.size
-            view = self.arena[offset:offset + n].reshape(p.data.shape)
-            view[...] = p.data
-            p.data = view
-            self._data_views.append(view)
-            offset += n
+        self.m = np.zeros_like(arena)
+        self.v = np.zeros_like(arena)
 
     def zero_grad(self):
-        for _, p in self.items:
+        for p in self.params:
             p.grad = None
 
     def _gather(self):
@@ -131,12 +114,9 @@ class AdamW:
         point ``p.grad`` at its slice of it, and return the buffer."""
         flat = np.empty_like(self.arena)
         offset = 0
-        for (_, p), data in zip(self.items, self._data_views):
-            if p.data is not data:
-                data[...] = p.data
-                p.data = data
-            grad = flat[offset:offset + data.size].reshape(data.shape)
-            offset += data.size
+        for p in self.params:
+            grad = flat[offset:offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
             if p.grad is None:
                 grad[...] = 0.0
             else:
@@ -155,14 +135,6 @@ class AdamW:
             grad *= np.asarray(self.clip_norm / norm, dtype=grad.dtype)
             return self.clip_norm
         return norm
-
-    def clip_grads(self):
-        """Scale every gradient so the global norm is at most clip_norm.
-
-        Returns the post-clip global norm; missing gradients count as zero
-        and stay None.
-        """
-        return self._clip(self._gather())
 
     def step(self, lr):
         """Clip, then apply one update at rate ``lr``; returns the post-clip
@@ -232,9 +204,8 @@ def _flip_box(box):
     return np.array([1.0 - x1, y0, 1.0 - x0, y1], dtype=np.float64)
 
 
-def make_training_pair(sequence, rng, template_size, search_size, templates=2,
-                       crop_params=CropParams(), flip=True, brightness=True,
-                       max_gap=8):
+def make_training_pair(sequence, rng, template_size, search_size, templates,
+                       crop_params, flip, brightness, max_gap):
     """Sample one training example from a sequence.
 
     Returns (templates [T, 3, ts, ts], search [3, ss, ss], box [4]); the
@@ -336,7 +307,7 @@ def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
          on_iteration):
     """The step loop of both stages; returns the loss curve.
 
-    Stage 2 steps the ``score.*`` parameters, stage 1 all the others.
+    Stage 2 steps the score head's parameters, stage 1 all the others.
     Iteration ``it`` draws its batch with ``make_batch`` from the
     generator keyed on (seed, stage, it), takes ``loss_of(model, batch)``
     on a tape and steps at ``lr_at(it)``.
@@ -344,9 +315,7 @@ def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
     if not data:
         raise ConfigError(f"stage {stage} needs at least one training sequence")
     score = stage == _STAGE2
-    params = {k: v for k, v in model.named_params().items()
-              if k.startswith("score.") == score}
-    opt = AdamW(params, cfg.weight_decay, cfg.clip_norm)
+    opt = AdamW(*model.stage_params(score), cfg.weight_decay, cfg.clip_norm)
     curve = []
     for it in range(cfg.stage2_iters if score else cfg.stage1_iters):
         rng = _iteration_rng(cfg.seed, stage, it)

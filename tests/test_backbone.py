@@ -30,47 +30,48 @@ class TestConfig:
             bb.StageConfig(65, 1, 2)
 
     def test_sizes_must_divide_16(self):
-        cfg = bb.preset("tiny")
+        cfg = bb.preset("tiny", templates=2, mode=ASYMMETRIC)
         with pytest.raises(ConfigError):
             bb.BackboneConfig(cfg.stages, 33, 64, 2, ASYMMETRIC)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
-            bb.preset("huge")
+            bb.preset("huge", templates=2, mode=ASYMMETRIC)
 
     def test_unknown_mode(self):
-        cfg = bb.preset("tiny")
+        cfg = bb.preset("tiny", templates=2, mode=ASYMMETRIC)
         with pytest.raises(ConfigError):
             bb.BackboneConfig(cfg.stages, 32, 64, 2, "sideways")
 
     def test_two_stages_rejected(self):
-        cfg = bb.preset("tiny")
+        cfg = bb.preset("tiny", templates=2, mode=ASYMMETRIC)
         with pytest.raises(ConfigError):
             bb.BackboneConfig(cfg.stages[:2], 32, 64, 2, ASYMMETRIC)
 
 
 class TestPresets:
     def test_base_token_counts_per_stage(self):
-        cfg = bb.preset("mixformer", templates=2)
+        cfg = bb.preset("mixformer", templates=2, mode=ASYMMETRIC)
         totals = [layout.total for layout in cfg.stage_layouts()]
         assert totals == [8448, 2112, 528]
 
     def test_base_single_template_final_length(self):
-        cfg = bb.preset("mixformer", templates=1)
+        cfg = bb.preset("mixformer", templates=1, mode=ASYMMETRIC)
         assert cfg.stage_layouts()[-1].total == 464
 
     def test_base_final_map_shape(self):
-        last = bb.preset("mixformer").stage_layouts()[-1]
+        cfg = bb.preset("mixformer", templates=2, mode=ASYMMETRIC)
+        last = cfg.stage_layouts()[-1]
         assert (last.s, last.dim) == (20, 384)
 
     def test_base_dims_blocks_heads(self):
-        cfg = bb.preset("mixformer")
+        cfg = bb.preset("mixformer", templates=2, mode=ASYMMETRIC)
         assert tuple(s.dim for s in cfg.stages) == (64, 192, 384)
         assert tuple(s.blocks for s in cfg.stages) == (1, 4, 16)
         assert tuple(s.heads for s in cfg.stages) == (1, 3, 6)
 
     def test_large_dims_blocks_heads(self):
-        cfg = bb.preset("mixformer_l")
+        cfg = bb.preset("mixformer_l", templates=2, mode=ASYMMETRIC)
         assert tuple(s.dim for s in cfg.stages) == (192, 768, 1024)
         assert tuple(s.blocks for s in cfg.stages) == (2, 2, 12)
         assert tuple(s.heads for s in cfg.stages) == (3, 12, 16)
@@ -78,17 +79,18 @@ class TestPresets:
         assert cfg.search_size == 320
 
     def test_tiny_token_counts(self):
-        cfg = bb.preset("tiny")
+        cfg = bb.preset("tiny", templates=2, mode=ASYMMETRIC)
         totals = [layout.total for layout in cfg.stage_layouts()]
         assert totals == [384, 96, 24]
 
     def test_tiny_final_map(self):
-        last = bb.preset("tiny").stage_layouts()[-1]
+        cfg = bb.preset("tiny", templates=2, mode=ASYMMETRIC)
+        last = cfg.stage_layouts()[-1]
         assert (last.s, last.dim) == (4, 64)
 
     def test_embed_extent_halving(self):
         # 128/320 inputs shrink 4x then 2x twice
-        cfg = bb.preset("mixformer")
+        cfg = bb.preset("mixformer", templates=2, mode=ASYMMETRIC)
         grids = [(l.t, l.s) for l in cfg.stage_layouts()]
         assert grids == [(32, 80), (16, 40), (8, 20)]
 
@@ -269,18 +271,22 @@ class TestCost:
             assert bb.count_params_flops(cfg)["params"] == count, name
 
     def test_base_flops_near_reference(self):
-        cost = bb.count_params_flops(bb.preset("mixformer", templates=2))
+        cost = bb.count_params_flops(
+            bb.preset("mixformer", templates=2, mode=ASYMMETRIC))
         assert abs(cost["flops"] - 23.04e9) / 23.04e9 < 0.2
 
     def test_breakdown_sums_to_total(self):
-        cost = bb.count_params_flops(bb.preset("mixformer"))
+        cost = bb.count_params_flops(
+            bb.preset("mixformer", templates=2, mode=ASYMMETRIC))
         assert sum(s["flops"] for s in cost["stages"]) == cost["flops"]
         norm_params = 2 * 384
         assert sum(s["params"] for s in cost["stages"]) + norm_params == cost["params"]
 
     def test_asymmetric_is_cheaper_than_full(self):
-        asym = bb.count_params_flops(bb.preset("mixformer", mode=ASYMMETRIC))
-        full = bb.count_params_flops(bb.preset("mixformer", mode=FULL_MIXED))
+        asym = bb.count_params_flops(
+            bb.preset("mixformer", templates=2, mode=ASYMMETRIC))
+        full = bb.count_params_flops(
+            bb.preset("mixformer", templates=2, mode=FULL_MIXED))
         assert asym["flops"] < full["flops"]
         assert asym["params"] == full["params"]
 

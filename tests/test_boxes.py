@@ -19,7 +19,7 @@ class TestConversions:
         assert boxes.to_corners(boxes.to_xywh(b)) == b
 
     def test_clamp_box_orders_and_clips(self):
-        assert boxes.clamp_box((-0.2, 0.5, 1.4, 0.1)) == (0.0, 0.1, 1.0, 0.5)
+        assert boxes.clamp_box((-0.2, 0.5, 1.4, 0.1), 1.0, 1.0) == (0.0, 0.1, 1.0, 0.5)
 
     def test_clamp_box_pixel_bounds(self):
         assert boxes.clamp_box((5.0, -3.0, 700.0, 90.0), 640.0, 480.0) == (

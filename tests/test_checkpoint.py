@@ -159,15 +159,45 @@ class TestModelState:
         with pytest.raises(CheckpointError, match="shape mismatch"):
             ck.load_state(model, arrays)
 
+    @pytest.mark.parametrize("name, value", [
+        ("score.out.b", np.nan),
+        ("backbone.stage3.block0.mlp.fc2.w", np.nan),
+        ("backbone.stage1.embed.conv.w", np.inf),
+        ("head.br0.conv.b", -np.inf),
+    ])
+    def test_non_finite_entry_rejected_before_any_copy(self, name, value):
+        model = build_model("tiny", seed=0)
+        before = {k: v.copy() for k, v in ck.state_dict(model).items()}
+        arrays = {k: v.copy() for k, v in sorted(
+            ck.state_dict(build_model("tiny", seed=1)).items())}
+        arrays[name].flat[-1] = value
+        with pytest.raises(CheckpointError, match=re.escape(f"{name!r} holds non-finite")):
+            ck.load_state(model, arrays)
+        for k, v in ck.state_dict(model).items():
+            assert np.array_equal(v, before[k]), k
+
+    def test_shape_mismatch_in_the_last_entry_changes_nothing(self):
+        model = build_model("tiny", seed=0)
+        before = {k: v.copy() for k, v in ck.state_dict(model).items()}
+        arrays = {k: v.copy() for k, v in sorted(
+            ck.state_dict(build_model("tiny", seed=1)).items())}
+        last = next(reversed(arrays))
+        assert last == "score.token"
+        arrays[last] = np.zeros((1, 1), np.float32)
+        with pytest.raises(CheckpointError, match="shape mismatch for 'score.token'"):
+            ck.load_state(model, arrays)
+        for k, v in ck.state_dict(model).items():
+            assert np.array_equal(v, before[k]), k
+
     def test_load_keeps_an_optimizer_stepping_the_loaded_values(self, tmp_path):
         path = tmp_path / "m.ckpt"
         ck.save_checkpoint(path, ck.state_dict(build_model("tiny", seed=5)))
         arrays, _ = ck.load_checkpoint(path)
         model = build_model("tiny", seed=9)
         params = model.named_params()
-        opt = AdamW(params, weight_decay=1e-2, clip_norm=0.1)
+        opt = AdamW(model.arena, params.values(), weight_decay=1e-2, clip_norm=0.1)
         ck.load_state(model, arrays)
-        assert all(p.data.base is opt.arena for p in params.values())
+        assert all(p.data.base is model.arena for p in params.values())
         opt.step(1e-2)  # no gradients: a pure weight-decay step from the loaded values
         for k, p in params.items():
             np.testing.assert_array_equal(p.data, arrays[k] - 1e-2 * (1e-2 * arrays[k]))

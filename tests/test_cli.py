@@ -260,6 +260,8 @@ def crafted_checkpoint(ckpt, case):
     elif case == "config value 288":
         # 288 wraps to a space in uint8, which the parser would accept
         codes[text.index(" ")] = 288.0
+    elif case.startswith("nan "):
+        arrays[case[4:]].flat[0] = np.nan
     blob = bytearray(ck.serialize({**arrays, ck.CONFIG_KEY: codes})[:-4])
     if case == "undecodable name":
         blob[blob.index(b"backbone.")] = 0xFF
@@ -285,6 +287,19 @@ class TestCraftedCheckpoint:
                        "--sequence", str(seq_dir),
                        "--out", str(work / "nope.csv")])
         assert_user_error(capsys, rc, message)
+
+    @pytest.mark.parametrize("command", ["track", "inspect"])
+    @pytest.mark.parametrize("entry", ["score.out.b", "backbone.stage3.block0.mlp.fc2.w"])
+    def test_non_finite_entry_fails_naming_it(self, work, ckpt, seq_dir, capsys,
+                                              command, entry):
+        path = work / "nan.ckpt"
+        path.write_bytes(crafted_checkpoint(ckpt, f"nan {entry}"))
+        out = work / f"nan-{command}"
+        extra = ["--frame", "3"] if command == "inspect" else []
+        rc = cli.main([command, "--checkpoint", str(path), "--sequence", str(seq_dir),
+                       "--out", str(out)] + extra)
+        assert_user_error(capsys, rc, f"entry {entry!r} holds non-finite values")
+        assert not out.exists()
 
     def test_unchanged_rebuild_still_tracks(self, work, ckpt, seq_dir):
         path = work / "rebuilt.ckpt"
@@ -594,3 +609,119 @@ def test_fuzzed_boxes_and_frames_exit_cleanly(tmp_path, ckpt, capsys):
             if check(eval_argv) == 0:
                 check(["track", "--checkpoint", str(ckpt), "--sequence",
                        str(seq_path), "--out", str(tmp_path / "track.csv")])
+
+
+# Entries that once loaded and made track write NaN scores or fail with an
+# internal message.
+FUZZ_CKPT_KNOWN = [
+    ("values", "score.out.b", "nan"),
+    ("values", "backbone.stage3.block0.mlp.fc2.w", "nan"),
+]
+FUZZ_CKPT_CONFIG = {
+    # no large online_templates: it has no upper bound, and a large count
+    # makes track allocate gigabytes
+    "preset": ["nope", "", "Tiny"],
+    "head": ["query", "cornr"],
+    "attention": ["full", "asym"],
+    "online_templates": ["0", "2", "-1", "1.5"],
+    "seed": ["-1", "0", "x"],
+    "update_interval": ["0", "1", "-3"],
+    "score_threshold": ["nan", "-0.1", "1", "2"],
+    "search_factor": ["1", "1e308", "nan", "0.5", "2.5"],
+    "template_factor": ["1", "1e308", "inf", "1.5"],
+    "lr": ["0", "nan"],
+    "flip": ["maybe"],
+}
+
+
+def fuzz_checkpoint_cases(rng, n, names):
+    """The known cases, then one entry's name, rank, dims or values (NaN or
+    +-inf, in one element or all) changed, or one config-text value."""
+    cases = list(FUZZ_CKPT_KNOWN)
+    while len(cases) < n:
+        kind = rng.choice(("name", "rank", "dims", "values", "values", "config"))
+        if kind == "config":
+            key = rng.choice(sorted(FUZZ_CKPT_CONFIG))
+            cases.append((kind, key, rng.choice(FUZZ_CKPT_CONFIG[key])))
+        else:
+            cases.append((kind, rng.choice(names), None))
+    return cases
+
+
+def fuzzed_checkpoint(rng, entries, case):
+    """Checkpoint bytes of (name, array) entries with ``case`` applied,
+    under a recomputed CRC."""
+    kind, target, value = case
+    parts = []
+    for name, arr in entries:
+        raw, dims = name.encode("utf-8"), list(arr.shape)
+        payload = np.array(arr, dtype="<f4")
+        if name == target and kind == "name":
+            other = rng.choice(entries)[0].encode("utf-8")
+            raw = rng.choice([raw + b"x", raw[:-1], b"", b"\xff" + raw[1:],
+                              raw.upper(), other])
+        elif name == target and kind == "rank":
+            dims = rng.choice([dims + [1], [1] + dims, dims[:-1], [],
+                               [payload.size], dims + [2], [1] * 17])
+        elif name == target and kind == "dims" and dims:
+            i = rng.randrange(len(dims))
+            dims[i] = rng.choice([dims[i] + 1, dims[i] - 1, 0, 1, 2**31, 2**32 - 1])
+        elif name == target and kind == "values":
+            bad = float(value or rng.choice(("nan", "inf", "-inf")))
+            flat = payload.reshape(-1)
+            if value or rng.random() < 0.5:
+                flat[rng.randrange(flat.size)] = bad
+            else:
+                flat[...] = bad
+        parts += [len(raw).to_bytes(4, "little"), raw, len(dims).to_bytes(4, "little")]
+        parts += [d.to_bytes(4, "little") for d in dims]
+        parts.append(payload.tobytes())
+    body = b"".join([ck.MAGIC, ck.VERSION.to_bytes(4, "little"),
+                     len(entries).to_bytes(4, "little")] + parts)
+    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+def test_fuzzed_checkpoint_entries_exit_cleanly(tmp_path, ckpt, capsys):
+    """Checkpoints whose entries or config text are changed under a valid
+    CRC end ``track`` and ``inspect`` in exit 0 or 1 with a one-line
+    error, never in an escaping exception or a numpy warning, and every
+    boxes file track writes passes eval with finite scores."""
+    seq = generate_synthetic(SyntheticConfig(frames=3), seed=7)
+    seq_path = tmp_path / "seq"
+    save_sequence(seq_path, seq)
+    arrays, text = load_checkpoint(ckpt)
+    config = dict(line.split(" = ") for line in text.splitlines())
+    rng = random.Random(20262)
+    path, boxes = tmp_path / "fuzz.ckpt", tmp_path / "boxes.csv"
+
+    def check(argv):
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1), argv
+        assert (rc == 1) == err.startswith("error:") and "Traceback" not in err
+        return rc
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for case in fuzz_checkpoint_cases(rng, 150, sorted(arrays)):
+            kind, target, value = case
+            settings = dict(config)
+            if kind == "config":
+                settings[target] = value
+            codes = "".join(f"{k} = {v}\n" for k, v in settings.items())
+            entries = sorted({**arrays, ck.CONFIG_KEY: np.frombuffer(
+                codes.encode("utf-8"), dtype=np.uint8).astype(np.float32)}.items())
+            path.write_bytes(fuzzed_checkpoint(rng, entries, case))
+            boxes.unlink(missing_ok=True)
+            rc = check(["track", "--checkpoint", str(path), "--sequence", str(seq_path),
+                        "--out", str(boxes)])
+            if rc == 0:
+                scores = [float(row.split(",")[5])
+                          for row in boxes.read_text().splitlines()]
+                assert all(np.isfinite(scores)), (case, scores)
+                assert check(["eval", "--boxes", str(boxes), "--sequence", str(seq_path),
+                              "--out", str(tmp_path / "metrics.csv")]) == 0, case
+            else:
+                assert not boxes.exists(), case
+            check(["inspect", "--checkpoint", str(path), "--sequence", str(seq_path),
+                   "--frame", "2", "--out", str(tmp_path / "maps")])

@@ -1,7 +1,10 @@
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 
+import mixtrack
 from mixtrack.config import (
     RunConfig,
     format_run_config,
@@ -187,3 +190,35 @@ class TestParsing:
         assert model.head_type == "query"
         assert model.config.templates == 1
         assert model.config.mode == "asymmetric"
+
+
+# The package's settable values: parameters with a default, plus dataclass
+# fields.  A change that adds an option raises this ceiling in its own diff
+# and gives the reason in CHANGES.md.
+SETTABLE_CEILING = 109
+
+
+def settable_values():
+    """``module.function(param)`` of each parameter with a default and
+    ``module.Class.field`` of each dataclass field in the package."""
+    found = []
+    for path in sorted(pathlib.Path(mixtrack.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [k for k, d in zip(a.kwonlyargs, a.kw_defaults)
+                              if d is not None]
+                name = getattr(node, "name", "<lambda>")
+                found += [f"{path.stem}.{name}({arg.arg})" for arg in defaulted]
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found += [f"{path.stem}.{node.name}.{ast.unparse(s.target)}"
+                          for s in node.body if isinstance(s, ast.AnnAssign)]
+    return found
+
+
+def test_settable_values_stay_under_the_ceiling():
+    found = settable_values()
+    assert len(found) <= SETTABLE_CEILING, "\n".join(found)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from mixtrack import checkpoint as ck
 from mixtrack import model as mdl
+from mixtrack.data import SyntheticConfig, generate_synthetic
 from mixtrack.errors import ConfigError
+from mixtrack.train import AdamW, TrainConfig, train_stage1, train_stage2_spm
 
 
 def tiny_model(head="corner", seed=0):
@@ -95,3 +98,64 @@ class TestAssembly:
 
     def test_tokens_per_template(self):
         assert tiny_model().score.per_template == 4
+
+
+def assert_packed(model):
+    """Every parameter is a view of ``model.arena`` at its named-order
+    offset, and the ``score.*`` parameters form the tail."""
+    arena = model.arena
+    assert arena.dtype == np.float32 and arena.flags.c_contiguous
+    start = arena.__array_interface__["data"][0]
+    offset = 0
+    for name, p in model.named_params().items():
+        assert p.data.base is arena and p.data.flags.c_contiguous, name
+        assert p.data.__array_interface__["data"][0] == start + 4 * offset, name
+        offset += p.data.size
+    assert offset == arena.size
+    is_score = [name.startswith("score.") for name in model.named_params()]
+    assert any(is_score) and is_score == sorted(is_score)
+
+
+class TestArena:
+    @pytest.mark.parametrize("head", ["corner", "query"])
+    def test_parameters_view_the_arena_in_named_order(self, head):
+        assert_packed(tiny_model(head))
+
+    def test_stage_params_split_the_arena_at_the_score_head(self):
+        m = tiny_model()
+        body, body_tensors = m.stage_params(False)
+        tail, tail_tensors = m.stage_params(True)
+        assert list(map(id, body_tensors + tail_tensors)) == list(
+            map(id, m.named_params().values()))
+        assert list(map(id, tail_tensors)) == list(
+            map(id, m.score.named_params().values()))
+        start = m.arena.__array_interface__["data"][0]
+        assert body.__array_interface__["data"][0] == start
+        assert tail.__array_interface__["data"][0] == start + 4 * body.size
+        assert body.size == sum(p.data.size for p in body_tensors)
+        assert body.size + tail.size == m.arena.size
+
+    def test_layout_holds_through_training_and_loading(self):
+        m = tiny_model(seed=3)
+        data = [p.data for p in m.named_params().values()]
+
+        def unchanged():
+            assert_packed(m)
+            assert all(p.data is d for p, d in zip(m.named_params().values(), data))
+
+        for score in (False, True):
+            AdamW(*m.stage_params(score), weight_decay=1e-4, clip_norm=0.1)
+            unchanged()
+        seqs = [generate_synthetic(SyntheticConfig(frames=6), seed=s) for s in (1, 2)]
+        cfg = TrainConfig(stage1_iters=2, stage2_iters=2, batch_size=1, seed=3)
+        before = m.arena.copy()
+        train_stage1(m, seqs, cfg)
+        unchanged()
+        train_stage2_spm(m, seqs, cfg)
+        unchanged()
+        assert not np.array_equal(m.arena, before)
+        other = ck.state_dict(tiny_model(seed=4))
+        ck.load_state(m, other)
+        unchanged()
+        for name, p in m.named_params().items():
+            assert np.array_equal(p.data, other[name]), name

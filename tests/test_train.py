@@ -9,7 +9,7 @@ import pytest
 
 import mixtrack
 from mixtrack import autodiff as ad
-from mixtrack import train
+from mixtrack import nn, train
 from mixtrack.autodiff import Tape, Tensor
 from mixtrack.boxes import iou
 from mixtrack.data import Sequence, SyntheticConfig, generate_synthetic
@@ -25,6 +25,15 @@ from mixtrack.train import (
     train_stage2_spm,
     write_loss_curve,
 )
+
+
+def pair(seq, rng, template_size, search_size, **kwargs):
+    """make_training_pair with two templates, default crops, both
+    augmentations on and a gap of up to 8 frames, unless overridden."""
+    settings = dict(templates=2, crop_params=CropParams(), flip=True,
+                    brightness=True, max_gap=8)
+    return make_training_pair(seq, rng, template_size, search_size,
+                              **{**settings, **kwargs})
 
 
 def tiny_data(n=2, frames=8, translation=2.0, base_seed=100):
@@ -100,6 +109,12 @@ class PerTensorAdamW:
         return norm
 
 
+def packed_adamw(params, weight_decay, clip_norm):
+    """AdamW over a dict of tensors, packed into their own arena."""
+    arena = nn.pack(list(params.values()))
+    return AdamW(arena, params.values(), weight_decay, clip_norm)
+
+
 class TestAdamW:
     def make_params(self, rng, scale=1.0):
         return {
@@ -119,7 +134,7 @@ class TestAdamW:
         params = self.make_params(rng)
         for p in params.values():
             p.grad = np.full(p.shape, 7.0, dtype=np.float32)
-        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
+        opt = packed_adamw(params, weight_decay=1e-4, clip_norm=0.1)
         gnorm = opt.step(1e-4)
         assert gnorm <= 0.1 + 1e-6
 
@@ -128,8 +143,8 @@ class TestAdamW:
         params = self.make_params(rng)
         for p in params.values():
             p.grad = rng.normal(size=p.shape).astype(np.float32)
-        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
-        opt.clip_grads()
+        opt = packed_adamw(params, weight_decay=1e-4, clip_norm=0.1)
+        opt.step(1e-4)  # p.grad holds the clipped gradient until zero_grad
         assert self.global_norm(params) == pytest.approx(0.1, rel=1e-5)
 
     def test_small_grads_pass_through_unclipped(self):
@@ -138,8 +153,8 @@ class TestAdamW:
         for p in params.values():
             p.grad = np.full(p.shape, 1e-4, dtype=np.float32)
         before = self.global_norm(params)
-        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
-        gnorm = opt.clip_grads()
+        opt = packed_adamw(params, weight_decay=1e-4, clip_norm=0.1)
+        gnorm = opt.step(1e-4)
         assert gnorm == pytest.approx(before)
         assert self.global_norm(params) == pytest.approx(before)
 
@@ -148,7 +163,7 @@ class TestAdamW:
         rng = np.random.default_rng(3)
         params = self.make_params(rng)
         p0 = {k: p.data.copy() for k, p in params.items()}
-        opt = AdamW(params, weight_decay=1e-2, clip_norm=0.1)
+        opt = packed_adamw(params, weight_decay=1e-2, clip_norm=0.1)
         opt.step(1e-2)
         for k, p in params.items():
             expected = p0[k] - 1e-2 * (1e-2 * p0[k])
@@ -159,7 +174,7 @@ class TestAdamW:
         for _ in range(2):
             rng = np.random.default_rng(4)
             params = self.make_params(rng)
-            opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
+            opt = packed_adamw(params, weight_decay=1e-4, clip_norm=0.1)
             for i in range(5):
                 for p in params.values():
                     p.grad = (rng.normal(size=p.shape) * 0.01).astype(np.float32)
@@ -172,16 +187,20 @@ class TestAdamW:
         rng = np.random.default_rng(6)
         params = self.make_params(rng)
         before = np.concatenate([p.data.ravel() for p in params.values()])
-        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
-        assert all(p.data.base is opt.arena for p in params.values())
-        assert np.array_equal(opt.arena, before)
+        arena = nn.pack(list(params.values()))
+        assert all(p.data.base is arena for p in params.values())
+        assert np.array_equal(arena, before)
+        data = [p.data for p in params.values()]
+        opt = AdamW(arena, params.values(), weight_decay=1e-4, clip_norm=0.1)
+        assert opt.arena is arena
+        assert all(p.data is d for p, d in zip(params.values(), data))
         for p in params.values():
             p.grad = rng.normal(size=p.shape).astype(np.float32)
         opt.step(1e-4)
-        assert all(p.data.base is opt.arena for p in params.values())
-        assert np.array_equal(opt.arena, np.concatenate(
+        assert all(p.data is d for p, d in zip(params.values(), data))
+        assert np.array_equal(arena, np.concatenate(
             [p.data.ravel() for p in params.values()]))
-        assert not np.array_equal(opt.arena, before)
+        assert not np.array_equal(arena, before)
 
     @pytest.mark.parametrize("grad_scale, clipped", [(1e-3, False), (10.0, True)])
     def test_steps_match_per_tensor_reference(self, grad_scale, clipped):
@@ -190,7 +209,7 @@ class TestAdamW:
         params["c"] = Tensor(rng.normal(size=(2, 2, 3)).astype(np.float32),
                              requires_grad=True)
         ref = {k: p.data.copy() for k, p in params.items()}
-        opt = AdamW(params, weight_decay=1e-2, clip_norm=0.1)
+        opt = packed_adamw(params, weight_decay=1e-2, clip_norm=0.1)
         ref_opt = PerTensorAdamW(ref, lr=1e-2, weight_decay=1e-2, clip_norm=0.1)
         for i in range(5):
             grads = {k: (rng.normal(size=p.shape) * grad_scale).astype(np.float32)
@@ -207,27 +226,19 @@ class TestAdamW:
             else:
                 assert np.array_equal(p.data, ref[k]), k
 
-    def test_rebound_parameter_is_stepped_from_its_new_values(self):
-        rng = np.random.default_rng(8)
-        params = self.make_params(rng)
-        opt = AdamW(params, weight_decay=1e-2, clip_norm=0.1)
-        fresh = rng.normal(size=(4, 3)).astype(np.float32)
-        params["a"].data = fresh.copy()
-        opt.step(1e-2)
-        assert params["a"].data.base is opt.arena
-        np.testing.assert_array_equal(params["a"].data, fresh - 1e-2 * (1e-2 * fresh))
-
     def test_clip_norm_bits_do_not_depend_on_blas_threads(self):
         # about tiny's parameter count (237,921); OpenBLAS splits a dot
         # product this long across threads, which changes its summation order
         script = (
             "import numpy as np\n"
             "from mixtrack.autodiff import Tensor\n"
+            "from mixtrack.nn import pack\n"
             "from mixtrack.train import AdamW\n"
             "rng = np.random.default_rng(11)\n"
             "p = Tensor(np.zeros(238403, np.float32), requires_grad=True)\n"
             "p.grad = rng.normal(size=p.shape).astype(np.float32)\n"
-            "print(AdamW({'p': p}, weight_decay=1e-4, clip_norm=1e9).clip_grads().hex())\n"
+            "opt = AdamW(pack([p]), [p], weight_decay=1e-4, clip_norm=1e9)\n"
+            "print(opt.step(1e-4).hex())\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(mixtrack.__file__)))
         norms = []
@@ -238,24 +249,18 @@ class TestAdamW:
             norms.append(run.stdout.strip())
         assert norms[0] == norms[1]
 
-    def test_mixed_parameter_dtypes_rejected(self):
-        params = {"a": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
-                  "b": Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)}
-        with pytest.raises(ConfigError):
-            AdamW(params, weight_decay=1e-4, clip_norm=0.1)
-
     def test_zero_grad_clears(self):
         rng = np.random.default_rng(5)
         params = self.make_params(rng)
         for p in params.values():
             p.grad = np.ones(p.shape, dtype=np.float32)
-        AdamW(params, weight_decay=1e-4, clip_norm=0.1).zero_grad()
+        packed_adamw(params, weight_decay=1e-4, clip_norm=0.1).zero_grad()
         assert all(p.grad is None for p in params.values())
 
     def test_holds_only_arena_and_moments_between_steps(self):
         rng = np.random.default_rng(9)
         params = self.make_params(rng)
-        opt = AdamW(params, weight_decay=1e-4, clip_norm=0.1)
+        opt = packed_adamw(params, weight_decay=1e-4, clip_norm=0.1)
         for p in params.values():
             p.grad = rng.normal(size=p.shape).astype(np.float32)
         opt.step(1e-4)
@@ -276,7 +281,7 @@ class TestTrainingPairs:
     def test_shapes_and_range(self):
         seq = tiny_data(1)[0]
         rng = np.random.default_rng(0)
-        tmpl, patch, box = make_training_pair(seq, rng, 32, 64, templates=2)
+        tmpl, patch, box = pair(seq, rng, 32, 64)
         assert tmpl.shape == (2, 3, 32, 32)
         assert patch.shape == (3, 64, 64)
         assert tmpl.dtype == np.float32 and patch.dtype == np.float32
@@ -296,10 +301,10 @@ class TestTrainingPairs:
         seq = tiny_data(1)[0]
         seen_flip, seen_same = 0, 0
         for seed in range(20):
-            base = make_training_pair(
+            base = pair(
                 seq, np.random.default_rng(seed), 32, 64,
                 flip=False, brightness=False)[2]
-            got = make_training_pair(
+            got = pair(
                 seq, np.random.default_rng(seed), 32, 64,
                 flip=True, brightness=False)[2]
             if np.array_equal(got, base):
@@ -312,10 +317,10 @@ class TestTrainingPairs:
     def test_brightness_changes_pixels_never_the_box(self):
         seq = tiny_data(1)[0]
         for seed in range(5):
-            t0, p0, b0 = make_training_pair(
+            t0, p0, b0 = pair(
                 seq, np.random.default_rng(seed), 32, 64,
                 flip=False, brightness=False)
-            t1, p1, b1 = make_training_pair(
+            t1, p1, b1 = pair(
                 seq, np.random.default_rng(seed), 32, 64,
                 flip=False, brightness=True)
             assert np.array_equal(b0, b1)
@@ -338,7 +343,7 @@ class TestTrainingPairs:
         real_crop_search = train.crop_search
         monkeypatch.setattr(train, "crop_search", crop_search)
         for seed in range(5):
-            _, _, box = make_training_pair(
+            _, _, box = pair(
                 seq, np.random.default_rng(seed), 32, 64,
                 flip=False, brightness=False)
             back = affines[-1].box_to_frame(tuple(v * 64.0 for v in box))
@@ -351,7 +356,7 @@ class TestTrainingPairs:
               (6.0, 6.0, 10.0, 10.0)]
         seq = Sequence(frames=frames, gt=gt, name="bad-middle")
         for seed in range(50):
-            _, _, box = make_training_pair(
+            _, _, box = pair(
                 seq, np.random.default_rng(seed), 16, 32, max_gap=2)
             assert box[2] > box[0] and box[3] > box[1]
 
@@ -359,7 +364,7 @@ class TestTrainingPairs:
         frames = [np.zeros((40, 40, 3), dtype=np.uint8) for _ in range(2)]
         seq = Sequence(frames=frames, gt=[(5.0, 5.0, 0.0, 0.0)] * 2, name="bad")
         with pytest.raises(UsageError, match="no usable ground truth"):
-            make_training_pair(seq, np.random.default_rng(0), 16, 32)
+            pair(seq, np.random.default_rng(0), 16, 32)
 
     def test_negative_boxes_undershoot_the_iou_cutoff(self):
         rng = np.random.default_rng(7)
@@ -501,8 +506,7 @@ class TestStage1:
         AdamW that keeps its buffers, reach about 1.87x."""
         model = build_model("tiny", seed=10)
         cfg = self.small_cfg()
-        opt = AdamW({k: p for k, p in model.named_params().items()
-                     if not k.startswith("score.")}, cfg.weight_decay, cfg.clip_norm)
+        opt = AdamW(*model.stage_params(False), cfg.weight_decay, cfg.clip_norm)
         batch = train._stage1_batch(model, tiny_data(), np.random.default_rng(10),
                                     cfg, CropParams())
         opt.zero_grad()
