@@ -5,7 +5,7 @@ heads regress the box, a score head judges template quality, and the
 tracking loop refreshes online templates from high-confidence frames.
 """
 
-from .autodiff import Tape, Tensor, grad_check
+from .autodiff import Tape, Tensor
 from .checkpoint import load_checkpoint, load_state, save_checkpoint, state_dict
 from .config import RunConfig, load_run_config, parse_run_config
 from .data import (
@@ -44,7 +44,6 @@ __all__ = [
     "TrainConfig",
     "build_model",
     "generate_synthetic",
-    "grad_check",
     "load_checkpoint",
     "load_run_config",
     "load_sequence",

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
+from .autodiff import _conv_out_extent
 from .errors import ConfigError, LayoutError
 
 FULL_MIXED = "full"
@@ -53,11 +54,6 @@ def check_mode(mode):
     if mode not in _MODES:
         raise ConfigError(f"attention mode must be one of {_MODES}, got {mode!r}")
     return mode
-
-
-def _half(n):
-    # output extent of a kernel-3 / stride-2 / pad-1 convolution
-    return (n - 1) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,8 @@ class TokenLayout:
 
     def halved(self):
         """Layout of the stride-2 projected key/value grids."""
-        return replace(self, t=_half(self.t), s=_half(self.s))
+        return replace(self, t=_conv_out_extent(self.t, 3, 2, 1),
+                       s=_conv_out_extent(self.s, 3, 2, 1))
 
 
 class MixedAttention(nn.Module):
@@ -179,11 +176,11 @@ def _weights(q, k, heads, split):
 class MAMBlock(nn.Module):
     """Pre-norm residual block: x + Attn(LN(x)), then y + MLP(LN(y))."""
 
-    def __init__(self, dim, heads, mlp_ratio, rng, mode):
+    def __init__(self, dim, heads, rng, mode):
         self.norm1 = nn.LayerNorm(dim)
         self.attn = MixedAttention(dim, heads, rng, mode)
         self.norm2 = nn.LayerNorm(dim)
-        self.mlp = nn.Mlp(dim, mlp_ratio, rng)
+        self.mlp = nn.Mlp(dim, rng)
 
     def __call__(self, x, layout, extra=0, kv=None, search=True):
         """One block over the regions x holds (see ``MixedAttention``).

@@ -28,7 +28,7 @@ import threading
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, GradCheckError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, UsageError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -52,10 +52,9 @@ class Tape:
     threads never interact (the active-tape stack is thread-local).
     """
 
-    def __init__(self, check_finite=False):
+    def __init__(self):
         self._entries = []
         self._consumed = False
-        self.check_finite = check_finite
 
     def __enter__(self):
         _tls.stack.append(self)
@@ -74,8 +73,6 @@ class Tape:
         return len(self._entries)
 
     def record(self, name, out, inputs, vjp):
-        if self.check_finite and not np.all(np.isfinite(out.data)):
-            raise GradCheckError(f"non-finite values produced by op '{name}'")
         self._entries.append((name, out, inputs, vjp))
 
     def backward(self, loss):
@@ -130,13 +127,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -163,9 +158,6 @@ class Tensor:
 
     def numpy(self):
         return self.data
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -1001,65 +993,3 @@ def depthwise_conv2d(x, grids, w, b=None, stride=1, pad=0):
         return (gx, gw) if bias is None else (gx, gw, gb)
 
     return _record("depthwise_conv2d", out, inputs, vjp)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def _rel_err(a, n, atol):
-    """Relative error, after discounting ``atol`` of absolute disagreement.
-
-    Central differences carry rounding noise of order eps * |f| / h, so an
-    element whose true gradient sits near that floor shows a large relative
-    error no matter how exact the analytic value is.
-    """
-    diff = np.maximum(np.abs(a - n) - atol, 0.0)
-    scale = np.maximum(np.abs(a), np.abs(n))
-    return diff / np.where(scale < 1e-7, 1.0, scale)
-
-
-def grad_check(f, params, h=1e-5):
-    """Compare analytic gradients of scalar ``f()`` against central differences.
-
-    ``params`` maps names to float64 leaf Tensors that ``f`` closes over.
-    Returns {name: max relative error}, 0.0 for an empty parameter; raises
-    GradCheckError on non-finite values.
-    """
-    for name, p in params.items():
-        if not np.all(np.isfinite(p.data)):
-            raise GradCheckError(f"parameter '{name}' is non-finite")
-        p.data = np.ascontiguousarray(p.data)
-        p.zero_grad()
-    with Tape(check_finite=True) as tape:
-        loss = f()
-        tape.backward(loss)
-    eps = np.finfo(np.float64).eps
-    atol = 32.0 * eps * max(abs(loss.item()), 1.0) / h
-    analytic = {}
-    for name, p in params.items():
-        if p.grad is None:
-            analytic[name] = np.zeros_like(p.data)
-        else:
-            if not np.all(np.isfinite(p.grad)):
-                raise GradCheckError(f"gradient of '{name}' is non-finite")
-            analytic[name] = p.grad.copy()
-        p.zero_grad()
-
-    report = {}
-    for name, p in params.items():
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = f().item()
-            flat[i] = orig - h
-            lo = f().item()
-            flat[i] = orig
-            numeric[i] = (hi - lo) / (2.0 * h)
-        if not np.all(np.isfinite(numeric)):
-            raise GradCheckError(f"numeric gradient of '{name}' is non-finite")
-        err = _rel_err(analytic[name].reshape(-1), numeric, atol)
-        report[name] = float(err.max()) if err.size else 0.0
-    return report

@@ -29,7 +29,6 @@ from .errors import ConfigError, ShapeError
 PRESET_NAMES = ("mixformer", "mixformer_l", "tiny")
 # (kernel, stride) of each stage's overlapped patch embedding
 _EMBED = ((7, 4), (3, 2), (3, 2))
-_MLP_RATIO = 4  # hidden width of each block's MLP, per token dimension
 
 
 def _part(x, start, stop, axis):
@@ -146,7 +145,7 @@ def count_params_flops(config):
         per_block = 4 * d                   # the two block norms
         per_block += 3 * d * 9 + 2 * d      # depth-wise q/k/v (kernel 3), no k bias
         per_block += 4 * d * d + 3 * d      # wq, wk, wv, wo, no wk bias
-        hidden = _MLP_RATIO * d
+        hidden = nn.MLP_RATIO * d
         per_block += d * hidden + hidden + hidden * d + d
         params += stage.blocks * per_block
 
@@ -194,7 +193,7 @@ class Stage(nn.Module):
         self.layout = layout
         self.embed = PatchEmbed(c_in, cfg.dim, *embed, rng)
         self.block = [
-            MAMBlock(cfg.dim, cfg.heads, _MLP_RATIO, rng, mode=mode)
+            MAMBlock(cfg.dim, cfg.heads, rng, mode=mode)
             for _ in range(cfg.blocks)
         ]
 

@@ -73,7 +73,7 @@ def cmd_train(args):
     return 0
 
 
-def _load_model(checkpoint_path, config_path=None):
+def _load_model(checkpoint_path, config_path):
     arrays, text = load_checkpoint(checkpoint_path)
     if config_path is not None:
         cfg = load_run_config(config_path)

@@ -29,7 +29,3 @@ class ParseError(ValueError):
 
 class CheckpointError(IOError):
     """A checkpoint file is malformed, truncated, or fails its CRC."""
-
-
-class GradCheckError(RuntimeError):
-    """A non-finite value appeared while checking gradients."""

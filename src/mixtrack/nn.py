@@ -16,6 +16,7 @@ from .autodiff import Tensor
 
 
 _STD = 0.02  # trunc_normal's standard deviation
+MLP_RATIO = 4  # hidden width of each block's MLP, per token dimension
 
 
 def trunc_normal(rng, shape):
@@ -140,11 +141,12 @@ class BatchNormFrozen(Module):
 
 
 class Mlp(Module):
-    """Two-layer feed-forward block with GELU, expansion ratio R."""
+    """Two-layer feed-forward block with GELU, ``MLP_RATIO`` times wider
+    inside."""
 
-    def __init__(self, dim, ratio, rng):
-        self.fc1 = Linear(dim, dim * ratio, rng)
-        self.fc2 = Linear(dim * ratio, dim, rng)
+    def __init__(self, dim, rng):
+        self.fc1 = Linear(dim, dim * MLP_RATIO, rng)
+        self.fc2 = Linear(dim * MLP_RATIO, dim, rng)
 
     def __call__(self, x):
         return self.fc2(ad.gelu(self.fc1(x)))

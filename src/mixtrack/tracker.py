@@ -1,11 +1,12 @@
 """Online tracking loop: crop, forward, map back, score, update templates.
 
-The tracker holds one static template fixed at init plus N online template
-slots.  Every frame it crops a search region around the previous box, runs
-the model, maps the predicted box back through the exact affine crop
-mapping, and scores the prediction.  The best-scoring candidate crop within
-an update interval replaces the oldest online slot at the boundary, but only
-if its score clears the threshold.
+A ``Tracker`` is a policy over one model; a ``TrackerState`` is one
+sequence: its template stack (the static crop fixed at init, then N online
+slots) and, when templates are cached, that stack's features.  Every frame
+crops a search region around the previous box, runs the model, maps the
+predicted box back through the exact affine crop mapping, and scores it.
+The interval's best-scoring candidate crop replaces the oldest online slot
+at the boundary if its score clears the threshold, which drops the cache.
 """
 
 import math
@@ -169,34 +170,36 @@ def crop_search(frame, prev_box, params, out_size):
 
 @dataclass
 class TrackerState:
-    first_template: np.ndarray
-    online_templates: list
+    templates: np.ndarray  # [1, T, 3, h, w]: static crop, then online slots oldest first
     prev_box: tuple
     frame_index: int = 0
-    interval_counter: int = 0
     best_candidate: tuple = None  # (crop, score, frame_index)
+    cache: object = None  # TemplateCache of templates, when the tracker caches
     mutation_frames: list = field(default_factory=list)
 
 
 def maybe_update_template(state, threshold):
     """Install the interval's best candidate if it clears the threshold.
 
-    The oldest online slot is replaced (slots are kept oldest-first), then
-    the candidate record and interval counter reset.
+    The oldest online row is dropped (rows are kept oldest-first), the
+    candidate fills the last row and the stale cache goes; then the
+    candidate record resets.
     """
     cand = state.best_candidate
-    if cand is not None and cand[1] >= threshold and state.online_templates:
-        state.online_templates.pop(0)
-        state.online_templates.append(cand[0])
+    online = state.templates[0, 1:]
+    if cand is not None and cand[1] >= threshold and len(online):
+        online[:-1] = online[1:]
+        online[-1] = cand[0]
+        state.cache = None
         state.mutation_frames.append(cand[2])
     state.best_candidate = None
-    state.interval_counter = 0
     return state
 
 
 class Tracker:
-    """Drives one model over one sequence.  The model is never mutated, so
-    any number of Tracker instances may share it."""
+    """Drives one model over sequences.  It holds no per-sequence state and
+    mutates neither itself nor the model, so any number of states may share
+    it; each state is stepped by Trackers of one model and caching setting."""
 
     def __init__(
         self,
@@ -206,18 +209,14 @@ class Tracker:
         score_threshold=0.5,
         use_template_cache=False,
     ):
-        cfg = model.config
         _check_update(update_interval, score_threshold)
-        if use_template_cache and cfg.mode != "asymmetric":
+        if use_template_cache and model.config.mode != "asymmetric":
             raise ConfigError("template caching requires asymmetric attention")
         self.model = model
         self.params = params
         self.update_interval = update_interval
         self.score_threshold = score_threshold
         self.use_template_cache = use_template_cache
-        self.online_slots = cfg.templates - 1
-        self._cache = None
-        self._cache_key = None
 
     # ------------------------------------------------------------------
 
@@ -235,26 +234,16 @@ class Tracker:
         )
         if box[2] - box[0] <= 0 or box[3] - box[1] <= 0:
             raise UsageError(f"cannot initialize from an empty box {box}")
-        t_size = self.model.config.template_size
-        crop = crop_template(frame, box, self.params.template_factor, t_size)
-        return TrackerState(
-            first_template=crop,
-            online_templates=[crop.copy() for _ in range(self.online_slots)],
-            prev_box=box,
-        )
-
-    def _templates(self, state):
-        stack = [state.first_template] + list(state.online_templates)
-        return np.stack(stack)[None]
+        cfg = self.model.config
+        crop = crop_template(frame, box, self.params.template_factor,
+                             cfg.template_size)
+        templates = np.repeat(crop[None, None], cfg.templates, axis=1)
+        return TrackerState(templates=templates, prev_box=box)
 
     def _forward(self, state, patch):
-        templates = self._templates(state)
-        if self.use_template_cache:
-            key = templates.tobytes()
-            if self._cache_key != key:
-                self._cache = self.model.backbone.forward_template(templates)
-                self._cache_key = key
-        return self.model.forward_box(templates, patch[None], self._cache)
+        if self.use_template_cache and state.cache is None:
+            state.cache = self.model.backbone.forward_template(state.templates)
+        return self.model.forward_box(state.templates, patch[None], state.cache)
 
     def step(self, state, frame):
         """One frame: returns (box in frame pixels, score)."""
@@ -290,8 +279,7 @@ class Tracker:
         state.frame_index += 1
         if state.best_candidate is None or score > state.best_candidate[1]:
             state.best_candidate = (candidate(), score, state.frame_index)
-        state.interval_counter += 1
-        if state.interval_counter >= self.update_interval:
+        if state.frame_index % self.update_interval == 0:
             maybe_update_template(state, self.score_threshold)
         state.prev_box = frame_box
 

@@ -6,6 +6,8 @@ from mixtrack import autodiff as ad
 from mixtrack.autodiff import Tensor
 from mixtrack.errors import ConfigError, LayoutError, ShapeError
 
+from gradcheck import grad_check
+
 
 def brute_force_attention(q, k, v, d, masked_cols=()):
     """Scalar-loop softmax attention used as the oracle."""
@@ -314,7 +316,7 @@ def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch, extra):
 
     def output_and_grads(f):
         for p in params.values():
-            p.zero_grad()
+            p.grad = None
         x = Tensor(x0, requires_grad=True)
         with ad.Tape() as tape:
             y = f(x)
@@ -375,7 +377,7 @@ def test_block_preserves_length():
         (att.TokenLayout(1, 3, 5, 8), 0),
         (small_layout(), 1),
     ]:
-        block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
+        block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
         x = Tensor(rng.normal(size=(1, lay.total + extra, lay.dim)).astype(np.float32))
         y, _ = block(x, lay, extra=extra)
         assert y.shape == x.shape
@@ -384,7 +386,7 @@ def test_block_preserves_length():
 def test_block_layout_mismatch_raises():
     rng = np.random.default_rng(11)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     with pytest.raises(LayoutError):
         block(Tensor(np.zeros((1, lay.total + 3, lay.dim), dtype=np.float32)), lay)
 
@@ -392,7 +394,7 @@ def test_block_layout_mismatch_raises():
 def test_block_zero_output_projection_leaves_mlp_path():
     rng = np.random.default_rng(12)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     block.attn.wo.w.data[:] = 0.0
     block.attn.wo.b.data[:] = 0.0
     x = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
@@ -404,7 +406,7 @@ def test_block_zero_output_projection_leaves_mlp_path():
 def test_block_asymmetric_template_rows_ignore_search():
     rng = np.random.default_rng(13)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.ASYMMETRIC)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.ASYMMETRIC)
     x = rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32)
     y1 = block(Tensor(x), lay)[0].numpy()
     x2 = x.copy()
@@ -417,7 +419,7 @@ def test_block_asymmetric_template_rows_ignore_search():
 def test_block_extra_token_is_query_only():
     rng = np.random.default_rng(14)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     x = rng.normal(size=(1, lay.total + 1, lay.dim)).astype(np.float32)
     y1 = block(Tensor(x), lay, extra=1)[0].numpy()
     x2 = x.copy()
@@ -429,7 +431,7 @@ def test_block_extra_token_is_query_only():
 def test_block_full_gradients_match_finite_differences():
     rng = np.random.default_rng(15)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=1, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     params = block.named_params()
     for p in params.values():
         p.data = p.data.astype(np.float64)
@@ -439,7 +441,7 @@ def test_block_full_gradients_match_finite_differences():
         y, _ = block(x, lay)
         return ad.sum_(ad.mul(y, y))
 
-    report = ad.grad_check(f, params, h=1e-5)
+    report = grad_check(f, params, h=1e-5)
     assert max(report.values()) < 1e-4, report
 
 
@@ -450,7 +452,7 @@ def test_block_full_gradients_match_finite_differences():
 def test_dump_slices_partition_each_query_row():
     rng = np.random.default_rng(16)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     tokens = Tensor(rng.normal(size=(lay.total, lay.dim)).astype(np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == set(att.DUMP_NAMES)
@@ -467,7 +469,7 @@ def test_dump_slices_partition_each_query_row():
 def test_dump_asymmetric_template_weights_cover_templates_only():
     rng = np.random.default_rng(17)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.ASYMMETRIC)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.ASYMMETRIC)
     tokens = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
     wt, ws = block.attention_weights(tokens, lay)
     half = lay.halved()
@@ -479,7 +481,7 @@ def test_dump_asymmetric_template_weights_cover_templates_only():
 def test_dump_uniform_tokens_give_uniform_maps():
     rng = np.random.default_rng(18)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     tokens = Tensor(np.full((lay.total, lay.dim), 0.25, dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     for name, m in maps.items():
@@ -489,7 +491,7 @@ def test_dump_uniform_tokens_give_uniform_maps():
 def test_dump_online_maps_need_two_templates():
     rng = np.random.default_rng(19)
     lay = att.TokenLayout(1, 2, 4, 8)
-    block = att.MAMBlock(lay.dim, heads=2, mlp_ratio=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
     tokens = Tensor(np.zeros((lay.total, lay.dim), dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == {"search_to_template", "search_to_search"}

@@ -11,7 +11,9 @@ import pytest
 
 from mixtrack import autodiff as ad
 from mixtrack.autodiff import Tape, Tensor
-from mixtrack.errors import ConfigError, GradCheckError, ShapeError, UsageError
+from mixtrack.errors import ConfigError, ShapeError, UsageError
+
+from gradcheck import GradCheckError, grad_check
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +163,13 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_matmul_grad_matches_central_difference():
     rng = np.random.default_rng(1)
-    a = Tensor(rng.normal(size=(3, 4)), dtype=np.float64, requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), dtype=np.float64, requires_grad=True)
+    a = Tensor(np.asarray(rng.normal(size=(3, 4)), np.float64), requires_grad=True)
+    b = Tensor(np.asarray(rng.normal(size=(4, 2)), np.float64), requires_grad=True)
 
     def f():
         return ad.sum_(ad.matmul(a, b))
 
-    report = ad.grad_check(f, {"a": a, "b": b}, h=1e-5)
+    report = grad_check(f, {"a": a, "b": b}, h=1e-5)
     assert max(report.values()) < 1e-6, report
     # grad of sum(A.B) wrt A in closed form is ones @ B^T
     with Tape() as tape:
@@ -177,14 +179,14 @@ def test_matmul_grad_matches_central_difference():
 
 def test_matmul_batched_broadcast_grad():
     rng = np.random.default_rng(2)
-    a = Tensor(rng.normal(size=(5, 3, 4)), dtype=np.float64, requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), dtype=np.float64, requires_grad=True)
+    a = Tensor(np.asarray(rng.normal(size=(5, 3, 4)), np.float64), requires_grad=True)
+    b = Tensor(np.asarray(rng.normal(size=(4, 2)), np.float64), requires_grad=True)
 
     def f():
         y = ad.matmul(a, b)
         return ad.sum_(ad.mul(y, y))
 
-    report = ad.grad_check(f, {"a": a, "b": b}, h=1e-5)
+    report = grad_check(f, {"a": a, "b": b}, h=1e-5)
     assert max(report.values()) < 1e-6, report
 
 
@@ -205,7 +207,7 @@ def test_softmax_huge_logits_no_overflow():
 
 
 def test_softmax_ln2_case():
-    y = ad.softmax(Tensor([np.log(2.0), 0.0], dtype=np.float64)).numpy()
+    y = ad.softmax(Tensor(np.asarray([np.log(2.0), 0.0], np.float64))).numpy()
     np.testing.assert_allclose(y, [2 / 3, 1 / 3], atol=1e-12)
 
 
@@ -403,8 +405,8 @@ def test_gelu_at_zero():
     np.testing.assert_allclose(x.grad, 0.5, atol=1e-12)
     # central difference at the same point
     h = 1e-6
-    fd = (ad.gelu(Tensor([h], dtype=np.float64)).numpy()[0]
-          - ad.gelu(Tensor([-h], dtype=np.float64)).numpy()[0]) / (2 * h)
+    fd = (ad.gelu(Tensor(np.asarray([h], np.float64))).numpy()[0]
+          - ad.gelu(Tensor(np.asarray([-h], np.float64))).numpy()[0]) / (2 * h)
     np.testing.assert_allclose(fd, 0.5, atol=1e-9)
 
 
@@ -429,7 +431,7 @@ def _output_and_grads(op, leaves):
     with Tape() as tape:
         y = op(*leaves)
         upstream = np.linspace(-1.0, 1.0, y.size).reshape(y.shape)
-        tape.backward(ad.sum_(ad.mul(y, Tensor(upstream, dtype=y.dtype))))
+        tape.backward(ad.sum_(ad.mul(y, Tensor(np.asarray(upstream, y.dtype)))))
     return [y.numpy()] + [t.grad for t in leaves]
 
 
@@ -505,10 +507,10 @@ def test_edge_pad_equals_numpy_edge_mode(shape):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 1), (2, 2, 3)])
 def test_edge_pad_gradient_on_thin_maps(shape):
     rng = np.random.default_rng(31)
-    x = Tensor(rng.uniform(-1.0, 1.0, size=shape), dtype=np.float64, requires_grad=True)
-    w = Tensor(rng.uniform(-1.0, 1.0, size=shape[:-2] + (shape[-2] + 2, shape[-1] + 2)),
-               dtype=np.float64)
-    report = ad.grad_check(lambda: ad.sum_(ad.mul(ad.edge_pad(x), w)), {"x": x})
+    x = Tensor(np.asarray(rng.uniform(-1.0, 1.0, size=shape), np.float64), requires_grad=True)
+    w = Tensor(np.asarray(rng.uniform(-1.0, 1.0, size=shape[:-2] + (shape[-2] + 2, shape[-1] + 2)),
+                          np.float64))
+    report = grad_check(lambda: ad.sum_(ad.mul(ad.edge_pad(x), w)), {"x": x})
     assert max(report.values()) < 1e-6, report
 
 
@@ -653,14 +655,14 @@ def test_getitem_scatters_grad():
 
 
 def test_getitem_repeated_index_accumulates_grad():
-    x = Tensor(np.zeros(3), dtype=np.float64, requires_grad=True)
+    x = Tensor(np.zeros(3, np.float64), requires_grad=True)
     with Tape() as tape:
         tape.backward(ad.sum_(x[[0, 0, 1]]))
     np.testing.assert_array_equal(x.grad, [2.0, 1.0, 0.0])
 
 
 def test_getitem_repeated_index_pairs_accumulate_grad():
-    x = Tensor(np.zeros((2, 3)), dtype=np.float64, requires_grad=True)
+    x = Tensor(np.zeros((2, 3), np.float64), requires_grad=True)
     with Tape() as tape:
         tape.backward(ad.sum_(x[np.array([1, 1, 0]), 1:]))
     np.testing.assert_array_equal(x.grad, [[0, 1, 1], [0, 2, 2]])
@@ -1046,7 +1048,7 @@ def _fd_case(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
 
     def t(shape, lo=-1.0, hi=1.0):
-        return Tensor(rng.uniform(lo, hi, size=shape), dtype=np.float64, requires_grad=True)
+        return Tensor(np.asarray(rng.uniform(lo, hi, size=shape), np.float64), requires_grad=True)
 
     if name == "add":
         a, b = t((3, 4)), t((4,))
@@ -1062,13 +1064,13 @@ def _fd_case(name):
         return {"a": a, "b": b}, lambda: ad.sum_(ad.div(a, b))
     if name == "maximum":
         a = t((3, 3))
-        b = Tensor(a.numpy() + rng.choice([-1.0, 1.0], size=(3, 3)) * 0.5,
-                   dtype=np.float64, requires_grad=True)
+        b = Tensor(np.asarray(a.numpy() + rng.choice([-1.0, 1.0], size=(3, 3)) * 0.5, np.float64),
+                   requires_grad=True)
         return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.maximum(a, b), y))
     if name == "minimum":
         a = t((3, 3))
-        b = Tensor(a.numpy() + rng.choice([-1.0, 1.0], size=(3, 3)) * 0.5,
-                   dtype=np.float64, requires_grad=True)
+        b = Tensor(np.asarray(a.numpy() + rng.choice([-1.0, 1.0], size=(3, 3)) * 0.5, np.float64),
+                   requires_grad=True)
         return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.minimum(a, b), y))
     if name == "neg":
         a = t((4,))
@@ -1080,8 +1082,9 @@ def _fd_case(name):
         a = t((3, 2), lo=0.2, hi=1.0)
         return {"a": a}, lambda: ad.sum_(ad.abs_(ad.neg(a)))
     if name == "relu":
-        a = Tensor(rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(0.2, 1.0, (4, 4)),
-                   dtype=np.float64, requires_grad=True)
+        a = Tensor(np.asarray(rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(0.2, 1.0, (4, 4)),
+                              np.float64),
+                   requires_grad=True)
         return {"a": a}, lambda: ad.sum_(ad.relu(a))
     if name == "sigmoid":
         a = t((3, 3), lo=-2.0, hi=2.0)
@@ -1090,8 +1093,9 @@ def _fd_case(name):
         a = t((3, 3), lo=-2.0, hi=2.0)
         return {"a": a}, lambda: ad.sum_(ad.gelu(a))
     if name == "clamp":
-        a = Tensor(rng.choice([-1.0, 1.0], size=(5,)) * rng.uniform(0.6, 1.0, 5),
-                   dtype=np.float64, requires_grad=True)
+        a = Tensor(np.asarray(rng.choice([-1.0, 1.0], size=(5,)) * rng.uniform(0.6, 1.0, 5),
+                              np.float64),
+                   requires_grad=True)
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.clamp(a, -0.8, 0.8), y))
     if name == "sum_axis":
         a = t((2, 3, 4))
@@ -1175,7 +1179,7 @@ CASE_FUNCTIONS = {
     "take_repeated": "take", "attention_split": "attention",
 }
 # public functions that are not ops: they record nothing of their own
-NOT_OPS = {"as_tensor", "grad_check"}
+NOT_OPS = {"as_tensor"}
 
 
 def _public_functions():
@@ -1194,8 +1198,8 @@ def test_every_public_autodiff_function_has_a_finite_difference_case():
 
 
 # public functions that no other package module calls: ``take`` is reached
-# through ``Tensor.__getitem__``, and ``grad_check`` is the test utility
-UNCALLED = {"take", "grad_check"}
+# through ``Tensor.__getitem__``
+UNCALLED = {"take"}
 
 
 def _autodiff_calls(path):
@@ -1264,13 +1268,12 @@ def _set_parameters(name, call):
 
 def test_every_defaulted_autodiff_parameter_is_set_by_the_package():
     """No op parameter lives on for tests alone: each one with a default is
-    passed another value by some call under the package; ``grad_check`` is
-    the test utility."""
+    passed another value by some call under the package."""
     set_by_package = {(name, p) for path in _package_modules()
                       for name, call in _autodiff_calls(path)
                       for p in _set_parameters(name, call)}
     defaulted = {
-        (name, p.name) for name in _public_functions() - {"grad_check"}
+        (name, p.name) for name in _public_functions()
         for p in inspect.signature(getattr(ad, name)).parameters.values()
         if p.default is not inspect.Parameter.empty
     }
@@ -1280,7 +1283,7 @@ def test_every_defaulted_autodiff_parameter_is_set_by_the_package():
 @pytest.mark.parametrize("op", ALL_OPS)
 def test_op_gradient_matches_finite_difference(op):
     params, f = _fd_case(op)
-    report = ad.grad_check(f, params, h=1e-5)
+    report = grad_check(f, params, h=1e-5)
     assert max(report.values()) < 1e-4, f"{op}: {report}"
 
 
@@ -1288,7 +1291,7 @@ def test_op_gradient_matches_finite_difference(op):
 def test_depthwise_gradient_matches_finite_difference(stride, pad):
     rng = np.random.default_rng(26)
     x, w, b = (
-        Tensor(rng.uniform(-1.0, 1.0, size=shape), dtype=np.float64, requires_grad=True)
+        Tensor(np.asarray(rng.uniform(-1.0, 1.0, size=shape), np.float64), requires_grad=True)
         for shape in ((2, 3, 2 * 9 + 30), (3, 3, 3), (3,))
     )
 
@@ -1298,7 +1301,7 @@ def test_depthwise_gradient_matches_finite_difference(stride, pad):
                                 stride=stride, pad=pad)
         return ad.sum_(ad.mul(y, y))
 
-    report = ad.grad_check(f, {"x": x, "w": w, "b": b}, h=1e-5)
+    report = grad_check(f, {"x": x, "w": w, "b": b}, h=1e-5)
     assert max(report.values()) < 1e-4, report
 
 
@@ -1308,56 +1311,56 @@ def test_depthwise_gradient_matches_finite_difference(stride, pad):
 
 def test_grad_check_linear_layer_tight():
     rng = np.random.default_rng(10)
-    x = Tensor(rng.normal(size=(5, 4)), dtype=np.float64)
-    w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64, requires_grad=True)
-    b = Tensor(rng.normal(size=3), dtype=np.float64, requires_grad=True)
+    x = Tensor(np.asarray(rng.normal(size=(5, 4)), np.float64))
+    w = Tensor(np.asarray(rng.normal(size=(4, 3)), np.float64), requires_grad=True)
+    b = Tensor(np.asarray(rng.normal(size=3), np.float64), requires_grad=True)
 
     def f():
         y = ad.linear(x, w, b)
         return ad.sum_(ad.mul(y, y))
 
-    assert max(ad.grad_check(f, {"w": w, "b": b}, h=1e-5).values()) < 1e-6
+    assert max(grad_check(f, {"w": w, "b": b}, h=1e-5).values()) < 1e-6
 
 
 def test_grad_check_attention_core():
     rng = np.random.default_rng(11)
-    q = Tensor(rng.normal(size=(4, 6)), dtype=np.float64, requires_grad=True)
-    k = Tensor(rng.normal(size=(5, 6)), dtype=np.float64, requires_grad=True)
-    v = Tensor(rng.normal(size=(5, 6)), dtype=np.float64, requires_grad=True)
+    q = Tensor(np.asarray(rng.normal(size=(4, 6)), np.float64), requires_grad=True)
+    k = Tensor(np.asarray(rng.normal(size=(5, 6)), np.float64), requires_grad=True)
+    v = Tensor(np.asarray(rng.normal(size=(5, 6)), np.float64), requires_grad=True)
 
     def f():
         logits = ad.mul(ad.matmul(q, ad.transpose(k, (1, 0))), 1.0 / np.sqrt(6.0))
         return ad.sum_(ad.matmul(ad.softmax(logits), v))
 
-    report = ad.grad_check(f, {"q": q, "k": k, "v": v}, h=1e-5)
+    report = grad_check(f, {"q": q, "k": k, "v": v}, h=1e-5)
     assert max(report.values()) < 1e-5, report
 
 
 def test_grad_check_catches_corrupted_backward():
     rng = np.random.default_rng(12)
-    x = Tensor(rng.uniform(0.5, 1.5, size=4), dtype=np.float64, requires_grad=True)
+    x = Tensor(np.asarray(rng.uniform(0.5, 1.5, size=4), np.float64), requires_grad=True)
 
     def bad_square(t):
         out = Tensor(t.data * t.data)
         # wrong on purpose: drops the factor of two
         return ad._record("bad_square", out, (t,), lambda g: (g * t.data,))
 
-    report = ad.grad_check(lambda: ad.sum_(bad_square(x)), {"x": x})
+    report = grad_check(lambda: ad.sum_(bad_square(x)), {"x": x})
     assert max(report.values()) >= 1e-4
 
 
 def test_grad_check_nonfinite_names_op():
-    x = Tensor(np.array([-1.0]), dtype=np.float64, requires_grad=True)
+    x = Tensor(np.array([-1.0], np.float64), requires_grad=True)
     with np.errstate(invalid="ignore"):
         with pytest.raises(GradCheckError) as exc:
-            ad.grad_check(lambda: ad.sum_(ad.log(x)), {"x": x})
+            grad_check(lambda: ad.sum_(ad.log(x)), {"x": x})
     assert "log" in str(exc.value)
 
 
 def test_grad_check_unused_param_reports_zero():
-    x = Tensor(np.ones(2), dtype=np.float64, requires_grad=True)
-    unused = Tensor(np.ones(2), dtype=np.float64, requires_grad=True)
-    report = ad.grad_check(lambda: ad.sum_(ad.mul(x, x)), {"x": x, "unused": unused})
+    x = Tensor(np.ones(2, np.float64), requires_grad=True)
+    unused = Tensor(np.ones(2, np.float64), requires_grad=True)
+    report = grad_check(lambda: ad.sum_(ad.mul(x, x)), {"x": x, "unused": unused})
     assert max(report.values()) < 1e-6
     assert report["unused"] == 0.0
 

@@ -6,6 +6,8 @@ from mixtrack import heads, losses
 from mixtrack.autodiff import Tensor
 from mixtrack.errors import ConfigError, ShapeError
 
+from gradcheck import grad_check
+
 
 def to_float64(module):
     params = module.named_params()
@@ -127,7 +129,7 @@ class TestCornerHead:
         def f():
             return losses.loc_loss(head(feat), tgt)
 
-        report = ad.grad_check(f, params, h=1e-5)
+        report = grad_check(f, params, h=1e-5)
         assert max(report.values()) < 1e-4, report
 
     def test_fused_ops_match_the_op_chains_bit_for_bit(self, monkeypatch):
@@ -208,7 +210,7 @@ class TestQueryHead:
         def f():
             return losses.loc_loss(head(tok), tgt)
 
-        report = ad.grad_check(f, params, h=1e-5)
+        report = grad_check(f, params, h=1e-5)
         assert max(report.values()) < 1e-4, report
 
     def test_wrong_token_width(self):

@@ -6,6 +6,8 @@ from mixtrack import boxes, losses
 from mixtrack.autodiff import Tensor
 from mixtrack.errors import ShapeError
 
+from gradcheck import grad_check
+
 
 class TestGiouPairwise:
     def test_matches_plain_float_version(self):
@@ -78,7 +80,7 @@ class TestLocLoss:
         def f():
             return losses.loc_loss(pred, tgt)
 
-        report = ad.grad_check(f, {"pred": pred}, h=1e-6)
+        report = grad_check(f, {"pred": pred}, h=1e-6)
         assert max(report.values()) < 1e-5, report
 
     def test_batched_mean_reduction(self):
@@ -126,5 +128,5 @@ class TestScoreLoss:
         def f():
             return losses.score_loss(p, 1.0)
 
-        report = ad.grad_check(f, {"p": p}, h=1e-6)
+        report = grad_check(f, {"p": p}, h=1e-6)
         assert max(report.values()) < 1e-6, report

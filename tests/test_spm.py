@@ -6,6 +6,8 @@ from mixtrack import losses, spm
 from mixtrack.autodiff import Tensor
 from mixtrack.errors import ShapeError
 
+from gradcheck import grad_check
+
 
 class TestRoiTokens:
     def test_full_box_identity_when_grid_matches(self):
@@ -150,6 +152,6 @@ class TestScorePredictor:
         def f():
             return losses.score_loss(model(feat, box, tmpl), 1.0)
 
-        report = ad.grad_check(f, params, h=1e-5)
+        report = grad_check(f, params, h=1e-5)
         assert max(report.values()) < 1e-4, report
         assert "token" in report

@@ -190,10 +190,10 @@ class TestInit:
         t = tiny_tracker()
         seq = small_sequence()
         state = t.init(seq.frames[0], seq.gt_corners(0))
-        assert len(state.online_templates) == 1
-        assert np.array_equal(state.online_templates[0], state.first_template)
-        state.online_templates[0][:] = 0.0
-        assert not np.array_equal(state.online_templates[0], state.first_template)
+        assert state.templates.shape[:2] == (1, 2)
+        assert np.array_equal(state.templates[0, 1], state.templates[0, 0])
+        state.templates[0, 1] = 0.0
+        assert not np.array_equal(state.templates[0, 1], state.templates[0, 0])
 
     def test_prev_box_set(self):
         t = tiny_tracker()
@@ -209,8 +209,7 @@ class TestStateMachine:
     def run_scripted(self, scores, interval=3, threshold=0.5):
         t = tiny_tracker(update_interval=interval, score_threshold=threshold)
         state = trk.TrackerState(
-            first_template=self.fake_crop(-1),
-            online_templates=[self.fake_crop(-2)],
+            templates=np.stack([self.fake_crop(-1), self.fake_crop(-2)])[None],
             prev_box=(0.0, 0.0, 10.0, 10.0),
         )
         for i, s in enumerate(scores, start=1):
@@ -227,25 +226,29 @@ class TestStateMachine:
     def test_no_mutation_when_all_scores_low(self):
         state = self.run_scripted([0.49, 0.3, 0.2, 0.4, 0.45, 0.1], interval=3)
         assert state.mutation_frames == []
-        assert state.online_templates[0][0, 0, 0] == -2.0
+        assert state.templates[0, 1, 0, 0, 0] == -2.0
 
     def test_best_candidate_installed(self):
         state = self.run_scripted([0.3, 0.9, 0.7], interval=3)
         assert state.mutation_frames == [2]
-        assert state.online_templates[0][0, 0, 0] == 2.0
+        assert state.templates[0, 1, 0, 0, 0] == 2.0
 
     def test_tie_earliest_frame_wins(self):
         state = self.run_scripted([0.8, 0.8, 0.6], interval=3)
         assert state.mutation_frames == [1]
-        assert state.online_templates[0][0, 0, 0] == 1.0
+        assert state.templates[0, 1, 0, 0, 0] == 1.0
 
     def test_threshold_is_inclusive(self):
         state = self.run_scripted([0.5, 0.2, 0.2], interval=3)
         assert state.mutation_frames == [1]
 
     def test_counter_resets_after_boundary(self):
-        state = self.run_scripted([0.9, 0.9, 0.9, 0.9], interval=3)
-        assert state.interval_counter == 1
+        # frame 4 opens the second interval, so it is that interval's
+        # candidate although frame 1, installed at the boundary, scored more
+        state = self.run_scripted([0.9, 0.2, 0.2, 0.3], interval=3)
+        assert state.mutation_frames == [1]
+        assert state.best_candidate[1:] == (0.3, 4)
+        assert state.best_candidate[0][0, 0, 0] == 4.0
 
     def test_mutation_count_bounded(self):
         frames = 11
@@ -281,10 +284,10 @@ class TestTracking:
         t = tiny_tracker(update_interval=2, score_threshold=0.0)
         seq = small_sequence(frames=6)
         state = t.init(seq.frames[0], seq.gt_corners(0))
-        before = state.first_template.copy()
+        before = state.templates[0, 0].copy()
         for i in range(1, len(seq.frames)):
             t.step(state, seq.frames[i])
-        assert np.array_equal(state.first_template, before)
+        assert np.array_equal(state.templates[0, 0], before)
         assert len(state.mutation_frames) >= 1  # online slots did change
 
     def test_boxes_stay_inside_frame(self):
@@ -355,6 +358,61 @@ class TestTracking:
         seq = small_sequence(frames=4)
         _, scores = t.track(seq)
         assert all(0.0 <= s <= 1.0 for s in scores)
+
+
+class TestStateOwnsTheCache:
+    """Template features belong to one state's template stack; the Tracker
+    holds no per-sequence state."""
+
+    def counted(self, monkeypatch, t):
+        calls = []
+        real = t.model.backbone.forward_template
+
+        def counting(templates):
+            calls.append(1)
+            return real(templates)
+
+        monkeypatch.setattr(t.model.backbone, "forward_template", counting)
+        return calls
+
+    def test_interleaved_states_compute_features_once_per_stack(self, monkeypatch):
+        t = tiny_tracker(update_interval=3, score_threshold=0.0,
+                         use_template_cache=True)
+        seqs = [small_sequence(frames=8, seed=3), small_sequence(frames=8, seed=4)]
+        alone = [tiny_tracker(update_interval=3, score_threshold=0.0).track(s)[0]
+                 for s in seqs]
+        calls = self.counted(monkeypatch, t)
+        states = [t.init(s.frames[0], s.gt_corners(0)) for s in seqs]
+        boxes = [[s.gt_corners(0)] for s in seqs]
+        for i in range(1, 8):
+            for seq, state, out in zip(seqs, states, boxes):
+                out.append(t.step(state, seq.frames[i])[0])
+        installs = sum(len(s.mutation_frames) for s in states)
+        assert installs == 4  # each state installs at frames 3 and 6
+        assert len(calls) == len(states) + installs
+        assert boxes == alone
+
+    def test_install_drops_only_its_own_cache(self):
+        t = tiny_tracker(use_template_cache=True)
+        seqs = [small_sequence(seed=3), small_sequence(seed=4)]
+        a, b = [t.init(s.frames[0], s.gt_corners(0)) for s in seqs]
+        for state, seq in ((a, seqs[0]), (b, seqs[1])):
+            t.step(state, seq.frames[1])
+        kept = b.cache
+        assert a.cache is not None and kept is not None
+        trk.maybe_update_template(a, 0.0)
+        assert a.mutation_frames == [1]
+        assert a.cache is None and b.cache is kept
+
+    def test_track_leaves_the_tracker_unchanged(self):
+        t = tiny_tracker(update_interval=2, score_threshold=0.0,
+                         use_template_cache=True)
+        before = dict(vars(t))
+        assert set(before) == {"model", "params", "update_interval",
+                               "score_threshold", "use_template_cache"}
+        t.track(small_sequence(frames=5))
+        assert vars(t).keys() == before.keys()
+        assert all(vars(t)[k] is v for k, v in before.items())
 
 
 class TestLoadedSequence:
