@@ -24,14 +24,16 @@ projected k and v, so the joint pass never cuts them out, and a cached pass
 concatenates the cached rows with its own search rows.  Every op gives the
 same bits as the per-region, head-split chain it replaced.
 
+``MixedAttention.project`` alone builds q, k, v and the query split: the
+block attends with them, and ``attention_weights_dump`` hands q and k to
+``ad.attention_weights``.  No pass keeps the softmax matrices.
+
 Keys carry no bias, in neither projection.  A key bias b adds the same q.b
 to every logit of a query's row, and softmax ignores a constant shift of its
 logits, so the bias could never change an output; its gradient is noise.
 """
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import autodiff as ad
 from . import nn
@@ -110,21 +112,18 @@ class MixedAttention(nn.Module):
         self.wv = nn.Linear(dim, dim, rng)
         self.wo = nn.Linear(dim, dim, rng)
 
-    def __call__(self, x, layout, extra=0, kv=None, search=True, want_weights=False):
-        """Attention over the regions that x holds, in this order.
+    def project(self, x, layout, extra, kv, search):
+        """(q, k, v, split) of the regions that x holds, in this order.
 
         x is [B, rows, dim]: the template rows, unless ``kv`` holds their
         cached keys and values; the search rows, unless ``search`` is false;
         then ``extra`` rows that query every key but are never keys
         themselves.  Template queries attend every key in full mode and the
         template keys only in asymmetric mode, the one mode that allows a
-        template-only or a cached pass.
-
-        Returns (y, (k, v)) with every key and value row it attended, the
-        template rows first, each [B, rows, dim]; a template-only pass's
-        are what a cache holds.  With want_weights also the head-split
-        softmax matrices of the template queries and of the others, those
-        present.
+        template-only or a cached pass.  k and v hold every key and value
+        row that the queries attend, the template rows first, each
+        [B, rows, dim], and ``split`` is the query split of
+        ``ad.attention``.
         """
         if (kv is not None or not search) and self.mode != ASYMMETRIC:
             raise ConfigError("template caching requires asymmetric attention")
@@ -156,21 +155,16 @@ class MixedAttention(nn.Module):
             # matmul, in another order and so to other training bits
             keys = layout.halved().template_total if self.mode == ASYMMETRIC else k.shape[1]
             split = (lt, keys)
-        y = self.wo(ad.attention(q, k, v, self.heads, split))
-        if want_weights:
-            return y, (k, v), _weights(q, k, self.heads, split)
-        return y, (k, v)
+        return q, k, v, split
 
+    def __call__(self, x, layout, extra=0, kv=None, search=True):
+        """Attention over the regions that x holds (see ``project``).
 
-def _weights(q, k, heads, split):
-    """Head-split softmax matrices of ``ad.attention(q, k, v, heads, split)``,
-    one per query group."""
-    qh, kh = ad._split_heads(q.data, heads), ad._split_heads(k.data, heads)
-    scale = 1.0 / float(np.sqrt(qh.shape[-1]))
-    return tuple(
-        ad.Tensor(ad._attention_weights(qh[..., rows, :], kh[..., :keys, :], scale))
-        for rows, keys in ad._query_groups(q.shape[-2], k.shape[-2], split)
-    )
+        Returns (y, (k, v)) with every key and value row it attended, the
+        template rows first; a template-only pass's are what a cache holds.
+        """
+        q, k, v, split = self.project(x, layout, extra, kv, search)
+        return self.wo(ad.attention(q, k, v, self.heads, split)), (k, v)
 
 
 class MAMBlock(nn.Module):
@@ -196,29 +190,21 @@ class MAMBlock(nn.Module):
     # because the benchmark tracer (perfbench/tracing.py) wraps them.
     forward_template = forward_search = __call__
 
-    def attention_weights(self, x, layout):
-        """Softmax matrices of this block's attention at input x."""
-        _, _, weights = self.attn(self.norm1(x), layout, want_weights=True)
-        return weights
-
 
 def attention_weights_dump(block, tokens, layout):
     """Slice a block's attention weights into every named query->key map.
 
-    ``tokens`` is [layout.total, dim] or [1, layout.total, dim].  Weights are
+    ``tokens`` is [1, layout.total, dim], the block's input.  Weights are
     averaged over heads.  Each returned array is [n_queries, n_keys]; a query
     row reshapes to the halved key grid of its slice.  Maps involving an
     online template exist only when layout.templates >= 2.  In asymmetric
     mode template queries hold no weights over search keys, so no such map
     exists to dump.
     """
-    tokens = ad.as_tensor(tokens)
-    if tokens.ndim == 2:
-        tokens = ad.reshape(tokens, (1,) + tokens.shape)
     names = [n for n in DUMP_NAMES if layout.templates >= 2 or "online" not in n]
-    wt, ws = block.attention_weights(tokens, layout)
-    wt = wt.numpy().mean(axis=1)[0]
-    ws = ws.numpy().mean(axis=1)[0]
+    attn = block.attn
+    q, k, _, split = attn.project(block.norm1(tokens), layout, 0, None, True)
+    wt, ws = (w.mean(axis=1)[0] for w in ad.attention_weights(q, k, attn.heads, split))
     half = layout.halved()
     kt_one = half.tokens_per_template
     kt = half.template_total

@@ -517,9 +517,10 @@ def softmax(x):
     return _record("softmax", out, (x,), vjp)
 
 
-# Query rows per block of ``attention`` when no tape records it: the logits
+# Query rows per block of ``attention``'s forward, taped or not: the logits
 # of a block are all that is alive at once, which bounds the memory of the
 # large presets' stage-1 attention (6400 queries by 2112 keys on mixformer).
+# The op saves no weights; its vjp recomputes them one group at a time.
 _ATTENTION_ROWS = 512
 
 
@@ -598,9 +599,11 @@ def attention(q, k, v, heads, split=None):
     matmul by v once per group on its rows and keys, and merging the heads,
     bit for bit, forward and backward.  The gradients of several groups are
     C-order arrays, and a key's gradient adds the groups' contributions.
-    With no tape recording it, each group's rows run in blocks of
-    ``_ATTENTION_ROWS``; every block sees all of its group's keys, so a row's
-    weights are the same as in one block.
+    The forward runs each group's rows in blocks of ``_ATTENTION_ROWS``;
+    every block sees all of its group's keys, so a row's weights are the
+    same as in one block.  The op saves no weights: the vjp recomputes each
+    group's weights in one piece, so its key and value sums keep their
+    order and bits.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim < 2 or k.ndim != q.ndim or v.ndim != q.ndim:
@@ -629,15 +632,8 @@ def attention(q, k, v, heads, split=None):
     scale = 1.0 / float(np.sqrt(qh.shape[-1]))
     y = np.empty(q.shape[:-1] + v.shape[-1:], dtype=np.result_type(q.data, k.data, v.data))
     yh = _split_heads(y, heads)
-    taped = bool(_tls.stack) and any(t.requires_grad for t in inputs)
-    weights = []  # kept only when a tape records the op, for its vjp
     for rows, keys in groups:
         kg, vg = kh[..., :keys, :], vh[..., :keys, :]
-        if taped:
-            w = _attention_weights(qh[..., rows, :], kg, scale)
-            weights.append(w)
-            yh[..., rows, :] = np.matmul(w, vg)
-            continue
         for r in range(rows.start, rows.stop, _ATTENTION_ROWS):
             block = slice(r, min(r + _ATTENTION_ROWS, rows.stop))
             yh[..., block, :] = np.matmul(
@@ -648,8 +644,9 @@ def attention(q, k, v, heads, split=None):
     def vjp(g):
         gh = _split_heads(g, heads)
         gq, gk, gv = [], [], []  # head-split gradients, one per group
-        for (rows, keys), w in zip(groups, weights):
-            kg, vg = kh[..., :keys, :], vh[..., :keys, :]
+        for rows, keys in groups:
+            qg, kg, vg = qh[..., rows, :], kh[..., :keys, :], vh[..., :keys, :]
+            w = _attention_weights(qg, kg, scale)
             gg = np.ascontiguousarray(gh[..., rows, :])
             if v.requires_grad:
                 gv.append(np.matmul(np.swapaxes(w, -1, -2), gg))
@@ -661,7 +658,6 @@ def attention(q, k, v, heads, split=None):
                 if q.requires_grad:
                     gq.append(np.matmul(gw, kg))
                 if k.requires_grad:
-                    qg = qh[..., rows, :]
                     gk.append(np.swapaxes(np.matmul(np.swapaxes(qg, -1, -2), gw), -1, -2))
         return (
             _group_grad(gq, q.shape, heads, groups, rows=True),
@@ -670,6 +666,17 @@ def attention(q, k, v, heads, split=None):
         )
 
     return _record("attention", out, inputs, vjp)
+
+
+def attention_weights(q, k, heads, split):
+    """Head-split softmax matrices of ``attention(q, k, v, heads, split)``,
+    one [..., H, rows, keys] array per query group; no tape records them."""
+    qh, kh = (_split_heads(as_tensor(t).data, heads) for t in (q, k))
+    scale = 1.0 / float(np.sqrt(qh.shape[-1]))
+    return tuple(
+        _attention_weights(qh[..., rows, :], kh[..., :keys, :], scale)
+        for rows, keys in _query_groups(qh.shape[-2], kh.shape[-2], split)
+    )
 
 
 def layer_norm(x, gain, bias):
@@ -872,7 +879,7 @@ def _tap_window(buf, kh, kw, stride, out_h, out_w):
     )
 
 
-def depthwise_conv2d(x, grids, w, b=None, stride=1, pad=0):
+def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
     """Per-channel 2-D convolution over the region grids of token rows.
 
     x is [B, L, C] and w is [C, kh, kw].  ``grids`` lists the regions in row

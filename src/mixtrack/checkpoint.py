@@ -64,8 +64,9 @@ def _encode_entry(name, arr):
     return b"".join(parts)
 
 
-def serialize(arrays, config_text=None):
-    """Checkpoint bytes for a dict of name -> array."""
+def serialize(arrays, config_text):
+    """Checkpoint bytes for a dict of name -> array and the config text, which
+    may be None: a checkpoint without it still loads."""
     entries = {}
     for name, value in arrays.items():
         if isinstance(value, Tensor):
@@ -83,7 +84,7 @@ def serialize(arrays, config_text=None):
     return blob + _U32.pack(zlib.crc32(blob) & 0xFFFFFFFF)
 
 
-def save_checkpoint(path, arrays, config_text=None):
+def save_checkpoint(path, arrays, config_text):
     """Serialize and write atomically."""
     atomic_write(path, serialize(arrays, config_text=config_text))
 

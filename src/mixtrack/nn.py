@@ -103,7 +103,7 @@ class DepthwiseConv(Module):
     """Per-channel 3x3 projection with a bias, from the region grids of token
     rows [B, L, dim] to the output grids' rows (see ``ad.depthwise_conv2d``)."""
 
-    def __init__(self, dim, rng, stride=1):
+    def __init__(self, dim, rng, stride):
         self.kernel = depthwise_kernel(dim, rng)
         self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
         self.stride = stride

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boxes
+from .attention import ASYMMETRIC
 from .errors import ConfigError, UsageError
 
 _MIN_SIDE = 16.0
@@ -210,7 +211,7 @@ class Tracker:
         use_template_cache=False,
     ):
         _check_update(update_interval, score_threshold)
-        if use_template_cache and model.config.mode != "asymmetric":
+        if use_template_cache and model.config.mode != ASYMMETRIC:
             raise ConfigError("template caching requires asymmetric attention")
         self.model = model
         self.params = params

@@ -139,9 +139,9 @@ def random_tokens(rng, lay, extra=0):
 def test_mixed_attention_uniform_over_identical_values():
     v = np.array([[2.0, -1.0, 0.5], [2.0, -1.0, 0.5]], dtype=np.float32)
     out = ad.attention(Tensor(v[:1]), Tensor(v), Tensor(v), 1)
-    (w,) = att._weights(Tensor(v[:1]), Tensor(v), 1, None)
+    (w,) = ad.attention_weights(Tensor(v[:1]), Tensor(v), 1, None)
     np.testing.assert_allclose(out.numpy(), v[:1], atol=1e-6)
-    np.testing.assert_allclose(w.numpy(), 0.5, atol=1e-7)
+    np.testing.assert_allclose(w, 0.5, atol=1e-7)
 
 
 def test_mixed_attention_matches_brute_force():
@@ -453,7 +453,7 @@ def test_dump_slices_partition_each_query_row():
     rng = np.random.default_rng(16)
     lay = small_layout()
     block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
-    tokens = Tensor(rng.normal(size=(lay.total, lay.dim)).astype(np.float32))
+    tokens = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == set(att.DUMP_NAMES)
     row_sum = (
@@ -471,18 +471,19 @@ def test_dump_asymmetric_template_weights_cover_templates_only():
     lay = small_layout()
     block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.ASYMMETRIC)
     tokens = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
-    wt, ws = block.attention_weights(tokens, lay)
+    q, k, _, split = block.attn.project(block.norm1(tokens), lay, 0, None, True)
+    wt, ws = ad.attention_weights(q, k, block.attn.heads, split)
     half = lay.halved()
     assert wt.shape[-1] == half.template_total
     assert ws.shape[-1] == half.total
-    np.testing.assert_allclose(wt.numpy().sum(axis=-1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(wt.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_dump_uniform_tokens_give_uniform_maps():
     rng = np.random.default_rng(18)
     lay = small_layout()
     block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
-    tokens = Tensor(np.full((lay.total, lay.dim), 0.25, dtype=np.float32))
+    tokens = Tensor(np.full((1, lay.total, lay.dim), 0.25, dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     for name, m in maps.items():
         np.testing.assert_allclose(m, m[0, 0], atol=1e-6, err_msg=name)
@@ -492,6 +493,6 @@ def test_dump_online_maps_need_two_templates():
     rng = np.random.default_rng(19)
     lay = att.TokenLayout(1, 2, 4, 8)
     block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
-    tokens = Tensor(np.zeros((lay.total, lay.dim), dtype=np.float32))
+    tokens = Tensor(np.zeros((1, lay.total, lay.dim), dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == {"search_to_template", "search_to_search"}

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import pathlib
 import threading
+import tracemalloc
 import weakref
 import zlib
 
@@ -239,7 +240,8 @@ def test_depthwise_identity_kernel():
     # two 2x2 templates and a 5x5 search map, then a row no grid covers
     x = rng.normal(size=(2, 2 * 4 + 25 + 1, 3)).astype(np.float32)
     k = np.ones((3, 1, 1), dtype=np.float32)
-    y = ad.depthwise_conv2d(Tensor(x), [(2, 2, 2), (1, 5, 5)], Tensor(k))
+    y = ad.depthwise_conv2d(Tensor(x), [(2, 2, 2), (1, 5, 5)], Tensor(k),
+                            stride=1, pad=0)
     np.testing.assert_array_equal(y.numpy(), x[:, :-1])
 
 
@@ -264,25 +266,28 @@ def test_depthwise_bad_extent_raises():
     x = Tensor(np.zeros((1, 4, 1), dtype=np.float32))
     k = Tensor(np.zeros((1, 5, 5), dtype=np.float32))
     with pytest.raises(ConfigError):
-        ad.depthwise_conv2d(x, [(1, 2, 2)], k)
+        ad.depthwise_conv2d(x, [(1, 2, 2)], k, stride=1, pad=0)
 
 
 def test_depthwise_channel_mismatch_raises():
     with pytest.raises(ShapeError):
-        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [(1, 4, 4)], Tensor(np.zeros((2, 3, 3))))
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [(1, 4, 4)], Tensor(np.zeros((2, 3, 3))),
+                            stride=1, pad=0)
     with pytest.raises(ShapeError):
         # channels-last maps are not token rows
-        ad.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))), [(1, 4, 4)], Tensor(np.zeros((3, 3, 3))))
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))), [(1, 4, 4)], Tensor(np.zeros((3, 3, 3))),
+                            stride=1, pad=0)
 
 
 def test_depthwise_grids_must_fit_the_rows():
     k = Tensor(np.zeros((3, 3, 3)))
     with pytest.raises(ShapeError):
         # the grids need more rows than the tokens have
-        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [(1, 4, 4), (1, 3, 3)], k)
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [(1, 4, 4), (1, 3, 3)], k,
+                            stride=1, pad=0)
     with pytest.raises(ShapeError):
         # no grid at all
-        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [], k)
+        ad.depthwise_conv2d(Tensor(np.zeros((1, 16, 3))), [], k, stride=1, pad=0)
 
 
 def test_depthwise_matches_loop_oracle():
@@ -892,25 +897,55 @@ def test_cached_attention_matches_the_head_split_chain_bit_for_bit(shape):
 @pytest.mark.parametrize("shapes", [
     ((1, 1100, 32), 2, None),
     ((1100, 32), 1, None),
-    ((1, 1300, 32), 2, (600, 100)),
+    ((1, 1700, 32), 2, (600, 100)),
 ])
 def test_attention_row_blocks_match_one_block(shapes):
+    """The forward runs each query group in row blocks, taped or not, and the
+    vjp recomputes a group's weights whole: output and gradients equal the
+    per-group chain that computes every group's weights in one block."""
     shape, heads, split = shapes
     rng = np.random.default_rng(32)
     lk = 300 if len(shape) == 3 else 40
-    q, k, v = (Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+    q, k, v = (rng.normal(size=s).astype(np.float32)
                for s in (shape, shape[:-2] + (lk, 32), shape[:-2] + (lk, 32)))
+    groups = ad._query_groups(q.shape[-2], lk, split)
+    assert all(rows.stop - rows.start > ad._ATTENTION_ROWS for rows, _ in groups)
     assert q.shape[-2] > 2 * ad._ATTENTION_ROWS
-    blocked = ad.attention(q, k, v, heads, split).numpy()
-    with Tape():
-        whole = ad.attention(q, k, v, heads, split).numpy()
-    assert np.array_equal(blocked, whole)
-    qh, kh, vh = (ad._split_heads(t.data, heads) for t in (q, k, v))
-    scale = 1.0 / float(np.sqrt(32 // heads))
-    for rows, keys in ad._query_groups(q.shape[-2], lk, split):
-        w = ad._attention_weights(qh[..., rows, :], kh[..., :keys, :], scale)
-        want = ad._merge_heads(np.matmul(w, vh[..., :keys, :]))
-        assert np.array_equal(blocked[..., rows, :], want)
+
+    def chain(q, k, v):
+        if split is not None:
+            return mixed_attention_chain(q, k, v, heads, *split, asymmetric=True)
+        if q.ndim == 2:
+            return reference_attention(q, k, v, 1.0 / float(np.sqrt(32)))
+        q, k, v = (split_heads(t, heads) for t in (q, k, v))
+        return merge_heads(reference_attention(q, k, v, 1.0 / float(np.sqrt(32 // heads))))
+
+    got = _output_and_grads(lambda q, k, v: ad.attention(q, k, v, heads, split), (q, k, v))
+    want = _output_and_grads(chain, (q, k, v))
+    _assert_same_bits(got, want, f"attention {shapes}")
+    untaped = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads, split).numpy()
+    assert np.array_equal(untaped, got[0])
+
+
+def test_taped_attention_saves_no_weights():
+    """A taped forward keeps its output and its inputs' views, not a softmax
+    matrix: here one is 1.44 MB against 58 KB of q, k and v, and the vjp
+    recomputes it."""
+    rng = np.random.default_rng(36)
+    q, k, v = (Tensor(rng.normal(size=(1, 600, 8)).astype(np.float32), requires_grad=True)
+               for _ in range(3))
+    weight_bytes = 600 * 600 * 4
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            y = ad.attention(q, k, v, 1)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tape.backward(ad.sum_(y))
+    finally:
+        tracemalloc.stop()
+    assert held < weight_bytes, held
+    assert all(t.grad is not None for t in (q, k, v))
 
 
 def test_attention_shape_errors():
@@ -1179,7 +1214,9 @@ CASE_FUNCTIONS = {
     "take_repeated": "take", "attention_split": "attention",
 }
 # public functions that are not ops: they record nothing of their own
-NOT_OPS = {"as_tensor"}
+# (``attention_weights`` returns plain arrays, the weights ``attention``
+# recomputes in its vjp)
+NOT_OPS = {"as_tensor", "attention_weights"}
 
 
 def _public_functions():
@@ -1242,6 +1279,25 @@ def test_every_public_autodiff_function_has_a_package_caller():
     public = _public_functions()
     assert UNCALLED <= public and not UNCALLED & called
     assert public - called - UNCALLED == set()
+
+
+def test_no_package_module_reads_a_private_autodiff_name():
+    """Autodiff keeps its internals: no other package module reads an
+    ``alias._name`` attribute after ``from . import autodiff as alias``."""
+    found = []
+    for path in _package_modules():
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None
+                   for a in node.names if a.name == "autodiff"}
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases and node.attr.startswith("_")]
+    assert found == []
 
 
 def _set_parameters(name, call):

@@ -24,7 +24,7 @@ class TestFormat:
     def test_round_trip_is_bit_identical(self, tmp_path):
         arrays = sample_arrays()
         path = tmp_path / "a.ckpt"
-        ck.save_checkpoint(path, arrays)
+        ck.save_checkpoint(path, arrays, None)
         loaded, text = ck.load_checkpoint(path)
         assert text is None
         assert set(loaded) == set(arrays)
@@ -33,14 +33,14 @@ class TestFormat:
             assert np.array_equal(loaded[k], arrays[k])
 
     def test_serialization_is_deterministic(self):
-        a = ck.serialize(sample_arrays())
-        b = ck.serialize(sample_arrays())
+        a = ck.serialize(sample_arrays(), None)
+        b = ck.serialize(sample_arrays(), None)
         assert a == b
 
     def test_entry_order_ignores_dict_order(self):
         arrays = sample_arrays()
         reordered = dict(reversed(list(arrays.items())))
-        assert ck.serialize(arrays) == ck.serialize(reordered)
+        assert ck.serialize(arrays, None) == ck.serialize(reordered, None)
 
     def test_config_text_round_trips(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -55,7 +55,7 @@ class TestFormat:
                          config_text="x = 1")
 
     def test_header_layout(self):
-        blob = ck.serialize({"w": np.zeros((2, 3), np.float32)})
+        blob = ck.serialize({"w": np.zeros((2, 3), np.float32)}, None)
         assert blob[:4] == b"MIXF"
         assert int.from_bytes(blob[4:8], "little") == ck.VERSION
         assert int.from_bytes(blob[8:12], "little") == 1
@@ -68,7 +68,7 @@ class TestFormat:
 
     def test_payload_is_little_endian_float32(self):
         arr = np.array([1.0, -2.5], dtype=">f8")
-        blob = ck.serialize({"v": arr})
+        blob = ck.serialize({"v": arr}, None)
         loaded, _ = ck.deserialize(blob)
         assert loaded["v"].dtype == np.float32
         np.testing.assert_allclose(loaded["v"], [1.0, -2.5])
@@ -76,18 +76,18 @@ class TestFormat:
 
 class TestCorruption:
     def test_bad_magic(self):
-        blob = b"NOPE" + ck.serialize(sample_arrays())[4:]
+        blob = b"NOPE" + ck.serialize(sample_arrays(), None)[4:]
         with pytest.raises(CheckpointError, match="magic"):
             ck.deserialize(blob)
 
     def test_flipped_byte_fails_crc(self):
-        blob = bytearray(ck.serialize(sample_arrays()))
+        blob = bytearray(ck.serialize(sample_arrays(), None))
         blob[30] ^= 0xFF
         with pytest.raises(CheckpointError, match="CRC"):
             ck.deserialize(bytes(blob))
 
     def test_truncation(self, tmp_path):
-        blob = ck.serialize(sample_arrays())
+        blob = ck.serialize(sample_arrays(), None)
         path = tmp_path / "t.ckpt"
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
@@ -122,7 +122,7 @@ class TestCorruption:
             ck.load_checkpoint(tmp_path / "absent.ckpt")
 
     def test_no_tmp_left_behind(self, tmp_path):
-        ck.save_checkpoint(tmp_path / "x.ckpt", sample_arrays())
+        ck.save_checkpoint(tmp_path / "x.ckpt", sample_arrays(), None)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ckpt"]
 
 
@@ -130,7 +130,7 @@ class TestModelState:
     def test_model_round_trip(self, tmp_path):
         model = build_model("tiny", seed=5)
         path = tmp_path / "m.ckpt"
-        ck.save_checkpoint(path, ck.state_dict(model))
+        ck.save_checkpoint(path, ck.state_dict(model), None)
         arrays, _ = ck.load_checkpoint(path)
         other = build_model("tiny", seed=9)
         ck.load_state(other, arrays)
@@ -191,7 +191,7 @@ class TestModelState:
 
     def test_load_keeps_an_optimizer_stepping_the_loaded_values(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        ck.save_checkpoint(path, ck.state_dict(build_model("tiny", seed=5)))
+        ck.save_checkpoint(path, ck.state_dict(build_model("tiny", seed=5)), None)
         arrays, _ = ck.load_checkpoint(path)
         model = build_model("tiny", seed=9)
         params = model.named_params()

@@ -262,7 +262,7 @@ def crafted_checkpoint(ckpt, case):
         codes[text.index(" ")] = 288.0
     elif case.startswith("nan "):
         arrays[case[4:]].flat[0] = np.nan
-    blob = bytearray(ck.serialize({**arrays, ck.CONFIG_KEY: codes})[:-4])
+    blob = bytearray(ck.serialize({**arrays, ck.CONFIG_KEY: codes}, None)[:-4])
     if case == "undecodable name":
         blob[blob.index(b"backbone.")] = 0xFF
     elif case == "version 1":
