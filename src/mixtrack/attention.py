@@ -28,9 +28,17 @@ same bits as the per-region, head-split chain it replaced.
 block attends with them, and ``attention_weights_dump`` hands q and k to
 ``ad.attention_weights``.  No pass keeps the softmax matrices.
 
-Keys carry no bias, in neither projection.  A key bias b adds the same q.b
-to every logit of a query's row, and softmax ignores a constant shift of its
-logits, so the bias could never change an output; its gradient is noise.
+Keys and values carry no bias, in neither projection.  A key bias b adds the
+same q.b to every logit of a query's row, and softmax ignores a constant
+shift of its logits, so the bias could never change an output.  A value bias
+c adds c to every value row, and each query's weights sum to one, so it
+shifts every attention row by c, which ``wo`` maps to a constant that its
+own bias already covers.  q's
+depth-wise conv has no bias either, since ``wq``'s bias covers it, with one
+exception: with the query head, the regression-token rows join q after that
+conv, so in stage 3 a conv bias could give the region queries an offset
+that the token's query does not get.  Dropping it narrows that head's
+function class by one such offset per stage-3 block.
 """
 
 from dataclasses import dataclass, replace
@@ -104,12 +112,12 @@ class MixedAttention(nn.Module):
         self.dim = dim
         self.heads = heads
         self.mode = check_mode(mode)
-        self.dw_q = nn.DepthwiseConv(dim, rng, stride=1)
+        self.dw_q = nn.depthwise_kernel(dim, rng)
         self.dw_k = nn.depthwise_kernel(dim, rng)
-        self.dw_v = nn.DepthwiseConv(dim, rng, stride=2)
+        self.dw_v = nn.depthwise_kernel(dim, rng)
         self.wq = nn.Linear(dim, dim, rng)
         self.wk = ad.Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.wv = nn.Linear(dim, dim, rng)
+        self.wv = ad.Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
         self.wo = nn.Linear(dim, dim, rng)
 
     def project(self, x, layout, extra, kv, search):
@@ -140,12 +148,11 @@ class MixedAttention(nn.Module):
             grids.append((layout.templates, layout.t, layout.t))
         if ls:
             grids.append((1, layout.s, layout.s))
-        q = self.dw_q(x, grids)
-        k = ad.depthwise_conv2d(x, grids, self.dw_k, stride=2, pad=1)
-        v = self.dw_v(x, grids)
+        q, k, v = (ad.depthwise_conv2d(x, grids, kernel, stride=stride, pad=1)
+                   for kernel, stride in ((self.dw_q, 1), (self.dw_k, 2), (self.dw_v, 2)))
         if extra:
             q = ad.concat([q, x[:, lt + ls :]], axis=1)
-        q, k, v = self.wq(q), ad.linear(k, self.wk), self.wv(v)
+        q, k, v = self.wq(q), ad.linear(k, self.wk), ad.linear(v, self.wv)
         if kv is not None:
             k, v = (ad.concat([cached, fresh], axis=1) for cached, fresh in zip(kv, (k, v)))
         split = None

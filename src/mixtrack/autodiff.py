@@ -64,11 +64,6 @@ class Tape:
         _tls.stack.pop()
         return False
 
-    @staticmethod
-    def active():
-        stack = _tls.stack
-        return stack[-1] if stack else None
-
     def __len__(self):
         return len(self._entries)
 
@@ -879,7 +874,7 @@ def _tap_window(buf, kh, kw, stride, out_h, out_w):
     )
 
 
-def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
+def depthwise_conv2d(x, grids, w, *, stride, pad):
     """Per-channel 2-D convolution over the region grids of token rows.
 
     x is [B, L, C] and w is [C, kh, kw].  ``grids`` lists the regions in row
@@ -893,7 +888,9 @@ def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
     unpadded), and one view of that buffer holds, per kernel tap, what the
     tap reads at every output position.  A region's output adds the taps in
     row-major kernel order, each its view times the tap's per-channel
-    weights, then the bias.  Two forward paths give the same bits:
+    weights.  There is no bias: in each projection that uses the op, a later
+    bias covers one or softmax ignores it (see ``attention``).  Two forward
+    paths give the same bits:
 
     - small region outputs (at most ``_TAP_MAJOR_MAX`` elements) take one
       product of the whole window with the kernel and one reduction over the
@@ -905,7 +902,7 @@ def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
     gradient reduces g times its view over the region's positions (on small
     outputs one product and one batched ones-row matmul for all taps), the
     input's accumulates g times each tap's weights, tap by tap, and the
-    kernel and bias gradients add the regions' sums.  So the op equals one
+    kernel gradient adds the regions' sums.  So the op equals one
     convolution per region's maps followed by a concat, bit for bit.
     """
     x, w = as_tensor(x), as_tensor(w)
@@ -933,7 +930,6 @@ def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
         )
     taps = np.ascontiguousarray(w.data.reshape(c, kh * kw).T)
     n_taps = kh * kw
-    bias = None if b is None else as_tensor(b)
     views, parts = [], []
     for r0, _, n, h, wd, out_h, out_w in regions:
         maps = x.data[:, r0 : r0 + n * h * wd].reshape(bsz, n, h, wd, c)
@@ -955,25 +951,22 @@ def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
             tmp = np.empty_like(y)
             for t in range(1, n_taps):
                 y += np.multiply(win[divmod(t, kw)], taps[t], out=tmp)
-        if bias is not None:
-            y += bias.data
         views.append((buf.shape, win, tap_major))
         parts.append(y.reshape(bsz, -1, c))
     out = Tensor(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
-    inputs = (x, w) if bias is None else (x, w, bias)
 
     def vjp(g):
         gx = np.zeros(x.shape, dtype=g.dtype) if x.requires_grad else None
-        gw = gb = None
+        gw = None
         for (r0, o0, n, h, wd, out_h, out_w), (buf_shape, win, tap_major) in zip(
                 regions, views):
             m = n * out_h * out_w
             gr = np.ascontiguousarray(g[:, o0 : o0 + m]).reshape(bsz * n, out_h, out_w, c)
-            # sums over every position as one row-vector product, which is far
-            # cheaper than a reduction down the long axis of a [N, C] array
-            ones = np.ones((1, bsz * m), dtype=g.dtype)
             prod = np.empty(gr.shape, dtype=g.dtype)
             if w.requires_grad:
+                # sums over every position as one row-vector product, which is
+                # far cheaper than a reduction down the long axis of [N, C]
+                ones = np.ones((1, bsz * m), dtype=g.dtype)
                 if tap_major:
                     gprod = np.multiply(win, gr).reshape(n_taps, -1, c)
                     gw_r = np.matmul(ones, gprod).reshape(n_taps, c)
@@ -983,9 +976,6 @@ def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
                         np.multiply(gr, win[divmod(t, kw)], out=prod)
                         np.matmul(ones, prod.reshape(-1, c), out=gw_r[t : t + 1])
                 gw = gw_r if gw is None else gw + gw_r
-            if bias is not None and bias.requires_grad:
-                gb_r = np.matmul(ones, gr.reshape(-1, c)).reshape(c)
-                gb = gb_r if gb is None else gb + gb_r
             if x.requires_grad:
                 gbuf = np.zeros(buf_shape, dtype=g.dtype)
                 gwin = _tap_window(gbuf, kh, kw, stride, out_h, out_w)
@@ -997,6 +987,6 @@ def depthwise_conv2d(x, grids, w, b=None, *, stride, pad):
                 )
         if gw is not None:
             gw = np.ascontiguousarray(gw.T).reshape(w.shape)
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        return gx, gw
 
-    return _record("depthwise_conv2d", out, inputs, vjp)
+    return _record("depthwise_conv2d", out, (x, w), vjp)

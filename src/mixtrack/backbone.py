@@ -143,8 +143,8 @@ def count_params_flops(config):
         params = d * c_in * k2 + d          # embed conv
         params += 2 * d                     # embed norm
         per_block = 4 * d                   # the two block norms
-        per_block += 3 * d * 9 + 2 * d      # depth-wise q/k/v (kernel 3), no k bias
-        per_block += 4 * d * d + 3 * d      # wq, wk, wv, wo, no wk bias
+        per_block += 3 * d * 9              # depth-wise q/k/v (kernel 3), no bias
+        per_block += 4 * d * d + 2 * d      # wq, wk, wv, wo; only wq, wo have a bias
         hidden = nn.MLP_RATIO * d
         per_block += d * hidden + hidden + hidden * d + d
         params += stage.blocks * per_block

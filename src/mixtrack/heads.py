@@ -8,8 +8,10 @@ center form directly through a small FFN.
 
 A corner stack is four conv, batch norm and ReLU layers, the norm in
 inference form with identity statistics (a per-channel scale and shift),
-then a 1x1 conv to one channel with no bias: the soft argmax ignores a
-constant added to its map, so a bias could never move a corner.
+then a 1x1 conv to one channel.  No conv carries a bias.  Before a norm, a
+per-channel bias b equals the norm's shift moved by b times its scale,
+so the shift already covers it; and the soft argmax ignores a constant
+added to its map, so a bias on the last conv could never move a corner.
 
 Coordinates are normalized to [0, 1] over the search crop; position (i, j)
 of an h x w map sits at (j / (w-1), i / (h-1)).
@@ -49,11 +51,12 @@ class ConvBNRelu(nn.Module):
     # replicate padding so a featureless (constant) map stays constant and
     # scores every position equally
     def __init__(self, c_in, c_out, rng):
-        self.conv = nn.Conv2d(c_in, c_out, 3, 1, 0, rng)
+        w = nn.he_normal(rng, (c_out, c_in, 3, 3), c_in * 9)
+        self.w = Tensor(w, requires_grad=True)
         self.bn = nn.BatchNormFrozen(c_out)
 
     def __call__(self, x):
-        return ad.relu(self.bn(self.conv(ad.edge_pad(x))))
+        return ad.relu(self.bn(ad.conv2d(ad.edge_pad(x), self.w)))
 
 
 def _corner_stack(dim, rng):

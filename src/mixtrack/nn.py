@@ -99,22 +99,11 @@ def depthwise_kernel(dim, rng):
     return Tensor(k, requires_grad=True)
 
 
-class DepthwiseConv(Module):
-    """Per-channel 3x3 projection with a bias, from the region grids of token
-    rows [B, L, dim] to the output grids' rows (see ``ad.depthwise_conv2d``)."""
-
-    def __init__(self, dim, rng, stride):
-        self.kernel = depthwise_kernel(dim, rng)
-        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-        self.stride = stride
-
-    def __call__(self, x, grids):
-        return ad.depthwise_conv2d(
-            x, grids, self.kernel, self.bias, stride=self.stride, pad=1
-        )
-
-
 class Conv2d(Module):
+    """2-D convolution with a per-channel bias.  Its one user, the patch
+    embedding, feeds a layer norm over each token's channels, which keeps a
+    per-channel offset, so the bias is live there."""
+
     def __init__(self, c_in, c_out, kernel, stride, pad, rng):
         fan_in = c_in * kernel * kernel
         self.w = Tensor(

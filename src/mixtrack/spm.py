@@ -68,14 +68,18 @@ def roi_tokens(search_feat, box):
 
 
 class CrossAttnBlock(nn.Module):
-    """Single-head cross-attention with residual and layer norm; the key
-    projection has no bias, which softmax would ignore (see ``attention``)."""
+    """Single-head cross-attention with residual and layer norm.
+
+    The key and value projections have no bias (see ``attention``): softmax
+    ignores a key bias, and a value bias passes through weights that sum to
+    one as a constant that ``wo``'s bias already covers.
+    """
 
     def __init__(self, dim, rng):
         self.dim = dim
         self.wq = nn.Linear(dim, dim, rng)
         self.wk = Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.wv = nn.Linear(dim, dim, rng)
+        self.wv = Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
         self.wo = nn.Linear(dim, dim, rng)
         self.norm = nn.LayerNorm(dim)
 
@@ -83,7 +87,7 @@ class CrossAttnBlock(nn.Module):
         """queries [Nq, dim] attend keys [Nk, dim]."""
         q = self.wq(queries)
         k = ad.linear(keys, self.wk)
-        v = self.wv(keys)
+        v = ad.linear(keys, self.wv)
         att = ad.attention(q, k, v, 1)
         return self.norm(ad.add(queries, self.wo(att)))
 

@@ -65,14 +65,19 @@ def test_layout_rejects_bad_extents():
 # conv projections
 
 
-def key_conv(attn):
-    """The key's depth-wise projection: a bare stride-2 kernel, no bias."""
-    return lambda x, grids: ad.depthwise_conv2d(x, grids, attn.dw_k, stride=2, pad=1)
+def convs(attn):
+    """The q, k and v depth-wise projections: bare kernels, no bias, q at
+    stride 1 and k, v at stride 2."""
+    return tuple(
+        lambda x, grids, kernel=kernel, stride=stride: ad.depthwise_conv2d(
+            x, grids, kernel, stride=stride, pad=1)
+        for kernel, stride in ((attn.dw_q, 1), (attn.dw_k, 2), (attn.dw_v, 2))
+    )
 
 
 def projections(attn, x, grids):
     """The q, k and v depth-wise projections of token rows x over grids."""
-    return tuple(conv(x, grids) for conv in (attn.dw_q, key_conv(attn), attn.dw_v))
+    return tuple(conv(x, grids) for conv in convs(attn))
 
 
 def test_conv_projection_extents():
@@ -108,6 +113,23 @@ def test_template_projections_independent():
 # attention cores
 
 
+@pytest.mark.parametrize("split", [None, (6, 20), (6, 8)])
+def test_constant_value_row_shifts_the_output_by_itself(split):
+    """The premise that lets the value projections drop their bias: each
+    query group's weights sum to one, so adding one row c to every value row
+    shifts every output row by c.  Cases: no split, a split at every key,
+    and an asymmetric split whose first group attends 8 of 20 keys.  In
+    float32 the weights sum to one only within rounding, so the shift holds
+    to 16 ulps of the largest |v| + |c|."""
+    rng = np.random.default_rng(38)
+    q, k, v = (rng.normal(size=(2, n, 8)).astype(np.float32) for n in (15, 20, 20))
+    c = (3.0 * rng.normal(size=8)).astype(np.float32)
+    y = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, split).numpy()
+    y_c = ad.attention(Tensor(q), Tensor(k), Tensor(v + c), 2, split).numpy()
+    tol = 16 * np.finfo(np.float32).eps * (np.abs(v).max() + np.abs(c).max())
+    assert np.abs(y_c - y - c).max() <= tol
+
+
 def one_head(lay, mode, seed):
     """One-head attention whose output projection is the identity, so its
     output rows are the attention rows themselves."""
@@ -127,7 +149,8 @@ def region_projections(attn, x, lay):
         streams = projections(attn, Tensor(rows), [grid])
         out.append(tuple(
             proj(s).numpy()[0].astype(np.float64)
-            for proj, s in zip((attn.wq, lambda s: ad.linear(s, attn.wk), attn.wv), streams)
+            for proj, s in zip((attn.wq, lambda s: ad.linear(s, attn.wk),
+                                lambda s: ad.linear(s, attn.wv)), streams)
         ))
     return out
 
@@ -272,12 +295,12 @@ def former_joint_attention(attn, x, lay, extra):
     """The former joint pass of MixedAttention, op for op: one depth-wise
     call per region and role with a concat, matmul-then-add projections, the
     head split, the template keys cut out and concatenated back, one softmax
-    chain per query group, and the head merge.  The keys' projections have
-    no bias."""
+    chain per query group, and the head merge.  Neither the keys' nor the
+    values' projections, nor q's depth-wise one, have a bias."""
     lt, ls = lay.template_total, lay.search_total
     regions = [(0, lt, (lay.templates, lay.t, lay.t)), (lt, lt + ls, (1, lay.s, lay.s))]
     q, k, v = (ad.concat([conv(x[:, a:z], [grid]) for a, z, grid in regions], axis=1)
-               for conv in (attn.dw_q, key_conv(attn), attn.dw_v))
+               for conv in convs(attn))
     if extra:
         q = ad.concat([q, x[:, lt + ls :]], axis=1)
 

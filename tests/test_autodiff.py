@@ -38,7 +38,7 @@ def conv2d_loops(x, w, b, stride, pad):
     return y
 
 
-def depthwise_loops(x, k, b, stride, pad):
+def depthwise_loops(x, k, stride, pad):
     """Channels-last oracle: x [B, H, W, C], k [C, kh, kw]."""
     bsz, h, wd, c = x.shape
     _, kh, kw = k.shape
@@ -51,7 +51,7 @@ def depthwise_loops(x, k, b, stride, pad):
             for i in range(oh):
                 for j in range(ow):
                     patch = xp[bi, i * stride : i * stride + kh, j * stride : j * stride + kw, ci]
-                    y[bi, i, j, ci] = (patch * k[ci]).sum() + b[ci]
+                    y[bi, i, j, ci] = (patch * k[ci]).sum()
     return y
 
 
@@ -80,7 +80,7 @@ def _reference_tap_views(buf, kh, kw, stride, out_h, out_w):
 # The former ``autodiff.depthwise_conv2d`` and its ``_tap_views``, a per-tap
 # loop on every map size, kept verbatim (bar the ``ad.`` prefixes): both
 # forward paths of the op must match it bit for bit.
-def reference_depthwise(x, w, b=None, stride=1, pad=0):
+def reference_depthwise(x, w, stride, pad):
     x, w = ad.as_tensor(x), ad.as_tensor(w)
     if x.ndim != 4:
         raise ShapeError(
@@ -105,10 +105,7 @@ def reference_depthwise(x, w, b=None, stride=1, pad=0):
     tmp = np.empty_like(y)
     for view, tap in zip(views[1:], taps[1:]):
         y += np.multiply(view, tap, out=tmp)
-    if b is not None:
-        y += ad.as_tensor(b).data
     out = Tensor(y)
-    inputs = (x, w) if b is None else (x, w, ad.as_tensor(b))
 
     def vjp(g):
         # sums over every position as one row-vector product, which is far
@@ -128,11 +125,9 @@ def reference_depthwise(x, w, b=None, stride=1, pad=0):
             for gview, tap in zip(gviews, taps):
                 gview += np.multiply(g, tap, out=prod)
             gx = np.ascontiguousarray(gbuf[:, pad:-pad, pad:-pad]) if pad else gbuf
-        if b is None:
-            return gx, gw
-        return gx, gw, np.matmul(ones, g.reshape(-1, c)).reshape(c)
+        return gx, gw
 
-    return ad._record("depthwise_conv2d", out, inputs, vjp)
+    return ad._record("depthwise_conv2d", out, (x, w), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +220,12 @@ def test_softmax_rows_sum_to_one():
 # depthwise convolution
 
 
-def maps_depthwise(x, k, b=None, stride=1, pad=0):
+def maps_depthwise(x, k, stride, pad):
     """``ad.depthwise_conv2d`` of channels-last maps x [B, H, W, C], as one
     grid of token rows per batch entry, reshaped back to [B, H', W', C]."""
     bsz, h, wd, c = x.shape
     y = ad.depthwise_conv2d(Tensor(x.reshape(bsz, h * wd, c)), [(1, h, wd)], Tensor(k),
-                            None if b is None else Tensor(b), stride=stride, pad=pad)
+                            stride=stride, pad=pad)
     out_h = ad._conv_out_extent(h, k.shape[1], stride, pad)
     return y.numpy().reshape(bsz, out_h, -1, c)
 
@@ -249,7 +244,7 @@ def test_depthwise_all_ones_interior():
     c = 1.5
     x = np.full((1, 6, 6, 2), c, dtype=np.float32)
     k = np.ones((2, 3, 3), dtype=np.float32)
-    y = maps_depthwise(x, k, pad=1)
+    y = maps_depthwise(x, k, stride=1, pad=1)
     assert y.shape == (1, 6, 6, 2)
     np.testing.assert_allclose(y[:, 1:-1, 1:-1], 9 * c, rtol=1e-6)
 
@@ -294,10 +289,9 @@ def test_depthwise_matches_loop_oracle():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 9, 7, 4)).astype(np.float64)
     k = rng.normal(size=(4, 3, 3)).astype(np.float64)
-    b = rng.normal(size=4).astype(np.float64)
     for stride, pad in [(1, 1), (2, 1), (1, 0), (3, 2)]:
-        got = maps_depthwise(x, k, b, stride=stride, pad=pad)
-        want = depthwise_loops(x, k, b, stride, pad)
+        got = maps_depthwise(x, k, stride=stride, pad=pad)
+        want = depthwise_loops(x, k, stride, pad)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -308,28 +302,26 @@ def test_depthwise_regions_match_loop_oracle():
     t = rng.normal(size=(2, 3, 5, 4, 4))
     s = rng.normal(size=(2, 9, 7, 4))
     k = rng.normal(size=(4, 3, 3))
-    b = rng.normal(size=4)
     x = np.concatenate([t.reshape(2, 60, 4), s.reshape(2, 63, 4)], axis=1)
     for stride, pad in [(1, 1), (2, 1)]:
-        got = ad.depthwise_conv2d(Tensor(x), [(3, 5, 4), (1, 9, 7)], Tensor(k), Tensor(b),
+        got = ad.depthwise_conv2d(Tensor(x), [(3, 5, 4), (1, 9, 7)], Tensor(k),
                                   stride=stride, pad=pad).numpy()
-        want_t = depthwise_loops(t.reshape(6, 5, 4, 4), k, b, stride, pad)
-        want_s = depthwise_loops(s, k, b, stride, pad)
+        want_t = depthwise_loops(t.reshape(6, 5, 4, 4), k, stride, pad)
+        want_s = depthwise_loops(s, k, stride, pad)
         want = np.concatenate([want_t.reshape(2, -1, 4), want_s.reshape(2, -1, 4)], axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_depthwise_float32_is_within_summation_error_of_the_oracle():
-    # the taps are summed one by one in float32, then the bias: each of the
-    # kh*kw + 1 additions rounds once, relative to the sum of magnitudes
+    # the taps are summed one by one in float32: each product and each
+    # addition rounds once, relative to the sum of magnitudes
     rng = np.random.default_rng(29)
-    x, k, b = (rng.normal(size=shape).astype(np.float32)
-               for shape in ((2, 9, 7, 4), (4, 3, 3), (4,)))
+    x, k = (rng.normal(size=shape).astype(np.float32) for shape in ((2, 9, 7, 4), (4, 3, 3)))
     for stride, pad in [(1, 1), (2, 1), (1, 0)]:
-        got = maps_depthwise(x, k, b, stride=stride, pad=pad)
+        got = maps_depthwise(x, k, stride=stride, pad=pad)
         assert got.dtype == np.float32
-        want = depthwise_loops(*(a.astype(np.float64) for a in (x, k, b)), stride, pad)
-        scale = depthwise_loops(*(np.abs(a).astype(np.float64) for a in (x, k, b)), stride, pad)
+        want = depthwise_loops(*(a.astype(np.float64) for a in (x, k)), stride, pad)
+        scale = depthwise_loops(*(np.abs(a).astype(np.float64) for a in (x, k)), stride, pad)
         assert np.all(np.abs(got - want) <= 10 * np.finfo(np.float32).eps * scale)
 
 
@@ -625,19 +617,23 @@ def test_tape_on_another_thread_records_nothing_from_this_one():
         with Tape() as tape:
             entered.set()
             done.wait(10)
+            seen["entries_before"] = len(tape)
+            z = ad.mul(x, x)
+            seen["requires_grad"] = z.requires_grad
             seen["entries"] = len(tape)
-            seen["active"] = Tape.active() is tape
 
     worker = threading.Thread(target=hold_tape)
     worker.start()
     assert entered.wait(10)
-    y = ad.mul(x, x)
-    active_here = Tape.active()
-    done.set()
-    worker.join(10)
+    y = ad.mul(x, x)  # this thread holds no tape
+    with Tape() as mine:
+        ad.mul(x, x)
+        done.set()
+        worker.join(10)
+        assert len(mine) == 1
     assert not worker.is_alive()
-    assert active_here is None and y.requires_grad is False
-    assert seen == {"entries": 0, "active": True}
+    assert y.requires_grad is False
+    assert seen == {"entries_before": 0, "requires_grad": True, "entries": 1}
 
 
 def test_no_tape_builds_no_graph():
@@ -708,16 +704,16 @@ def test_conv2d_channel_mismatch_raises():
 # window gathering and shape ops pinned bit for bit
 
 
-def _conv_output_and_grads(op, x, w, b, stride, pad):
-    """Forward output and the gradients of x, w and b under a fixed upstream."""
-    return _output_and_grads(lambda *leaves: op(*leaves, stride=stride, pad=pad), (x, w, b))
+def _conv_output_and_grads(op, leaves, stride, pad):
+    """Forward output and the gradient of each leaf under a fixed upstream."""
+    return _output_and_grads(lambda *ts: op(*ts, stride=stride, pad=pad), leaves)
 
 
 def _assert_matches_reference_patches(monkeypatch, op, x, w, b, stride, pad):
-    got = _conv_output_and_grads(op, x, w, b, stride, pad)
+    got = _conv_output_and_grads(op, (x, w, b), stride, pad)
     with monkeypatch.context() as m:
         m.setattr(ad, "_patches", reference_patches)
-        want = _conv_output_and_grads(op, x, w, b, stride, pad)
+        want = _conv_output_and_grads(op, (x, w, b), stride, pad)
     for name, g, r in zip(("out", "dx", "dw", "db"), got, want):
         assert g.dtype == r.dtype and np.array_equal(g, r), (
             f"{op.__name__} {name} differs: shape {x.shape} stride {stride} pad {pad}"
@@ -982,21 +978,20 @@ def test_depthwise_matches_reference_on_both_paths(bsz, h, wd, dtype):
     rng = np.random.default_rng(30)
     x = rng.normal(size=(bsz, h * wd, 16)).astype(dtype)
     w = rng.normal(size=(16, 3, 3)).astype(dtype)
-    b = rng.normal(size=16).astype(dtype)
     # channel-major rows seen channels-last: the op reads a strided view
     strided = rng.normal(size=(bsz, 16, h * wd)).astype(dtype).transpose(0, 2, 1)
     cases = [(x, s, p) for s in (1, 2) for p in (0, 1)]
     cases += [(strided, s, 0) for s in (1, 2)]
     for xs, stride, pad in cases:
-        got = _conv_output_and_grads(token_depthwise([(1, h, wd)]), xs, w, b, stride, pad)
-        want = _conv_output_and_grads(per_region_chain([(1, h, wd)]), xs, w, b, stride, pad)
+        got = _conv_output_and_grads(token_depthwise([(1, h, wd)]), (xs, w), stride, pad)
+        want = _conv_output_and_grads(per_region_chain([(1, h, wd)]), (xs, w), stride, pad)
         _assert_same_bits(got, want, f"depthwise {xs.shape} stride {stride} pad {pad}")
 
 
 def token_depthwise(grids):
     """``ad.depthwise_conv2d`` over fixed grids, called as the conv ops are."""
-    def op(x, w, b, stride, pad):
-        return ad.depthwise_conv2d(x, grids, w, b, stride=stride, pad=pad)
+    def op(x, w, stride, pad):
+        return ad.depthwise_conv2d(x, grids, w, stride=stride, pad=pad)
     return op
 
 
@@ -1004,13 +999,13 @@ def per_region_chain(grids):
     """The former per-region projection over fixed grids: each region's rows
     cut out, reshaped to channels-last maps, convolved by the former op,
     reshaped back, and the regions concatenated."""
-    def op(x, w, b, stride, pad):
+    def op(x, w, stride, pad):
         bsz, c = x.shape[0], x.shape[-1]
         parts, start = [], 0
         for n, h, wd in grids:
             rows = x[:, start : start + n * h * wd]
             start += n * h * wd
-            y = reference_depthwise(ad.reshape(rows, (bsz * n, h, wd, c)), w, b, stride, pad)
+            y = reference_depthwise(ad.reshape(rows, (bsz * n, h, wd, c)), w, stride, pad)
             parts.append(ad.reshape(y, (bsz, -1, c)))
         return parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
     return op
@@ -1025,10 +1020,9 @@ def test_depthwise_regions_match_per_region_calls_bit_for_bit(bsz):
     grids = [(2, 8, 8), (1, 16, 16)]
     x = rng.normal(size=(bsz, 2 * 64 + 256 + 1, 16)).astype(np.float32)
     w = rng.normal(size=(16, 3, 3)).astype(np.float32)
-    b = rng.normal(size=16).astype(np.float32)
     for stride in (1, 2):
-        got = _conv_output_and_grads(token_depthwise(grids), x, w, b, stride, 1)
-        want = _conv_output_and_grads(per_region_chain(grids), x, w, b, stride, 1)
+        got = _conv_output_and_grads(token_depthwise(grids), (x, w), stride, 1)
+        want = _conv_output_and_grads(per_region_chain(grids), (x, w), stride, 1)
         _assert_same_bits(got, want, f"depthwise regions B={bsz} stride {stride}")
         assert got[1].flags.c_contiguous and not got[1][:, -1].any()
 
@@ -1177,10 +1171,10 @@ def _fd_case(name):
         )
     if name == "depthwise_conv2d":
         # two 2x3 templates and a 5x5 search map, then a row no grid covers
-        x, w, b = t((2, 2 * 6 + 25 + 1, 3)), t((3, 3, 3)), t((3,))
+        x, w = t((2, 2 * 6 + 25 + 1, 3)), t((3, 3, 3))
         grids = [(2, 2, 3), (1, 5, 5)]
-        return {"x": x, "w": w, "b": b}, lambda: ad.sum_(
-            ad.mul(y := ad.depthwise_conv2d(x, grids, w, b, stride=2, pad=1), y)
+        return {"x": x, "w": w}, lambda: ad.sum_(
+            ad.mul(y := ad.depthwise_conv2d(x, grids, w, stride=2, pad=1), y)
         )
     if name == "matmul":
         a, b = t((2, 3, 4)), t((2, 4, 2))
@@ -1346,18 +1340,18 @@ def test_op_gradient_matches_finite_difference(op):
 @pytest.mark.parametrize("stride, pad", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_depthwise_gradient_matches_finite_difference(stride, pad):
     rng = np.random.default_rng(26)
-    x, w, b = (
+    x, w = (
         Tensor(np.asarray(rng.uniform(-1.0, 1.0, size=shape), np.float64), requires_grad=True)
-        for shape in ((2, 3, 2 * 9 + 30), (3, 3, 3), (3,))
+        for shape in ((2, 3, 2 * 9 + 30), (3, 3, 3))
     )
 
     def f():
         # a channel-major leaf seen as token rows: the op reads a strided view
-        y = ad.depthwise_conv2d(ad.transpose(x, (0, 2, 1)), [(2, 3, 3), (1, 6, 5)], w, b,
+        y = ad.depthwise_conv2d(ad.transpose(x, (0, 2, 1)), [(2, 3, 3), (1, 6, 5)], w,
                                 stride=stride, pad=pad)
         return ad.sum_(ad.mul(y, y))
 
-    report = grad_check(f, {"x": x, "w": w, "b": b}, h=1e-5)
+    report = grad_check(f, {"x": x, "w": w}, h=1e-5)
     assert max(report.values()) < 1e-4, report
 
 

@@ -80,6 +80,21 @@ def batch_norm_chain(x, gain, bias, eps=1e-5):
     return ad.add(xn, ad.reshape(bias, (1, -1, 1, 1)))
 
 
+def test_conv_bias_before_batch_norm_is_a_shift_of_its_bias():
+    """The premise that lets the corner convs drop their bias: a per-channel
+    b added to the conv output before the frozen batch norm equals the
+    norm's bias moved by b * gain * inv, inv = 1 / sqrt(1 + eps)."""
+    rng = np.random.default_rng(39)
+    x = Tensor(rng.normal(size=(2, 3, 6, 5)))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    gain, bias, b = (rng.normal(size=4) for _ in range(3))
+    inv = 1.0 / np.sqrt(1.0 + 1e-5)
+    y = ad.conv2d(x, w)
+    with_b = ad.batch_norm_frozen(ad.add(y, Tensor(b.reshape(1, 4, 1, 1))), gain, bias)
+    shifted = ad.batch_norm_frozen(y, gain, bias + b * gain * inv)
+    np.testing.assert_allclose(with_b.numpy(), shifted.numpy(), rtol=1e-12, atol=1e-12)
+
+
 class TestCornerHead:
     def test_dim_must_divide_16(self):
         with pytest.raises(ConfigError):

@@ -12,10 +12,10 @@ from mixtrack import autodiff as ad
 from mixtrack import nn, train
 from mixtrack.autodiff import Tape, Tensor
 from mixtrack.boxes import iou
-from mixtrack.data import Sequence, SyntheticConfig, generate_synthetic
+from mixtrack.data import Sequence, SyntheticConfig, generate_synthetic, success_auc
 from mixtrack.errors import ConfigError, UsageError
 from mixtrack.model import build_model
-from mixtrack.tracker import CropParams
+from mixtrack.tracker import CropParams, Tracker
 from mixtrack.train import (
     AdamW,
     TrainConfig,
@@ -677,3 +677,25 @@ class TestEvalHelpers:
         assert len(lines) == 3
         assert lines[1].startswith("0,1.5,")
         assert not list(tmp_path.glob("*.tmp"))
+
+
+# A short stage 1 must lift tiny far above an untrained model on held-out
+# sequences.  Measured on 8 seeds (0-7) at 150 iterations, lr 1e-3, B=4, the
+# corner head read mean success AUC 0.118-0.635 (0.129-0.635 before the
+# redundant biases went), and untrained models read 0.017-0.023 (seeds 0-5).
+# The floor sits near the geometric middle: the lowest trained run is 2.4x
+# above it and the highest untrained one 2.2x below.  The query head does
+# not learn under this recipe, so the guard trains the corner head.
+LEARNING_FLOOR = 0.05
+
+
+def test_tiny_learns_to_track_held_out_sequences():
+    model = build_model("tiny", head="corner", seed=0)
+    cfg = TrainConfig(seed=0, stage1_iters=150, batch_size=4, lr=1e-3)
+    train_stage1(model, train.default_training_data(0), cfg)
+    tracker = Tracker(model)
+    aucs = []
+    for seq in train.default_training_data(7, sequences=4, frames=60):
+        boxes, _ = tracker.track(seq)
+        aucs.append(success_auc(boxes, [seq.gt_corners(i) for i in range(len(seq.frames))]))
+    assert np.mean(aucs) > LEARNING_FLOOR, aucs
