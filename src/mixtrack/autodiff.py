@@ -1,7 +1,7 @@
 """Tape-based reverse-mode autodiff over dense numpy arrays.
 
 A ``Tensor`` wraps one ndarray plus an optional gradient accumulator.  Every
-operation is a function of this module (``add(a, b)``, ``matmul(a, b)``,
+operation is a function of this module (``add(a, b)``, ``linear(x, w)``,
 ``sum_(x)``): a Tensor has no arithmetic operators and no op methods, and
 indexing it is the ``take`` op.  While a ``Tape`` is active, every operation
 appends a record holding the tensors it touched and a closure computing its
@@ -20,6 +20,13 @@ repeated runs on the same machine are bit-identical.
 
 Float32 is the working precision; build inputs and parameters as float64 when
 running finite-difference checks.
+
+Each op carries a hand-written vector-Jacobian product; a composition gets
+its gradient from the chain rule.  Add an op only where no composition of
+existing ops gives the same bits forward and backward: a clamp is
+``minimum(maximum(x, lo), hi)`` and a negation is ``mul(x, -1.0)``.  ``sub``,
+``linear``'s bias, ``batch_norm_frozen`` and ``attention`` equal compositions
+too, and stay fused for the ops or memory they save on hot paths.
 """
 
 import itertools
@@ -200,99 +207,66 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _binary(name, a, b, y, grad_a, grad_b):
+    """Record the broadcasting binary op ``name`` with output ``y``.
+    ``grad_a(g)`` and ``grad_b(g)`` give each operand's gradient at the
+    output's shape; each runs, and has its broadcast axes summed, only
+    for an operand that needs a gradient."""
+    def vjp(g):
+        return (
+            _unbroadcast(grad_a(g), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(grad_b(g), b.data.shape) if b.requires_grad else None,
+        )
+
+    return _record(name, Tensor(y), (a, b), vjp)
+
+
 # ---------------------------------------------------------------------------
 # elementwise binary ops
 
 
 def add(a, b):
     a, b = _coerce_pair(a, b)
-    out = Tensor(a.data + b.data)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record("add", out, (a, b), vjp)
+    return _binary("add", a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = _coerce_pair(a, b)
-    out = Tensor(a.data - b.data)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record("sub", out, (a, b), vjp)
+    return _binary("sub", a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     a, b = _coerce_pair(a, b)
-    out = Tensor(a.data * b.data)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record("mul", out, (a, b), vjp)
+    return _binary("mul", a, b, a.data * b.data,
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b):
     a, b = _coerce_pair(a, b)
-    out = Tensor(a.data / b.data)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            if b.requires_grad else None,
-        )
-
-    return _record("div", out, (a, b), vjp)
+    return _binary("div", a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def maximum(a, b):
+    """Elementwise max.  ``a`` takes the whole gradient where ``a >= b``,
+    ties included, and ``b`` takes it elsewhere, NaN included."""
     a, b = _coerce_pair(a, b)
-    out = Tensor(np.maximum(a.data, b.data))
-
-    def vjp(g):
-        mask = a.data >= b.data
-        return (
-            _unbroadcast(g * mask, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * ~mask, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record("maximum", out, (a, b), vjp)
+    return _binary("maximum", a, b, np.maximum(a.data, b.data),
+                   lambda g: g * (a.data >= b.data),
+                   lambda g: g * ~(a.data >= b.data))
 
 
 def minimum(a, b):
+    """Elementwise min.  ``a`` takes the whole gradient where ``a <= b``,
+    ties included, and ``b`` takes it elsewhere, NaN included."""
     a, b = _coerce_pair(a, b)
-    out = Tensor(np.minimum(a.data, b.data))
-
-    def vjp(g):
-        mask = a.data <= b.data
-        return (
-            _unbroadcast(g * mask, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * ~mask, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _record("minimum", out, (a, b), vjp)
+    return _binary("minimum", a, b, np.minimum(a.data, b.data),
+                   lambda g: g * (a.data <= b.data),
+                   lambda g: g * ~(a.data <= b.data))
 
 
 # ---------------------------------------------------------------------------
 # elementwise unary ops
-
-
-def neg(x):
-    x = as_tensor(x)
-    out = Tensor(-x.data)
-    return _record("neg", out, (x,), lambda g: (-g,))
 
 
 def log(x):
@@ -331,14 +305,6 @@ def gelu(x):
         return (g * (phi + x.data * pdf),)
 
     return _record("gelu", out, (x,), vjp)
-
-
-def clamp(x, lo, hi):
-    x = as_tensor(x)
-    out = Tensor(np.clip(x.data, lo, hi))
-    return _record(
-        "clamp", out, (x,), lambda g: (g * ((x.data >= lo) & (x.data <= hi)),)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,37 +397,10 @@ def take(x, idx):
 # linear algebra
 
 
-def matmul(a, b):
-    """Batched matrix product over the last two axes."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(
-            f"matmul needs >=2-d operands, got {a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner extents differ: {a.shape} vs {b.shape}"
-        )
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-        return ga, gb
-
-    return _record("matmul", out, (a, b), vjp)
-
-
 def linear(x, w, b=None):
-    """Affine map x @ w (+ b) as one op; w has shape [in, out].
-
-    It equals ``add(matmul(x, w), b)`` bit for bit, forward and backward:
-    the bias adds into the product in place, and the gradients are the
-    ones those two ops return for the same upstream.
-    """
+    """Affine map x @ w (+ b) as one op; w has shape [in, out].  Without
+    a bias it is the batched matrix product over the last two axes; a bias
+    adds into the product in place, with ``add``'s gradient."""
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 2 or w.ndim < 2:
         raise ShapeError(
@@ -523,7 +462,7 @@ def _attention_weights(q, k, scale):
     """softmax(q @ kᵀ · scale) over the last axis, as a new array.
 
     The scale, the max shift, the exponential and the division run in place,
-    in the order of the former matmul, mul and softmax ops, so the weights
+    in the order of the former product, mul and softmax ops, so the weights
     carry the same bits.
     """
     w = np.matmul(q, np.swapaxes(k, -1, -2))
@@ -590,8 +529,8 @@ def attention(q, k, v, heads, split=None):
     With ``split=(lt, kt)`` the query rows form two groups: the first lt rows
     attend only the first kt keys, and the others attend every key.  Each
     group has its own weights and products, so the op equals splitting the
-    heads, running the chain matmul(q, kᵀ), mul by 1/sqrt(d), softmax and
-    matmul by v once per group on its rows and keys, and merging the heads,
+    heads, running the chain linear(q, kᵀ), mul by 1/sqrt(d), softmax and
+    linear by v once per group on its rows and keys, and merging the heads,
     bit for bit, forward and backward.  The gradients of several groups are
     C-order arrays, and a key's gradient adds the groups' contributions.
     The forward runs each group's rows in blocks of ``_ATTENTION_ROWS``;

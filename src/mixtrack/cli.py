@@ -14,7 +14,6 @@ thread count (``OPENBLAS_NUM_THREADS``), which sets their sum orders.
 """
 
 import argparse
-import math
 import os
 import sys
 
@@ -36,7 +35,7 @@ from .config import (
     load_run_config,
     parse_run_config,
 )
-from .data import _read_text, load_sequence, precision, success_auc
+from .data import _box_rows, load_sequence, precision, success_auc
 from .errors import ConfigError, ParseError, ShapeError, UsageError
 from .tracker import Tracker, crop_search, crop_template
 from .train import (
@@ -58,12 +57,11 @@ def cmd_train(args):
     cfg = load_run_config(args.config)
     data = default_training_data(cfg.seed)
     model = cfg.build_model()
-    crop = cfg.crop_params()
     print(f"stage 1: {cfg.stage1_iters} iterations")
-    curve1 = train_stage1(model, data, cfg, crop_params=crop)
+    curve1 = train_stage1(model, data, cfg)
     print(f"  loss {curve1[0][1]:.4f} -> {curve1[-1][1]:.4f}")
     print(f"stage 2: {cfg.stage2_iters} iterations")
-    curve2 = train_stage2_spm(model, data, cfg, crop_params=crop)
+    curve2 = train_stage2_spm(model, data, cfg)
     print(f"  loss {curve2[0][1]:.4f} -> {curve2[-1][1]:.4f}")
     write_loss_curve(_curve_path(args.out, 1), curve1)
     write_loss_curve(_curve_path(args.out, 2), curve2)
@@ -108,33 +106,14 @@ def cmd_track(args):
 
 def _read_box_lines(path):
     """Rows [frame, x, y, w, h, score] of a boxes csv that can be scored
-    honestly, as ``track`` writes them: frames numbered 1..N in order, finite
-    x, y, w and h, and w, h >= 0.  Anything else raises a ParseError that
-    names the line."""
+    honestly, as ``track`` writes them: ``data._box_rows``' rule, and
+    frames numbered 1..N in order."""
     rows = []
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(
-                f"expected frame,x,y,w,h,score, got {line!r}", line=lineno
-            )
-        try:
-            row = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(
-                f"non-numeric field in {line!r}", line=lineno
-            ) from None
+    for lineno, row in _box_rows(path, "frame,x,y,w,h,score"):
         if row[0] != len(rows) + 1:
             raise ParseError(
-                f"frame {parts[0]} where frame {len(rows) + 1} was due", line=lineno
+                f"frame {row[0]:g} where frame {len(rows) + 1} was due", line=lineno
             )
-        if not all(math.isfinite(v) for v in row[1:5]):
-            raise ParseError(f"non-finite box in {line!r}", line=lineno)
-        if row[3] < 0 or row[4] < 0:
-            raise ParseError(f"negative box size in {line!r}", line=lineno)
         rows.append(row)
     return rows
 

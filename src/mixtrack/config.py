@@ -12,7 +12,7 @@ from . import backbone as bb
 from .data import _read_text
 from .errors import ConfigError, ParseError
 from .model import HEAD_TYPES, build_model
-from .tracker import CropParams, _check_update
+from .tracker import _check_update
 from .train import TrainConfig
 
 _BOOL_WORDS = {
@@ -25,8 +25,9 @@ _BOOL_WORDS = {
 class RunConfig(TrainConfig):
     """Everything a train or track run needs, with documented defaults.
 
-    The training settings are TrainConfig's fields, so a RunConfig is the
-    TrainConfig both training stages take.
+    The training settings are TrainConfig's fields, crop factors included,
+    so a RunConfig is the TrainConfig both training stages take, and its
+    crops are the tracker's.
     """
 
     preset: str = "mixformer"
@@ -34,8 +35,6 @@ class RunConfig(TrainConfig):
     attention: str = "asymmetric"
     update_interval: int = 200
     score_threshold: float = 0.5
-    search_factor: float = 5.0
-    template_factor: float = 2.0
     online_templates: int = 1
 
     def __post_init__(self):
@@ -45,17 +44,12 @@ class RunConfig(TrainConfig):
                 f"head must be one of {HEAD_TYPES}, got {self.head!r}"
             )
         _check_update(self.update_interval, self.score_threshold)
-        self.crop_params()
         self.backbone_config()
 
     @property
     def templates(self):
         """Total template slots: the static one plus the online ones."""
         return 1 + self.online_templates
-
-    def crop_params(self):
-        return CropParams(search_factor=self.search_factor,
-                          template_factor=self.template_factor)
 
     def to_train_config(self):
         return TrainConfig(**{f.name: getattr(self, f.name)

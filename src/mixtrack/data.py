@@ -267,32 +267,51 @@ def save_sequence(directory, seq):
             fh.write(f"{x},{y},{w},{h}\n")
 
 
+def _box_rows(path, form):
+    """(line number, row) of each non-blank line of a comma-separated box
+    file whose fields are named by ``form``, such as "x,y,w,h".
+
+    A row can be scored honestly: every field is a number, x, y, w and h
+    are finite, and w, h >= 0.  Anything else raises a ParseError that
+    names the file and the line."""
+    at = form.split(",").index("x")
+    rows = []
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != form.count(",") + 1:
+            raise ParseError(f"{path}: expected {form}, got {line!r}", line=lineno)
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric field in {line!r}", line=lineno
+            ) from None
+        x, y, w, h = row[at : at + 4]
+        if not all(np.isfinite((x, y, w, h))):
+            raise ParseError(f"{path}: non-finite box in {line!r}", line=lineno)
+        if w < 0 or h < 0:
+            raise ParseError(f"{path}: negative box size in {line!r}", line=lineno)
+        rows.append((lineno, row))
+    return rows
+
+
 def load_sequence(directory):
     """Open a sequence directory written by save_sequence (or compatible);
     the sequence is named after the directory.
 
     No pixels are read: the frames are ``FrameFiles``, mapped on access.
     Every frame's header and size are still checked here, so a malformed
-    or short frame file is a ParseError at load."""
+    or short frame file is a ParseError at load, and so is a ground-truth
+    line that cannot be scored (see ``_box_rows``).  That includes the NaN
+    rows that UAV123 writes for an absent target: absence is out of
+    scope."""
     gt_path = os.path.join(directory, "groundtruth.txt")
     if not os.path.exists(gt_path):
         raise ParseError(f"{directory}: no groundtruth.txt")
-    gt = []
-    for lineno, line in enumerate(_read_text(gt_path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(
-                f"{gt_path}: expected x,y,w,h", line=lineno
-            )
-        try:
-            gt.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise ParseError(
-                f"{gt_path}: non-numeric field in {line!r}", line=lineno
-            ) from None
+    gt = [tuple(row) for _, row in _box_rows(gt_path, "x,y,w,h")]
     if not gt:
         raise ParseError(f"{gt_path}: empty ground truth")
     names = sorted(

@@ -64,7 +64,7 @@ def score_loss(p, label):
     """
     p = as_tensor(p)
     y = np.asarray(label, dtype=p.dtype)
-    pc = ad.clamp(p, 1e-7, 1.0 - 1e-7)
+    pc = ad.minimum(ad.maximum(p, 1e-7), 1.0 - 1e-7)
     pos = ad.mul(ad.log(pc), y)
     neg = ad.mul(ad.log(ad.sub(1.0, pc)), 1.0 - y)
-    return ad.neg(ad.mean_(ad.add(pos, neg)))
+    return ad.mul(ad.mean_(ad.add(pos, neg)), -1.0)

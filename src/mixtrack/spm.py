@@ -64,7 +64,7 @@ def roi_tokens(search_feat, box):
         _ROI_GRID * _ROI_GRID, h * w
     )
     flat = ad.reshape(ad.transpose(feat, (1, 2, 0)), (h * w, c))
-    return ad.matmul(Tensor(weights.astype(feat.dtype)), flat)
+    return ad.linear(Tensor(weights.astype(feat.dtype)), flat)
 
 
 class CrossAttnBlock(nn.Module):

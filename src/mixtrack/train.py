@@ -46,7 +46,8 @@ class TrainConfig:
 
     The learning rate starts at ``lr`` and is cut to a tenth at
     ``decay_fraction`` of the stage-1 iterations; stage 2 runs at the
-    base rate throughout.
+    base rate throughout.  Every training and evaluation crop is taken
+    at ``crop_params()``.
     """
 
     seed: int = 0
@@ -60,6 +61,8 @@ class TrainConfig:
     flip: bool = True
     brightness: bool = True
     max_gap: int = 8
+    search_factor: float = 5.0
+    template_factor: float = 2.0
 
     def __post_init__(self):
         for name in ("stage1_iters", "stage2_iters", "batch_size", "max_gap"):
@@ -75,6 +78,11 @@ class TrainConfig:
             raise ConfigError(
                 f"decay_fraction must lie in (0, 1), got {self.decay_fraction}"
             )
+        self.crop_params()
+
+    def crop_params(self):
+        return CropParams(search_factor=self.search_factor,
+                          template_factor=self.template_factor)
 
     def lr_at(self, iteration):
         """Stage-1 learning rate at a 0-based iteration index."""
@@ -272,19 +280,20 @@ def _pick(data, rng):
     return data[int(rng.integers(0, len(data)))]
 
 
-def _draw_pair(model, data, rng, cfg, crop_params, augment):
+def _draw_pair(model, data, rng, cfg, augment):
     """One example from a randomly picked sequence at the model's crop
-    sizes; ``augment=False`` turns flip and brightness off."""
+    sizes and the config's crop factors; ``augment=False`` turns flip and
+    brightness off."""
     mc = model.config
     return make_training_pair(
         _pick(data, rng), rng, mc.template_size, mc.search_size,
-        templates=mc.templates, crop_params=crop_params,
+        templates=mc.templates, crop_params=cfg.crop_params(),
         flip=augment and cfg.flip, brightness=augment and cfg.brightness,
         max_gap=cfg.max_gap,
     )
 
 
-def _scored_examples(model, data, rng, cfg, crop_params, augment, count):
+def _scored_examples(model, data, rng, cfg, augment, count):
     """[(search features, template tokens, ground-truth box, negative
     box)] of ``count`` drawn examples.
 
@@ -295,7 +304,7 @@ def _scored_examples(model, data, rng, cfg, crop_params, augment, count):
     """
     drawn = []
     for _ in range(count):
-        tmpl, patch, gt = _draw_pair(model, data, rng, cfg, crop_params, augment)
+        tmpl, patch, gt = _draw_pair(model, data, rng, cfg, augment)
         drawn.append((tmpl, patch, gt, _negative_box(gt, rng)))
     tmpl, patch, gt, neg = zip(*drawn)
     _, feat, tokens = model.forward_box(np.stack(tmpl), np.stack(patch))
@@ -303,8 +312,7 @@ def _scored_examples(model, data, rng, cfg, crop_params, augment, count):
             for i in range(count)]
 
 
-def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
-         on_iteration):
+def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, on_iteration):
     """The step loop of both stages; returns the loss curve.
 
     Stage 2 steps the score head's parameters, stage 1 all the others.
@@ -319,7 +327,7 @@ def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
     curve = []
     for it in range(cfg.stage2_iters if score else cfg.stage1_iters):
         rng = _iteration_rng(cfg.seed, stage, it)
-        batch = make_batch(model, data, rng, cfg, crop_params)
+        batch = make_batch(model, data, rng, cfg)
         opt.zero_grad()
         with Tape() as tape:
             loss = loss_of(model, batch)
@@ -334,9 +342,9 @@ def _fit(model, data, cfg, stage, make_batch, loss_of, lr_at, crop_params,
     return curve
 
 
-def _stage1_batch(model, data, rng, cfg, crop_params):
+def _stage1_batch(model, data, rng, cfg):
     tmpl, search, gt = zip(*[
-        _draw_pair(model, data, rng, cfg, crop_params, augment=True)
+        _draw_pair(model, data, rng, cfg, augment=True)
         for _ in range(cfg.batch_size)
     ])
     return np.stack(tmpl), np.stack(search), np.stack(gt).astype(np.float32)
@@ -348,7 +356,7 @@ def _stage1_loss(model, batch):
     return loc_loss(box, gt)
 
 
-def train_stage1(model, data, cfg, crop_params=CropParams(), on_iteration=None):
+def train_stage1(model, data, cfg, on_iteration=None):
     """Fit backbone and localization head in place; returns the loss curve.
 
     The curve holds one (iteration, loss, grad_norm) row per iteration,
@@ -357,11 +365,11 @@ def train_stage1(model, data, cfg, crop_params=CropParams(), on_iteration=None):
     ``cfg.lr_at``.
     """
     return _fit(model, data, cfg, _STAGE1, _stage1_batch, _stage1_loss,
-                cfg.lr_at, crop_params, on_iteration)
+                cfg.lr_at, on_iteration)
 
 
-def _stage2_batch(model, data, rng, cfg, crop_params):
-    return _scored_examples(model, data, rng, cfg, crop_params, augment=True,
+def _stage2_batch(model, data, rng, cfg):
+    return _scored_examples(model, data, rng, cfg, augment=True,
                             count=cfg.batch_size)
 
 
@@ -375,18 +383,17 @@ def _stage2_loss(model, batch):
     return score_loss(stacked, labels)
 
 
-def train_stage2_spm(model, data, cfg, crop_params=CropParams(),
-                     on_iteration=None):
+def train_stage2_spm(model, data, cfg, on_iteration=None):
     """Fit the score head on frozen features; returns the loss curve.
 
     Same curve and abort rule as ``train_stage1``; only score-head
     parameters are stepped, at the base rate ``cfg.lr`` throughout.
     """
     return _fit(model, data, cfg, _STAGE2, _stage2_batch, _stage2_loss,
-                lambda it: cfg.lr, crop_params, on_iteration)
+                lambda it: cfg.lr, on_iteration)
 
 
-def spm_accuracy(model, data, cfg, samples=100, crop_params=CropParams()):
+def spm_accuracy(model, data, cfg, samples=100):
     """Balanced accuracy of the score head at threshold 0.5.
 
     Draws one positive and one negative candidate per sample from fresh,
@@ -400,7 +407,7 @@ def spm_accuracy(model, data, cfg, samples=100, crop_params=CropParams()):
     for i in range(samples):
         rng = _iteration_rng(cfg.seed, _EVAL, i)
         (feat, tokens, pos, neg), = _scored_examples(
-            model, data, rng, cfg, crop_params, augment=False, count=1
+            model, data, rng, cfg, augment=False, count=1
         )
         correct += int(model.predict_score(feat, tuple(pos), tokens).item() >= 0.5)
         correct += int(model.predict_score(feat, tuple(neg), tokens).item() < 0.5)

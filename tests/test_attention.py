@@ -293,7 +293,7 @@ def test_template_only_and_cached_passes_match_joint_pass(extra):
 
 def former_joint_attention(attn, x, lay, extra):
     """The former joint pass of MixedAttention, op for op: one depth-wise
-    call per region and role with a concat, matmul-then-add projections, the
+    call per region and role with a concat, product-then-add projections, the
     head split, the template keys cut out and concatenated back, one softmax
     chain per query group, and the head merge.  Neither the keys' nor the
     values' projections, nor q's depth-wise one, have a bias."""
@@ -306,16 +306,16 @@ def former_joint_attention(attn, x, lay, extra):
 
     def project(lin, t):
         if isinstance(lin, Tensor):
-            return ad.matmul(t, lin)
-        return ad.add(ad.matmul(t, lin.w), lin.b)
+            return ad.linear(t, lin)
+        return ad.add(ad.linear(t, lin.w), lin.b)
 
     def split(t):
         b, n, dim = t.shape
         return ad.transpose(ad.reshape(t, (b, n, attn.heads, dim // attn.heads)), (0, 2, 1, 3))
 
     def chain(q, k, v):
-        logits = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
-        return ad.matmul(ad.softmax(logits), v)
+        logits = ad.mul(ad.linear(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+        return ad.linear(ad.softmax(logits), v)
 
     q, k, v = (split(project(lin, t)) for lin, t in ((attn.wq, q), (attn.wk, k), (attn.wv, v)))
     kt = lay.halved().template_total

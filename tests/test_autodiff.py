@@ -131,30 +131,146 @@ def reference_depthwise(x, w, stride, pad):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# former ops, now compositions
+
+
+# The former ``autodiff.matmul``, ``clamp`` and ``neg``, kept verbatim (bar the
+# ``ad.`` prefixes): the bias-free ``linear``, ``minimum(maximum(x, lo), hi)``
+# and ``mul(x, -1.0)`` that replace them must match them bit for bit.
+def former_matmul(a, b):
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(
+            f"matmul needs >=2-d operands, got {a.shape} and {b.shape}"
+        )
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(
+            f"matmul inner extents differ: {a.shape} vs {b.shape}"
+        )
+    out = Tensor(np.matmul(a.data, b.data))
+
+    def vjp(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = ad._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b.requires_grad:
+            gb = ad._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return ga, gb
+
+    return ad._record("matmul", out, (a, b), vjp)
+
+
+def former_clamp(x, lo, hi):
+    x = ad.as_tensor(x)
+    out = Tensor(np.clip(x.data, lo, hi))
+    return ad._record(
+        "clamp", out, (x,), lambda g: (g * ((x.data >= lo) & (x.data <= hi)),)
+    )
+
+
+def former_neg(x):
+    x = ad.as_tensor(x)
+    out = Tensor(-x.data)
+    return ad._record("neg", out, (x,), lambda g: (-g,))
+
+
+def _assert_same_bytes(got, want, what):
+    """Equal dtype, shape and bytes: NaN payloads and signed zeros count."""
+    for i, (g, r) in enumerate(zip(got, want)):
+        name = "out" if i == 0 else f"grad {i - 1}"
+        assert g.dtype == r.dtype and g.shape == r.shape, f"{what} {name}"
+        assert g.tobytes() == r.tobytes(), f"{what} {name} differs"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_then_min_matches_former_clamp_bit_for_bit(dtype):
+    """As in ``score_loss``: x exactly at either bound keeps its gradient,
+    NaN passes forward and takes none, and so does x outside the bounds."""
+    lo, hi = 1e-7, 1.0 - 1e-7
+    at_lo, at_hi = np.asarray([lo, hi], dtype=dtype)
+    x = np.asarray([at_lo, at_hi, 0.5, -0.0, 0.0, -3.0, 1.0, 2.0, np.nan, -np.inf,
+                    np.inf, np.nextafter(at_lo, dtype(0)), np.nextafter(at_hi, dtype(1))],
+                   dtype=dtype)
+    got = _output_and_grads(lambda t: ad.minimum(ad.maximum(t, lo), hi), (x,))
+    want = _output_and_grads(lambda t: former_clamp(t, lo, hi), (x,))
+    _assert_same_bytes(got, want, "clamp")
+    assert np.all(got[1][:3] != 0) and np.all(got[1][3:] == 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mul_by_minus_one_matches_former_neg_bit_for_bit(dtype):
+    x = np.asarray([0.0, -0.0, 1.5, -2.25, 3e-39, -np.inf, 7.0], dtype=dtype)
+    got = _output_and_grads(lambda t: ad.mul(t, -1.0), (x,))
+    want = _output_and_grads(former_neg, (x,))
+    _assert_same_bytes(got, want, "neg")
+    assert np.signbit(got[0][:2]).tolist() == [True, False]
+    # a scalar, as the mean in score_loss, seeded by backward itself
+    grads = []
+    for op in (lambda t: ad.mul(t, -1.0), former_neg):
+        leaf = Tensor(np.asarray(2.5, dtype=dtype), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(op(ad.mean_(leaf)))
+        grads.append(leaf.grad)
+    assert grads[0].dtype == dtype and grads[0].tobytes() == grads[1].tobytes()
+
+
+@pytest.mark.parametrize("op, cmp", [(ad.maximum, np.greater_equal),
+                                     (ad.minimum, np.less_equal)])
+def test_max_and_min_send_a_tie_to_a_and_a_nan_to_b(op, cmp):
+    a = np.asarray([[1.0, 2.0, np.nan, 3.0], [-0.0, 5.0, 0.5, np.nan]])
+    b = np.asarray([[1.0, 0.0, 4.0, 9.0], [0.0, 5.0, np.nan, np.nan]])
+    y, ga, gb = _output_and_grads(op, (a, b))
+    upstream = np.linspace(-1.0, 1.0, y.size).reshape(y.shape)
+    to_a = cmp(a, b)
+    assert to_a[0, 0] and to_a[1, 0] and to_a[1, 1] and not to_a[0, 2] and not to_a[1, 3]
+    np.testing.assert_array_equal(ga, np.where(to_a, upstream, 0.0))
+    np.testing.assert_array_equal(gb, np.where(to_a, 0.0, upstream))
+    # a broadcast b sums the rows that chose it
+    ga, gb = _output_and_grads(op, (a, b[:1, :1]))[1:]
+    to_a = cmp(a, b[:1, :1])
+    np.testing.assert_array_equal(ga, np.where(to_a, upstream, 0.0))
+    np.testing.assert_allclose(gb, [[np.where(to_a, 0.0, upstream).sum()]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((16, 30), (30, 8)),  # roi_tokens: sample weights by flattened features
+    ((2, 3, 5, 4), (2, 3, 4, 6)),
+    ((2, 1, 5, 4), (3, 4, 6)),
+])
+def test_bias_free_linear_matches_former_matmul_bit_for_bit(a_shape, b_shape, dtype):
+    rng = np.random.default_rng(35)
+    a, b = (rng.normal(size=shape).astype(dtype) for shape in (a_shape, b_shape))
+    got = _output_and_grads(ad.linear, (a, b))
+    want = _output_and_grads(former_matmul, (a, b))
+    _assert_same_bytes(got, want, f"linear {a_shape} @ {b_shape}")
+
+
+# ---------------------------------------------------------------------------
+# linear without a bias: the matrix product
 
 
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3)).astype(np.float32)
-    out = ad.matmul(Tensor(np.eye(3, dtype=np.float32)), Tensor(a))
+    out = ad.linear(Tensor(np.eye(3, dtype=np.float32)), Tensor(a))
     np.testing.assert_array_equal(out.numpy(), a)
 
 
 def test_matmul_hand_case():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([[1.0], [1.0]])
-    np.testing.assert_array_equal(ad.matmul(a, b).numpy(), [[3.0], [7.0]])
+    np.testing.assert_array_equal(ad.linear(a, b).numpy(), [[3.0], [7.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((4, 2)))
     with pytest.raises(ShapeError) as exc:
-        ad.matmul(a, b)
+        ad.linear(a, b)
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
     with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.zeros(3)), b)
+        ad.linear(Tensor(np.zeros(3)), b)
 
 
 def test_matmul_grad_matches_central_difference():
@@ -163,7 +279,7 @@ def test_matmul_grad_matches_central_difference():
     b = Tensor(np.asarray(rng.normal(size=(4, 2)), np.float64), requires_grad=True)
 
     def f():
-        return ad.sum_(ad.matmul(a, b))
+        return ad.sum_(ad.linear(a, b))
 
     report = grad_check(f, {"a": a, "b": b}, h=1e-5)
     assert max(report.values()) < 1e-6, report
@@ -179,7 +295,7 @@ def test_matmul_batched_broadcast_grad():
     b = Tensor(np.asarray(rng.normal(size=(4, 2)), np.float64), requires_grad=True)
 
     def f():
-        y = ad.matmul(a, b)
+        y = ad.linear(a, b)
         return ad.sum_(ad.mul(y, y))
 
     report = grad_check(f, {"a": a, "b": b}, h=1e-5)
@@ -445,10 +561,10 @@ def test_linear_matches_matmul_then_add_bit_for_bit(x_shape, dtype):
     rng = np.random.default_rng(34)
     x, w, b = (rng.normal(size=shape).astype(dtype) for shape in (x_shape, (8, 6), (6,)))
     got = _output_and_grads(ad.linear, (x, w, b))
-    want = _output_and_grads(lambda x, w, b: ad.add(ad.matmul(x, w), b), (x, w, b))
+    want = _output_and_grads(lambda x, w, b: ad.add(former_matmul(x, w), b), (x, w, b))
     _assert_same_bits(got, want, f"linear {x_shape}")
     got = _output_and_grads(ad.linear, (x, w))
-    want = _output_and_grads(ad.matmul, (x, w))
+    want = _output_and_grads(former_matmul, (x, w))
     _assert_same_bits(got, want, f"linear {x_shape} without bias")
 
 
@@ -569,7 +685,7 @@ def test_vjps_skip_inputs_that_need_no_gradient():
     positive = Tensor(rng.uniform(1.0, 2.0, size=(2, 3)).astype(np.float32))
     with Tape() as tape:
         y = ad.conv2d(image, w, stride=2, pad=1)
-        ad.add(a, 1.0), ad.sub(2.0, a), ad.mul(a, 0.5), ad.matmul(a, const)
+        ad.add(a, 1.0), ad.sub(2.0, a), ad.mul(a, 0.5), ad.linear(a, const)
         ad.div(a, positive), ad.div(positive, a)
         ad.maximum(a, 1e-12), ad.minimum(0.0, a)
         ad.attention(a, const, const, 1), ad.attention(const[:2], const, ad.transpose(a, (1, 0)), 1)
@@ -592,7 +708,7 @@ def test_backward_consumes_the_tape():
     x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 5)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
-        h = ad.matmul(x, w)
+        h = ad.linear(x, w)
         saved = weakref.ref(h.data)
         y = ad.gelu(h)
         del h
@@ -784,10 +900,11 @@ def merge_heads(x):
 
 def attention_chain(q, k, v, scale):
     """The op chain the fused attention replaced, as MixedAttention and the
-    score predictor ran it: kᵀ, matmul, mul by the scale, softmax, matmul."""
+    score predictor ran it: kᵀ, product, mul by the scale, softmax, product,
+    each product a bias-free ``linear``."""
     kt = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
-    logits = ad.mul(ad.matmul(q, kt), scale)
-    return ad.matmul(ad.softmax(logits), v)
+    logits = ad.mul(ad.linear(q, kt), scale)
+    return ad.linear(ad.softmax(logits), v)
 
 
 # (q, k, v) token shapes and head count: MAM rows, including B=4, and the
@@ -1086,30 +1203,25 @@ def _fd_case(name):
         a, b = t((3, 4)), t((3, 1))
         return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.sub(a, b), y))
     if name == "mul":
-        a, b = t((2, 3)), t((2, 3))
+        a, b = t((2, 3)), t((1, 3))
         return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(ad.mul(a, b), b))
     if name == "div":
-        a, b = t((2, 3)), t((2, 3), lo=1.0, hi=2.0)
+        a, b = t((2, 3)), t((2, 1), lo=1.0, hi=2.0)
         return {"a": a, "b": b}, lambda: ad.sum_(ad.div(a, b))
-    if name == "maximum":
-        a = t((3, 3))
-        b = Tensor(np.asarray(a.numpy() + rng.choice([-1.0, 1.0], size=(3, 3)) * 0.5, np.float64),
+    if name in ("maximum", "minimum"):
+        # a stays at least 0.2 away from the broadcast b, on either side
+        b = t((3, 1))
+        a = Tensor(np.asarray(b.numpy() + rng.choice([-1.0, 1.0], size=(3, 3))
+                              * rng.uniform(0.2, 1.0, (3, 3)), np.float64),
                    requires_grad=True)
-        return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.maximum(a, b), y))
-    if name == "minimum":
-        a = t((3, 3))
-        b = Tensor(np.asarray(a.numpy() + rng.choice([-1.0, 1.0], size=(3, 3)) * 0.5, np.float64),
-                   requires_grad=True)
-        return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.minimum(a, b), y))
-    if name == "neg":
-        a = t((4,))
-        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.neg(a), y))
+        op = getattr(ad, name)
+        return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := op(a, b), y))
     if name == "log":
         a = t((3, 2), lo=0.5, hi=2.0)
         return {"a": a}, lambda: ad.sum_(ad.log(a))
     if name == "abs":
         a = t((3, 2), lo=0.2, hi=1.0)
-        return {"a": a}, lambda: ad.sum_(ad.abs_(ad.neg(a)))
+        return {"a": a}, lambda: ad.sum_(ad.abs_(ad.mul(a, -1.0)))
     if name == "relu":
         a = Tensor(np.asarray(rng.choice([-1.0, 1.0], size=(4, 4)) * rng.uniform(0.2, 1.0, (4, 4)),
                               np.float64),
@@ -1121,11 +1233,6 @@ def _fd_case(name):
     if name == "gelu":
         a = t((3, 3), lo=-2.0, hi=2.0)
         return {"a": a}, lambda: ad.sum_(ad.gelu(a))
-    if name == "clamp":
-        a = Tensor(np.asarray(rng.choice([-1.0, 1.0], size=(5,)) * rng.uniform(0.6, 1.0, 5),
-                              np.float64),
-                   requires_grad=True)
-        return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.clamp(a, -0.8, 0.8), y))
     if name == "sum_axis":
         a = t((2, 3, 4))
         return {"a": a}, lambda: ad.sum_(ad.mul(y := ad.sum_(a, axis=(0, 2)), y))
@@ -1176,9 +1283,6 @@ def _fd_case(name):
         return {"x": x, "w": w}, lambda: ad.sum_(
             ad.mul(y := ad.depthwise_conv2d(x, grids, w, stride=2, pad=1), y)
         )
-    if name == "matmul":
-        a, b = t((2, 3, 4)), t((2, 4, 2))
-        return {"a": a, "b": b}, lambda: ad.sum_(ad.mul(y := ad.matmul(a, b), y))
     if name == "attention":
         q, k, v = t((2, 3, 4), lo=-2.0, hi=2.0), t((2, 5, 4), lo=-2.0, hi=2.0), t((2, 5, 6))
         return {"q": q, "k": k, "v": v}, lambda: ad.sum_(
@@ -1196,11 +1300,11 @@ def _fd_case(name):
 
 
 ALL_OPS = [
-    "add", "sub", "mul", "div", "maximum", "minimum", "neg", "log",
-    "abs", "relu", "sigmoid", "gelu", "clamp", "sum_axis",
+    "add", "sub", "mul", "div", "maximum", "minimum", "log",
+    "abs", "relu", "sigmoid", "gelu", "sum_axis",
     "mean", "reshape", "transpose", "concat", "take",
     "take_repeated", "softmax", "layer_norm", "batch_norm_frozen", "edge_pad",
-    "conv2d", "depthwise_conv2d", "matmul", "linear", "attention", "attention_split",
+    "conv2d", "depthwise_conv2d", "linear", "attention", "attention_split",
 ]
 # cases named otherwise than the function they check
 CASE_FUNCTIONS = {
@@ -1379,8 +1483,8 @@ def test_grad_check_attention_core():
     v = Tensor(np.asarray(rng.normal(size=(5, 6)), np.float64), requires_grad=True)
 
     def f():
-        logits = ad.mul(ad.matmul(q, ad.transpose(k, (1, 0))), 1.0 / np.sqrt(6.0))
-        return ad.sum_(ad.matmul(ad.softmax(logits), v))
+        logits = ad.mul(ad.linear(q, ad.transpose(k, (1, 0))), 1.0 / np.sqrt(6.0))
+        return ad.sum_(ad.linear(ad.softmax(logits), v))
 
     report = grad_check(f, {"q": q, "k": k, "v": v}, h=1e-5)
     assert max(report.values()) < 1e-5, report

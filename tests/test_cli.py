@@ -192,6 +192,16 @@ class TestTrack:
         "50,39,-24,24", "50,39,inf,24", "nan,nan,24,24",
     ])
     def test_bad_first_box_fails(self, work, ckpt, seq_dir, capsys, first):
+        """A box that cannot be scored fails at load, naming its line."""
+        self.check_first_box(work, ckpt, seq_dir, capsys, first,
+                             "line 1: " + str(work / "seq_bad_first_box" / "groundtruth.txt"))
+
+    def test_zero_size_first_box_fails(self, work, ckpt, seq_dir, capsys):
+        """A zero-size box loads, but the tracker cannot crop around it."""
+        self.check_first_box(work, ckpt, seq_dir, capsys, "50,39,0,24",
+                             "first box needs a finite, positive width and height")
+
+    def check_first_box(self, work, ckpt, seq_dir, capsys, first, error):
         bad = work / "seq_bad_first_box"
         if not bad.exists():
             shutil.copytree(seq_dir, bad)
@@ -202,7 +212,7 @@ class TestTrack:
             warnings.simplefilter("error")
             rc = cli.main(["track", "--checkpoint", str(ckpt),
                            "--sequence", str(bad), "--out", str(out)])
-        assert_user_error(capsys, rc, "first box needs a finite, positive width and height")
+        assert_user_error(capsys, rc, error)
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -365,6 +375,23 @@ class TestEval:
                        "--sequence", str(seq_dir),
                        "--out", str(work / "m.csv")])
         assert_user_error(capsys, rc, f"line {row}:")
+
+    @pytest.mark.parametrize("bad", ["nan,1,2,3", "inf,1,2,3", "1,2,-5,3",
+                                     "1,2,1e400,3"])
+    def test_unscorable_groundtruth_fails(self, work, seq_dir, capsys, bad):
+        bad_seq = work / "unscorable-seq"
+        shutil.rmtree(bad_seq, ignore_errors=True)
+        shutil.copytree(seq_dir, bad_seq)
+        gt = (bad_seq / "groundtruth.txt").read_text().splitlines()
+        gt[2] = bad
+        (bad_seq / "groundtruth.txt").write_text("\n".join(gt) + "\n")
+        boxes = work / "gt-boxes.csv"
+        boxes.write_text("".join(f"{i},10,12,5,6,0.9\n" for i in range(1, len(gt) + 1)))
+        out = work / "gt-metrics.csv"
+        rc = cli.main(["eval", "--boxes", str(boxes), "--sequence", str(bad_seq),
+                       "--out", str(out)])
+        assert_user_error(capsys, rc, "line 3:")
+        assert not out.exists()
 
     def test_undecodable_boxes_fail(self, work, seq_dir, capsys):
         bad = work / "utf16.csv"

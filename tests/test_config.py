@@ -20,8 +20,6 @@ head = corner
 attention = asymmetric
 update_interval = 200
 score_threshold = 0.5
-search_factor = 5.0
-template_factor = 2.0
 online_templates = 1
 seed = 0
 stage1_iters = 2000
@@ -34,6 +32,8 @@ clip_norm = 0.1
 flip = true
 brightness = true
 max_gap = 8
+search_factor = 5.0
+template_factor = 2.0
 """
 
 # every field away from its default
@@ -195,7 +195,7 @@ class TestParsing:
 # The package's settable values: parameters with a default, plus dataclass
 # fields.  A change that adds an option raises this ceiling in its own diff
 # and gives the reason in CHANGES.md.
-SETTABLE_CEILING = 97
+SETTABLE_CEILING = 94
 
 
 def settable_values():

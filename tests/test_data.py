@@ -147,6 +147,27 @@ class TestSequenceIo:
         with pytest.raises(ParseError, match="line 2"):
             data.load_sequence(d)
 
+    @pytest.mark.parametrize("bad", ["nan,1,2,3", "inf,1,2,3", "1,2,-5,3",
+                                     "1,2,1e400,3", "1,2,3,-0.5"])
+    def test_unscorable_line_names_line_number(self, tmp_path, bad):
+        """The boxes-file rule: finite fields and w, h >= 0; a NaN row for
+        an absent target is rejected like any other."""
+        seq = data.generate_synthetic(small_cfg(frames=4), 0)
+        d = tmp_path / "seq"
+        data.save_sequence(d, seq)
+        gt = (d / "groundtruth.txt").read_text().splitlines()
+        gt[2] = bad
+        (d / "groundtruth.txt").write_text("\n".join(gt) + "\n")
+        with pytest.raises(ParseError, match="line 3: .*groundtruth.txt"):
+            data.load_sequence(d)
+
+    def test_zero_size_box_loads(self, tmp_path):
+        seq = data.generate_synthetic(small_cfg(frames=2), 0)
+        d = tmp_path / "seq"
+        data.save_sequence(d, seq)
+        (d / "groundtruth.txt").write_text("1,2,0,0\n-3,-4,5,6\n")
+        assert data.load_sequence(d).gt == [(1.0, 2.0, 0.0, 0.0), (-3.0, -4.0, 5.0, 6.0)]
+
     def test_missing_frame_names_index(self, tmp_path):
         seq = data.generate_synthetic(small_cfg(frames=4), 0)
         d = tmp_path / "seq"

@@ -65,6 +65,8 @@ class TestTrainConfig:
         {"decay_fraction": 1.0},
         {"decay_fraction": 0.0},
         {"seed": -1},
+        {"search_factor": 1.0},
+        {"template_factor": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -76,6 +78,34 @@ class TestTrainConfig:
         assert cfg.lr_at(799) == 1e-4
         assert cfg.lr_at(800) == pytest.approx(1e-5)
         assert cfg.lr_at(999) == pytest.approx(1e-5)
+
+    def test_crop_factors_reach_every_training_crop(self, monkeypatch):
+        """Both stages and spm_accuracy crop at the config's factors, the
+        tracker's: no crop falls back to the default ones."""
+        seen = set()
+
+        def search(frame, box, params, size, crop=train.crop_search):
+            seen.add(("search", params.search_factor))
+            return crop(frame, box, params, size)
+
+        def template(frame, box, factor, size, crop=train.crop_template):
+            seen.add(("template", factor))
+            return crop(frame, box, factor, size)
+
+        monkeypatch.setattr(train, "crop_search", search)
+        monkeypatch.setattr(train, "crop_template", template)
+        cfg = TrainConfig(stage1_iters=1, stage2_iters=1, batch_size=1,
+                          search_factor=3.0, template_factor=2.5)
+        assert cfg.crop_params() == CropParams(3.0, 2.5)
+        model = build_model("tiny", seed=2)
+        train_stage1(model, tiny_data(), cfg)
+        assert seen == {("search", 3.0), ("template", 2.5)}
+        seen.clear()
+        train_stage2_spm(model, tiny_data(), cfg)
+        assert seen == {("search", 3.0), ("template", 2.5)}
+        seen.clear()
+        spm_accuracy(model, tiny_data(), cfg, samples=1)
+        assert seen == {("search", 3.0), ("template", 2.5)}
 
 
 class PerTensorAdamW:
@@ -482,7 +512,7 @@ class TestStage1:
         model = build_model("tiny", head=head, seed=9)
         params = model.named_params()
         batch = train._stage1_batch(model, tiny_data(), np.random.default_rng(9),
-                                    self.small_cfg(), CropParams())
+                                    self.small_cfg())
         grads = []
         for backward in (Tape.backward, reference_backward):
             for p in params.values():
@@ -508,7 +538,7 @@ class TestStage1:
         cfg = self.small_cfg()
         opt = AdamW(*model.stage_params(False), cfg.weight_decay, cfg.clip_norm)
         batch = train._stage1_batch(model, tiny_data(), np.random.default_rng(10),
-                                    cfg, CropParams())
+                                    cfg)
         opt.zero_grad()
         tracemalloc.start()
         try:
@@ -579,11 +609,11 @@ class TestStage2:
         model = build_model("tiny", seed=9)
         data, cfg = tiny_data(), self.cfg()
         batched = train._scored_examples(model, data, np.random.default_rng(3),
-                                         cfg, CropParams(), augment=True, count=3)
+                                         cfg, augment=True, count=3)
         rng = np.random.default_rng(3)
         for feat, tokens, gt, neg in batched:
             tmpl, patch, want_gt = train._draw_pair(model, data, rng, cfg,
-                                                    CropParams(), augment=True)
+                                                    augment=True)
             want_neg = train._negative_box(want_gt, rng)
             _, want_feat, want_tokens = model.forward_box(tmpl[None], patch[None])
             assert np.array_equal(gt, want_gt) and np.array_equal(neg, want_neg)
