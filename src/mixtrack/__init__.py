@@ -1,7 +1,7 @@
 """A trainable single-object tracker on a numpy autodiff core.
 
-Template and search-region tokens share one attention backbone, twin
-heads regress the box, a score head judges template quality, and the
+Template and search-region tokens share one attention backbone, a corner
+head regresses the box, a score head judges template quality, and the
 tracking loop refreshes online templates from high-confidence frames.
 """
 

@@ -33,12 +33,8 @@ same q.b to every logit of a query's row, and softmax ignores a constant
 shift of its logits, so the bias could never change an output.  A value bias
 c adds c to every value row, and each query's weights sum to one, so it
 shifts every attention row by c, which ``wo`` maps to a constant that its
-own bias already covers.  q's
-depth-wise conv has no bias either, since ``wq``'s bias covers it, with one
-exception: with the query head, the regression-token rows join q after that
-conv, so in stage 3 a conv bias could give the region queries an offset
-that the token's query does not get.  Dropping it narrows that head's
-function class by one such offset per stage-3 block.
+own bias already covers.  q's depth-wise conv has no bias either, since
+``wq``'s bias covers it.
 """
 
 from dataclasses import dataclass, replace
@@ -120,13 +116,12 @@ class MixedAttention(nn.Module):
         self.wv = ad.Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
         self.wo = nn.Linear(dim, dim, rng)
 
-    def project(self, x, layout, extra, kv, search):
+    def project(self, x, layout, kv, search):
         """(q, k, v, split) of the regions that x holds, in this order.
 
         x is [B, rows, dim]: the template rows, unless ``kv`` holds their
-        cached keys and values; the search rows, unless ``search`` is false;
-        then ``extra`` rows that query every key but are never keys
-        themselves.  Template queries attend every key in full mode and the
+        cached keys and values, then the search rows, unless ``search`` is
+        false.  Template queries attend every key in full mode and the
         template keys only in asymmetric mode, the one mode that allows a
         template-only or a cached pass.  k and v hold every key and value
         row that the queries attend, the template rows first, each
@@ -137,11 +132,10 @@ class MixedAttention(nn.Module):
             raise ConfigError("template caching requires asymmetric attention")
         lt = layout.template_total if kv is None else 0
         ls = layout.search_total if search else 0
-        n_q = lt + ls + extra
-        if x.ndim != 3 or x.shape[1] != n_q or x.shape[2] != self.dim:
+        if x.ndim != 3 or x.shape[1] != lt + ls or x.shape[2] != self.dim:
             raise LayoutError(
                 f"tokens {x.shape} do not match {lt} template + {ls} search "
-                f"+ {extra} extra rows of dim {self.dim}"
+                f"rows of dim {self.dim}"
             )
         grids = []
         if lt:
@@ -150,13 +144,11 @@ class MixedAttention(nn.Module):
             grids.append((1, layout.s, layout.s))
         q, k, v = (ad.depthwise_conv2d(x, grids, kernel, stride=stride, pad=1)
                    for kernel, stride in ((self.dw_q, 1), (self.dw_k, 2), (self.dw_v, 2)))
-        if extra:
-            q = ad.concat([q, x[:, lt + ls :]], axis=1)
         q, k, v = self.wq(q), ad.linear(k, self.wk), ad.linear(v, self.wv)
         if kv is not None:
             k, v = (ad.concat([cached, fresh], axis=1) for cached, fresh in zip(kv, (k, v)))
         split = None
-        if lt and n_q > lt:
+        if lt and ls:
             # full mode splits too, at every key: the key gradient then adds
             # two groups' products, where one group would sum all rows in one
             # matmul, in another order and so to other training bits
@@ -164,13 +156,13 @@ class MixedAttention(nn.Module):
             split = (lt, keys)
         return q, k, v, split
 
-    def __call__(self, x, layout, extra=0, kv=None, search=True):
+    def __call__(self, x, layout, kv=None, search=True):
         """Attention over the regions that x holds (see ``project``).
 
         Returns (y, (k, v)) with every key and value row it attended, the
         template rows first; a template-only pass's are what a cache holds.
         """
-        q, k, v, split = self.project(x, layout, extra, kv, search)
+        q, k, v, split = self.project(x, layout, kv, search)
         return self.wo(ad.attention(q, k, v, self.heads, split)), (k, v)
 
 
@@ -183,13 +175,13 @@ class MAMBlock(nn.Module):
         self.norm2 = nn.LayerNorm(dim)
         self.mlp = nn.Mlp(dim, rng)
 
-    def __call__(self, x, layout, extra=0, kv=None, search=True):
+    def __call__(self, x, layout, kv=None, search=True):
         """One block over the regions x holds (see ``MixedAttention``).
 
         Returns (y, (k, v)) with the key and value rows its attention
         attended; a template-only pass caches them.
         """
-        a, kv = self.attn(self.norm1(x), layout, extra, kv=kv, search=search)
+        a, kv = self.attn(self.norm1(x), layout, kv=kv, search=search)
         x = ad.add(x, a)
         return ad.add(x, self.mlp(self.norm2(x))), kv
 
@@ -210,7 +202,7 @@ def attention_weights_dump(block, tokens, layout):
     """
     names = [n for n in DUMP_NAMES if layout.templates >= 2 or "online" not in n]
     attn = block.attn
-    q, k, _, split = attn.project(block.norm1(tokens), layout, 0, None, True)
+    q, k, _, split = attn.project(block.norm1(tokens), layout, None, True)
     wt, ws = (w.mean(axis=1)[0] for w in ad.attention_weights(q, k, attn.heads, split))
     half = layout.halved()
     kt_one = half.tokens_per_template

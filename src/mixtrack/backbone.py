@@ -3,9 +3,9 @@
 Each stage embeds every region map with an overlapped strided convolution
 (template maps and the search map separately, so grids stay rectangular),
 concatenates the token streams, and runs its attention blocks.  Stage
-boundaries convert tokens back to 2-D maps for the next embedding.  The final
-stage can carry one extra regression token, and a layer norm is applied to
-the full output sequence before heads consume it.
+boundaries convert tokens back to 2-D maps for the next embedding, and a
+layer norm is applied to the full output sequence before the heads consume
+it.
 
 One stage loop, ``Backbone._run``, does this for every pass, over the regions
 it is given.  ``forward`` runs templates and search as one sequence per stage,
@@ -17,8 +17,6 @@ with the same bits as ``forward``.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import autodiff as ad
 from . import nn
@@ -263,17 +261,15 @@ class Backbone(nn.Module):
         t = self._check_templates(templates)
         return t, self._check_search(search, t.shape[0])
 
-    def _run(self, templates=None, search=None, cache=None, reg_token=None,
-             last_block=True):
+    def _run(self, templates=None, search=None, cache=None, last_block=True):
         """The one stage loop, over the regions given.
 
         ``templates`` is [B, T, 3, H, W], or None when ``cache`` holds the
         template side; ``search`` is [B, 3, H, W], or None for a
         template-only pass.  Each stage embeds the maps present,
-        concatenates their tokens (template rows, search rows, then the
-        regression token in stage 3) and runs its blocks; between stages the
-        rows become maps again.  ``last_block=False`` stops before the last
-        stage-3 block.
+        concatenates their tokens (template rows, then search rows) and runs
+        its blocks; between stages the rows become maps again.
+        ``last_block=False`` stops before the last stage-3 block.
 
         Returns the last token sequence, before the final norm, and per
         stage the (k, v) rows each block attended.
@@ -293,17 +289,12 @@ class Backbone(nn.Module):
                 parts.append(ad.reshape(stage.embed(t_maps), (b, lt, layout.dim)))
             if ls:
                 parts.append(stage.embed(s_map))
-            extra = 0
-            if i == 2 and reg_token is not None:
-                reg = ad.reshape(reg_token, (1, 1, layout.dim))
-                parts.append(ad.add(reg, Tensor(np.zeros((b, 1, layout.dim), dtype=np.float32))))
-                extra = 1
             x = _cat(parts, 1)
             blocks = stage.block if last_block or i < 2 else stage.block[:-1]
             kvs = cache.kv[i] if cache is not None else [None] * len(blocks)
             kv_all.append([])
             for blk, kv in zip(blocks, kvs):
-                x, kv = blk(x, layout, extra, kv=kv, search=bool(ls))
+                x, kv = blk(x, layout, kv=kv, search=bool(ls))
                 kv_all[-1].append(kv)
             if i < 2 and lt:
                 t_maps = _tokens_to_map(_part(x, 0, lt, 1), b, n_t, layout.t, layout.dim)
@@ -311,32 +302,25 @@ class Backbone(nn.Module):
                 s_map = _tokens_to_map(_part(x, lt, lt + ls, 1), b, 1, layout.s, layout.dim)
         return x, kv_all
 
-    def _search_outputs(self, x, start, reg_token):
-        """(search_feat [B, D, h, w], reg_out [B, D] or None) from the normed
-        final sequence x whose search rows begin at row ``start``."""
+    def _search_feat(self, x, start):
+        """search_feat [B, D, h, w] from the normed final sequence x whose
+        search rows begin at row ``start``."""
         layout = self.stage3.layout
-        b = x.shape[0]
-        stop = start + layout.search_total
-        s_out = _part(x, start, stop, 1)
-        search_feat = _tokens_to_map(s_out, b, 1, layout.s, layout.dim)
-        reg_out = None
-        if reg_token is not None:
-            reg_out = ad.reshape(x[:, stop:], (b, layout.dim))
-        return search_feat, reg_out
+        s_out = _part(x, start, start + layout.search_total, 1)
+        return _tokens_to_map(s_out, x.shape[0], 1, layout.s, layout.dim)
 
+    # reg_token is unused and stays only because perfbench/tracing.py passes it
     def forward(self, templates, search, reg_token=None):
         """templates [B, T, 3, H_t, W_t], search [B, 3, H_s, W_s].
 
-        Returns (search_feat [B, D, h, w], template_tokens [B, Lt, D],
-        reg_out [B, D] or None).
+        Returns (search_feat [B, D, h, w], template_tokens [B, Lt, D]).
         """
         templates, search = self._check_inputs(templates, search)
-        x, _ = self._run(templates, search, reg_token=reg_token)
+        x, _ = self._run(templates, search)
         x = self.norm(x)
         lt = self.stage3.layout.template_total
         template_tokens = x[:, :lt]
-        search_feat, reg_out = self._search_outputs(x, lt, reg_token)
-        return search_feat, template_tokens, reg_out
+        return self._search_feat(x, lt), template_tokens
 
     def final_block_tokens(self, templates, search):
         """Token sequence entering the last stage-3 block, with its layout;
@@ -353,13 +337,12 @@ class Backbone(nn.Module):
         x, kv = self._run(self._check_templates(templates))
         return TemplateCache(kv, self.norm(x))
 
-    def forward_search(self, search, cache, reg_token=None):
+    def forward_search(self, search, cache):
         """Track one search crop against cached template features.
 
-        Returns the same triple as ``forward`` (template tokens come from the
+        Returns the same pair as ``forward`` (template tokens come from the
         cache).
         """
         search = self._check_search(search, cache.template_tokens.shape[0])
-        x, _ = self._run(search=search, cache=cache, reg_token=reg_token)
-        search_feat, reg_out = self._search_outputs(self.norm(x), 0, reg_token)
-        return search_feat, cache.template_tokens, reg_out
+        x, _ = self._run(search=search, cache=cache)
+        return self._search_feat(self.norm(x), 0), cache.template_tokens

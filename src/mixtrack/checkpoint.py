@@ -13,6 +13,7 @@ not bytes, a name that appears twice) raises ``CheckpointError``.
 """
 
 import contextlib
+import math
 import os
 import struct
 import zlib
@@ -126,7 +127,7 @@ def deserialize(blob):
         if rank > 16:
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
         shape = tuple(u32() for _ in range(rank))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)  # exact, so an overflowing shape fails take()
         # astype makes the one copy of the payload
         arrays[name] = np.frombuffer(take(size * 4), "<f4").reshape(shape).astype(np.float32)
     if pos != len(body):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import backbone as bb
 from .data import _read_text
 from .errors import ConfigError, ParseError
-from .model import HEAD_TYPES, build_model
+from .model import build_model
 from .tracker import _check_update
 from .train import TrainConfig
 
@@ -31,7 +31,6 @@ class RunConfig(TrainConfig):
     """
 
     preset: str = "mixformer"
-    head: str = "corner"
     attention: str = "asymmetric"
     update_interval: int = 200
     score_threshold: float = 0.5
@@ -39,10 +38,6 @@ class RunConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.head not in HEAD_TYPES:
-            raise ConfigError(
-                f"head must be one of {HEAD_TYPES}, got {self.head!r}"
-            )
         _check_update(self.update_interval, self.score_threshold)
         self.backbone_config()
 
@@ -60,7 +55,7 @@ class RunConfig(TrainConfig):
                          mode=self.attention)
 
     def build_model(self):
-        return build_model(self.preset, head=self.head, mode=self.attention,
+        return build_model(self.preset, mode=self.attention,
                            templates=self.templates, seed=self.seed)
 
 

@@ -1,10 +1,8 @@
-"""Localization heads over the search feature map.
+"""The corner head: localization over the search feature map.
 
-The corner head turns the map into two probability fields (top-left and
-bottom-right) and reads each corner off with a soft argmax, so the box is a
-differentiable expectation over positions.  The query head instead owns one
-learnable token that rides through the final backbone stage and regresses
-center form directly through a small FFN.
+It turns the map into two probability fields (top-left and bottom-right)
+and reads each corner off with a soft argmax, so the box is a
+differentiable expectation over positions.
 
 A corner stack is four conv, batch norm and ReLU layers, the norm in
 inference form with identity statistics (a per-channel scale and shift),
@@ -98,38 +96,5 @@ class CornerHead(nn.Module):
         bx, by = _soft_argmax_batched(self._score_map(self.br, feat))
         x0, x1 = ad.minimum(ax, bx), ad.maximum(ax, bx)
         y0, y1 = ad.minimum(ay, by), ad.maximum(ay, by)
-        cols = [ad.reshape(v, (-1, 1)) for v in (x0, y0, x1, y1)]
-        return ad.concat(cols, axis=1)
-
-
-class QueryHead(nn.Module):
-    """Learnable regression token plus a 3-layer FFN box decoder."""
-
-    def __init__(self, dim, rng):
-        self.dim = dim
-        self.token = Tensor(nn.trunc_normal(rng, (dim,)), requires_grad=True)
-        self.fc1 = nn.Linear(dim, dim, rng)
-        self.fc2 = nn.Linear(dim, dim, rng)
-        self.out = nn.Linear(dim, 4, rng)
-
-    def __call__(self, token_out):
-        """[B, dim] regression-token features -> [B, 4] corner boxes.
-
-        The FFN emits sigmoid center form (cx, cy, w, h).  Its final layer
-        starts from the same small truncated-normal draw as the others, so
-        untrained boxes sit near the center at about half extent.
-        """
-        if token_out.ndim != 2 or token_out.shape[1] != self.dim:
-            raise ShapeError(
-                f"expected [B, {self.dim}] token features, got {token_out.shape}"
-            )
-        h = ad.gelu(self.fc1(token_out))
-        h = ad.gelu(self.fc2(h))
-        c = ad.sigmoid(self.out(h))
-        cx, cy, w, hh = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
-        x0 = ad.sub(cx, ad.mul(w, 0.5))
-        y0 = ad.sub(cy, ad.mul(hh, 0.5))
-        x1 = ad.add(cx, ad.mul(w, 0.5))
-        y1 = ad.add(cy, ad.mul(hh, 0.5))
         cols = [ad.reshape(v, (-1, 1)) for v in (x0, y0, x1, y1)]
         return ad.concat(cols, axis=1)

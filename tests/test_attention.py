@@ -155,8 +155,8 @@ def region_projections(attn, x, lay):
     return out
 
 
-def random_tokens(rng, lay, extra=0):
-    return rng.normal(size=(1, lay.total + extra, lay.dim)).astype(np.float32)
+def random_tokens(rng, lay):
+    return rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32)
 
 
 def test_mixed_attention_uniform_over_identical_values():
@@ -274,16 +274,15 @@ def test_asymmetric_template_ignores_search():
     assert not np.array_equal(k1.numpy()[:, kt:], k2.numpy()[:, kt:])
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_template_only_and_cached_passes_match_joint_pass(extra):
+def test_template_only_and_cached_passes_match_joint_pass():
     rng = np.random.default_rng(20)
     lay = small_layout()
     attn = att.MixedAttention(lay.dim, 2, rng, mode=att.ASYMMETRIC)
-    x = Tensor(random_tokens(rng, lay, extra))
+    x = Tensor(random_tokens(rng, lay))
     lt, kt = lay.template_total, lay.halved().template_total
-    y, (k, v) = attn(x, lay, extra)
+    y, (k, v) = attn(x, lay)
     y_t, (k_t, v_t) = attn(x[:, :lt], lay, search=False)
-    y_s, (k_c, v_c) = attn(x[:, lt:], lay, extra, kv=(k_t, v_t))
+    y_s, (k_c, v_c) = attn(x[:, lt:], lay, kv=(k_t, v_t))
     np.testing.assert_array_equal(y_t.numpy(), y.numpy()[:, :lt])
     np.testing.assert_array_equal(y_s.numpy(), y.numpy()[:, lt:])
     assert k_t.shape == v_t.shape == (1, kt, lay.dim)
@@ -291,7 +290,7 @@ def test_template_only_and_cached_passes_match_joint_pass(extra):
         np.testing.assert_array_equal(got.numpy(), want.numpy())
 
 
-def former_joint_attention(attn, x, lay, extra):
+def former_joint_attention(attn, x, lay):
     """The former joint pass of MixedAttention, op for op: one depth-wise
     call per region and role with a concat, product-then-add projections, the
     head split, the template keys cut out and concatenated back, one softmax
@@ -301,8 +300,6 @@ def former_joint_attention(attn, x, lay, extra):
     regions = [(0, lt, (lay.templates, lay.t, lay.t)), (lt, lt + ls, (1, lay.s, lay.s))]
     q, k, v = (ad.concat([conv(x[:, a:z], [grid]) for a, z, grid in regions], axis=1)
                for conv in convs(attn))
-    if extra:
-        q = ad.concat([q, x[:, lt + ls :]], axis=1)
 
     def project(lin, t):
         if isinstance(lin, Tensor):
@@ -329,12 +326,12 @@ def former_joint_attention(attn, x, lay, extra):
 
 
 @pytest.mark.parametrize("mode", [att.ASYMMETRIC, att.FULL_MIXED])
-@pytest.mark.parametrize("batch, extra", [(1, 0), (4, 1)])
-def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch, extra):
+@pytest.mark.parametrize("batch", [1, 4])
+def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch):
     rng = np.random.default_rng(23)
     lay = small_layout(dim=16)
     attn = att.MixedAttention(lay.dim, 2, rng, mode=mode)
-    x0 = rng.normal(size=(batch, lay.total + extra, lay.dim)).astype(np.float32)
+    x0 = rng.normal(size=(batch, lay.total, lay.dim)).astype(np.float32)
     params = attn.named_params()
 
     def output_and_grads(f):
@@ -347,8 +344,8 @@ def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch, extra):
             tape.backward(ad.sum_(ad.mul(y, Tensor(upstream))))
         return [("out", y.numpy()), ("x", x.grad)] + [(n, p.grad) for n, p in params.items()]
 
-    got = output_and_grads(lambda x: attn(x, lay, extra)[0])
-    want = output_and_grads(lambda x: former_joint_attention(attn, x, lay, extra))
+    got = output_and_grads(lambda x: attn(x, lay)[0])
+    want = output_and_grads(lambda x: former_joint_attention(attn, x, lay))
     for (name, g), (_, r) in zip(got, want):
         assert g.dtype == r.dtype and np.array_equal(g, r), name
 
@@ -395,14 +392,10 @@ def test_heads_attend_their_own_columns():
 
 def test_block_preserves_length():
     rng = np.random.default_rng(10)
-    for lay, extra in [
-        (small_layout(), 0),
-        (att.TokenLayout(1, 3, 5, 8), 0),
-        (small_layout(), 1),
-    ]:
+    for lay in [small_layout(), att.TokenLayout(1, 3, 5, 8)]:
         block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
-        x = Tensor(rng.normal(size=(1, lay.total + extra, lay.dim)).astype(np.float32))
-        y, _ = block(x, lay, extra=extra)
+        x = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
+        y, _ = block(x, lay)
         assert y.shape == x.shape
 
 
@@ -437,18 +430,6 @@ def test_block_asymmetric_template_rows_ignore_search():
     y2 = block(Tensor(x2), lay)[0].numpy()
     lt = lay.template_total
     np.testing.assert_array_equal(y1[:, :lt], y2[:, :lt])
-
-
-def test_block_extra_token_is_query_only():
-    rng = np.random.default_rng(14)
-    lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
-    x = rng.normal(size=(1, lay.total + 1, lay.dim)).astype(np.float32)
-    y1 = block(Tensor(x), lay, extra=1)[0].numpy()
-    x2 = x.copy()
-    x2[:, -1] = rng.normal(size=lay.dim)
-    y2 = block(Tensor(x2), lay, extra=1)[0].numpy()
-    np.testing.assert_array_equal(y1[:, :-1], y2[:, :-1])
 
 
 def test_block_full_gradients_match_finite_differences():
@@ -494,7 +475,7 @@ def test_dump_asymmetric_template_weights_cover_templates_only():
     lay = small_layout()
     block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.ASYMMETRIC)
     tokens = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
-    q, k, _, split = block.attn.project(block.norm1(tokens), lay, 0, None, True)
+    q, k, _, split = block.attn.project(block.norm1(tokens), lay, None, True)
     wt, ws = ad.attention_weights(q, k, block.attn.heads, split)
     half = lay.halved()
     assert wt.shape[-1] == half.template_total

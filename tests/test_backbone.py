@@ -4,7 +4,7 @@ import pytest
 from mixtrack import autodiff as ad
 from mixtrack import backbone as bb
 from mixtrack.attention import ASYMMETRIC, FULL_MIXED
-from mixtrack.autodiff import Tape, Tensor
+from mixtrack.autodiff import Tape
 from mixtrack.errors import ConfigError, ShapeError
 
 
@@ -114,18 +114,9 @@ class TestForward:
     def test_output_shapes(self):
         cfg, net = tiny_net()
         t, s = tiny_inputs(cfg, batch=2)
-        feat, tmpl, reg = net.forward(t, s)
+        feat, tmpl = net.forward(t, s)
         assert feat.shape == (2, 64, 4, 4)
         assert tmpl.shape == (2, 8, 64)
-        assert reg is None
-
-    def test_reg_token_output(self):
-        cfg, net = tiny_net()
-        t, s = tiny_inputs(cfg)
-        token = Tensor(np.random.default_rng(3).standard_normal(64).astype(np.float32))
-        feat, _, reg = net.forward(t, s, reg_token=token)
-        assert reg.shape == (1, 64)
-        assert np.isfinite(reg.numpy()).all()
 
     def test_wrong_template_count(self):
         cfg, net = tiny_net()
@@ -159,8 +150,8 @@ class TestForward:
         # the search features unchanged (key order cancels in the softmax sum)
         cfg, net = tiny_net(mode=mode)
         t, s = tiny_inputs(cfg)
-        feat_a, tmpl_a, _ = net.forward(t, s)
-        feat_b, tmpl_b, _ = net.forward(t[:, ::-1].copy(), s)
+        feat_a, tmpl_a = net.forward(t, s)
+        feat_b, tmpl_b = net.forward(t[:, ::-1].copy(), s)
         assert np.allclose(feat_a.numpy(), feat_b.numpy(), atol=2e-5)
         per = cfg.stage_layouts()[-1].tokens_per_template
         swapped = np.concatenate(
@@ -173,7 +164,7 @@ class TestForward:
         cfg, net = tiny_net(seed=seed)
         t, s = tiny_inputs(cfg, seed=seed + 100)
         with Tape() as tape:
-            feat, tmpl, _ = net.forward(t, s)
+            feat, tmpl = net.forward(t, s)
             loss = ad.add(
                 ad.sum_(ad.mul(feat, feat)), ad.sum_(ad.mul(tmpl, tmpl))
             )
@@ -186,20 +177,16 @@ class TestForward:
 
 class TestTemplateCache:
     def test_cached_matches_full_forward(self):
-        # bit for bit, without and with the regression token, at B=1 and B=4
+        # bit for bit at B=1 and B=4
         cfg, net = tiny_net()
-        token = Tensor(np.random.default_rng(9).standard_normal(64).astype(np.float32))
         for batch in (1, 4):
             t, s = tiny_inputs(cfg, batch=batch)
             cache = net.forward_template(t)
-            for reg_token in (None, token):
-                full = net.forward(t, s, reg_token=reg_token)
-                cached = net.forward_search(s, cache, reg_token=reg_token)
-                for a, b in zip(full, cached):
-                    if a is None:
-                        assert b is None
-                    else:
-                        assert np.array_equal(a.numpy(), b.numpy())
+            full = net.forward(t, s)
+            cached = net.forward_search(s, cache)
+            assert len(full) == len(cached) == 2
+            for a, b in zip(full, cached):
+                assert np.array_equal(a.numpy(), b.numpy())
 
     def test_final_block_tokens_feed_the_last_block(self):
         cfg, net = tiny_net()
@@ -208,7 +195,7 @@ class TestTemplateCache:
         assert layout == cfg.stage_layouts()[-1]
         y, _ = net.stage3.block[-1](x, layout)
         y = net.norm(y).numpy()
-        feat, tmpl, _ = net.forward(t, s)
+        feat, tmpl = net.forward(t, s)
         lt = layout.template_total
         assert np.array_equal(y[:, :lt], tmpl.numpy())
         search = y[:, lt:].reshape(1, layout.s, layout.s, layout.dim)

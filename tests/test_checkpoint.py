@@ -74,6 +74,15 @@ class TestFormat:
         np.testing.assert_allclose(loaded["v"], [1.0, -2.5])
 
 
+def overflowing_shape_checkpoint():
+    """CRC-valid bytes of one payload-free entry of shape (2**31, 2**31, 4)."""
+    dims = (2**31, 2**31, 4)
+    body = b"".join([ck.MAGIC, ck.VERSION.to_bytes(4, "little"), (1).to_bytes(4, "little"),
+                     (1).to_bytes(4, "little"), b"w", len(dims).to_bytes(4, "little")]
+                    + [d.to_bytes(4, "little") for d in dims])
+    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
 class TestCorruption:
     def test_bad_magic(self):
         blob = b"NOPE" + ck.serialize(sample_arrays(), None)[4:]
@@ -115,6 +124,13 @@ class TestCorruption:
         ])
         blob = body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
         with pytest.raises(CheckpointError, match=re.escape(f"{name!r} appears twice")):
+            ck.deserialize(blob)
+
+    def test_shape_whose_size_overflows_int64_is_truncation(self):
+        # 2**31 * 2**31 * 4 wraps to 0 in int64, which once read as an empty
+        # entry and then failed to reshape with a bare ValueError
+        blob = overflowing_shape_checkpoint()
+        with pytest.raises(CheckpointError, match="truncated"):
             ck.deserialize(blob)
 
     def test_missing_file(self, tmp_path):

@@ -21,6 +21,8 @@ from mixtrack.data import (
 )
 from mixtrack.tracker import Tracker
 
+from test_checkpoint import overflowing_shape_checkpoint
+
 MICRO_CONFIG = """\
 preset = tiny
 stage1_iters = 2
@@ -154,17 +156,15 @@ class TestTrack:
                              "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("head, attention", [
-        ("corner", "asymmetric"), ("query", "asymmetric"), ("corner", "full"),
-    ])
+    @pytest.mark.parametrize("attention", ["asymmetric", "full"])
     def test_caches_templates_under_asymmetric_attention(
-            self, work, seq_dir, monkeypatch, head, attention):
+            self, work, seq_dir, monkeypatch, attention):
         """Rows equal to an uncached Tracker's; templates that installs keep
         changing are recomputed, and only under asymmetric attention."""
-        cfg = RunConfig(preset="tiny", head=head, attention=attention,
+        cfg = RunConfig(preset="tiny", attention=attention,
                         update_interval=2, score_threshold=0.0, seed=3)
         model = cfg.build_model()
-        path = work / f"{head}-{attention}.ckpt"
+        path = work / f"{attention}.ckpt"
         ck.save_checkpoint(path, ck.state_dict(model),
                            config_text=format_run_config(cfg))
         passes = []
@@ -175,7 +175,7 @@ class TestTrack:
             return forward_template(bb, templates)
 
         monkeypatch.setattr(Backbone, "forward_template", counted)
-        out = work / f"{head}-{attention}.csv"
+        out = work / f"{attention}.csv"
         assert cli.main(["track", "--checkpoint", str(path),
                          "--sequence", str(seq_dir), "--out", str(out)]) == 0
         # 5 tracked frames; installs after frames 2 and 4 renew the templates
@@ -250,6 +250,35 @@ class TestTrack:
                        "--sequence", str(broken),
                        "--out", str(work / "nope.csv")])
         assert_user_error(capsys, rc, "00000004.ppm: truncated")
+
+    def test_config_that_names_the_head_fails_and_config_file_overrides(
+            self, work, ckpt, seq_dir, capsys):
+        """A checkpoint written while run configs had a ``head`` key embeds
+        ``head = corner``.  Tracking it names the unknown key and writes
+        nothing; ``--config`` with a file that lacks the key tracks."""
+        arrays, text = load_checkpoint(ckpt)
+        assert "head" not in text
+        old = work / "head-key.ckpt"
+        ck.save_checkpoint(old, arrays, config_text=text.replace(
+            "attention = ", "head = corner\nattention = "))
+        out = work / "head-key.csv"
+        argv = ["track", "--checkpoint", str(old), "--sequence", str(seq_dir),
+                "--out", str(out)]
+        assert_user_error(capsys, cli.main(argv), "unknown config key 'head'")
+        assert not out.exists()
+        cfg = work / "head-key.cfg"
+        cfg.write_text(text)
+        assert cli.main(argv + ["--config", str(cfg)]) == 0
+        assert len(out.read_text().splitlines()) == 6
+
+    def test_checkpoint_shape_that_overflows_fails(self, work, seq_dir, capsys):
+        path = work / "overflow.ckpt"
+        path.write_bytes(overflowing_shape_checkpoint())
+        out = work / "overflow.csv"
+        rc = cli.main(["track", "--checkpoint", str(path),
+                       "--sequence", str(seq_dir), "--out", str(out)])
+        assert_user_error(capsys, rc, "truncated checkpoint")
+        assert not out.exists()
 
     def test_truncated_checkpoint_fails(self, work, ckpt, seq_dir, capsys):
         broken = work / "broken.ckpt"
@@ -479,7 +508,6 @@ FUZZ_CONFIG = {
     "search_factor": ["1", "0.5", "-5", "1.0001", "1e308", "1e-300", "nan", "inf"],
     "template_factor": ["1", "0.5", "-5", "1.0001", "1e308", "1e-300", "nan", "inf"],
     "online_templates": ["-1", "0", "2", "1.5"],
-    "head": ["query", "cornr", ""],
     "attention": ["full", "asym", ""],
     "preset": ["nope", ""],
     "stage1_iters": ["0", "-1"],
@@ -648,7 +676,6 @@ FUZZ_CKPT_CONFIG = {
     # no large online_templates: it has no upper bound, and a large count
     # makes track allocate gigabytes
     "preset": ["nope", "", "Tiny"],
-    "head": ["query", "cornr"],
     "attention": ["full", "asym"],
     "online_templates": ["0", "2", "-1", "1.5"],
     "seed": ["-1", "0", "x"],

@@ -16,7 +16,6 @@ from mixtrack.train import TrainConfig
 
 DEFAULT_TEXT = """\
 preset = mixformer
-head = corner
 attention = asymmetric
 update_interval = 200
 score_threshold = 0.5
@@ -38,7 +37,7 @@ template_factor = 2.0
 
 # every field away from its default
 NON_DEFAULT = dict(
-    preset="tiny", head="query", attention="full", update_interval=7,
+    preset="tiny", attention="full", update_interval=7,
     score_threshold=0.25, search_factor=4.5, template_factor=2.5,
     online_templates=2, seed=5, stage1_iters=11, stage2_iters=3,
     batch_size=2, lr=3e-4, decay_fraction=0.5, weight_decay=2e-4,
@@ -50,7 +49,6 @@ class TestDefaults:
     def test_documented_defaults(self):
         cfg = RunConfig()
         assert cfg.preset == "mixformer"
-        assert cfg.head == "corner"
         assert cfg.attention == "asymmetric"
         assert cfg.update_interval == 200
         assert cfg.score_threshold == 0.5
@@ -73,7 +71,7 @@ class TestDefaults:
 
     @pytest.mark.parametrize("kwargs", [
         {"preset": "huge"},
-        {"head": "anchor"},
+        {"template_factor": float("inf")},
         {"attention": "dense"},
         {"update_interval": 0},
         {"score_threshold": 1.5},
@@ -97,7 +95,6 @@ class TestParsing:
         text = """
         # tracker settings
         preset = tiny
-        head = query
         attention = full
 
         update_interval = 50   # refresh often
@@ -110,7 +107,6 @@ class TestParsing:
         """
         cfg = parse_run_config(text)
         assert cfg.preset == "tiny"
-        assert cfg.head == "query"
         assert cfg.attention == "full"
         assert cfg.update_interval == 50
         assert cfg.score_threshold == 0.6
@@ -159,7 +155,7 @@ class TestParsing:
         assert parse_run_config("") == RunConfig()
 
     def test_format_parse_round_trip(self):
-        cfg = RunConfig(preset="tiny", head="query", update_interval=7,
+        cfg = RunConfig(preset="tiny", attention="full", update_interval=7,
                         flip=False, lr=5e-5, seed=123)
         assert parse_run_config(format_run_config(cfg)) == cfg
 
@@ -184,18 +180,17 @@ class TestParsing:
 
     def test_build_model_respects_keys(self):
         cfg = parse_run_config(
-            "preset = tiny\nhead = query\nonline_templates = 0\n"
+            "preset = tiny\nattention = full\nonline_templates = 0\n"
         )
         model = cfg.build_model()
-        assert model.head_type == "query"
         assert model.config.templates == 1
-        assert model.config.mode == "asymmetric"
+        assert model.config.mode == "full"
 
 
 # The package's settable values: parameters with a default, plus dataclass
 # fields.  A change that adds an option raises this ceiling in its own diff
 # and gives the reason in CHANGES.md.
-SETTABLE_CEILING = 94
+SETTABLE_CEILING = 88
 
 
 def settable_values():

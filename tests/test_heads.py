@@ -181,54 +181,3 @@ class TestCornerHead:
             assert np.array_equal(grads[k], ref_grads[k]), k
         np.testing.assert_allclose(gfeat, ref_gfeat, rtol=1e-6, atol=1e-7 * np.abs(ref_gfeat).max())
 
-
-class TestQueryHead:
-    def test_center_form_in_unit_square(self):
-        rng = np.random.default_rng(5)
-        head = heads.QueryHead(8, rng)
-        tok = Tensor(rng.normal(size=(16, 8)).astype(np.float32) * 5)
-        b = head(tok).numpy()
-        centers_x = (b[:, 0] + b[:, 2]) / 2
-        centers_y = (b[:, 1] + b[:, 3]) / 2
-        assert ((centers_x > 0) & (centers_x < 1)).all()
-        assert ((centers_y > 0) & (centers_y < 1)).all()
-        assert ((b[:, 2] - b[:, 0] > 0) & (b[:, 2] - b[:, 0] < 1)).all()
-
-    def test_zero_final_layer_gives_centered_half_box(self):
-        rng = np.random.default_rng(6)
-        head = heads.QueryHead(8, rng)
-        head.out.w.data[:] = 0.0
-        head.out.b.data[:] = 0.0
-        tok = Tensor(rng.normal(size=(3, 8)).astype(np.float32))
-        b = head(tok).numpy()
-        assert np.allclose(b, [[0.25, 0.25, 0.75, 0.75]] * 3, atol=1e-7)
-
-    def test_corners_ordered(self):
-        rng = np.random.default_rng(7)
-        head = heads.QueryHead(8, rng)
-        b = head(Tensor(rng.normal(size=(32, 8)).astype(np.float32))).numpy()
-        assert (b[:, 2] >= b[:, 0]).all()
-        assert (b[:, 3] >= b[:, 1]).all()
-
-    def test_token_parameter_is_learnable(self):
-        head = heads.QueryHead(8, np.random.default_rng(8))
-        assert "token" in head.named_params()
-        assert head.token.requires_grad
-
-    def test_box_loss_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(9)
-        head = heads.QueryHead(8, rng)
-        params = to_float64(head)
-        tok = Tensor(rng.normal(size=(2, 8)))
-        tgt = np.array([[0.2, 0.25, 0.7, 0.8], [0.1, 0.1, 0.4, 0.5]])
-
-        def f():
-            return losses.loc_loss(head(tok), tgt)
-
-        report = grad_check(f, params, h=1e-5)
-        assert max(report.values()) < 1e-4, report
-
-    def test_wrong_token_width(self):
-        head = heads.QueryHead(8, np.random.default_rng(10))
-        with pytest.raises(ShapeError):
-            head(Tensor(np.zeros((2, 4), dtype=np.float32)))

@@ -4,12 +4,11 @@ import pytest
 from mixtrack import checkpoint as ck
 from mixtrack import model as mdl
 from mixtrack.data import SyntheticConfig, generate_synthetic
-from mixtrack.errors import ConfigError
 from mixtrack.train import AdamW, TrainConfig, train_stage1, train_stage2_spm
 
 
-def tiny_model(head="corner", seed=0):
-    return mdl.build_model("tiny", head=head, seed=seed)
+def tiny_model(seed=0):
+    return mdl.build_model("tiny", seed=seed)
 
 
 def tiny_batch(seed=1, batch=2):
@@ -20,13 +19,8 @@ def tiny_batch(seed=1, batch=2):
 
 
 class TestAssembly:
-    def test_bad_head_type(self):
-        with pytest.raises(ConfigError):
-            mdl.build_model("tiny", head="segmentation")
-
-    @pytest.mark.parametrize("head", ["corner", "query"])
-    def test_forward_box_shapes(self, head):
-        m = tiny_model(head)
+    def test_forward_box_shapes(self):
+        m = tiny_model()
         t, s = tiny_batch()
         box, feat, tmpl = m.forward_box(t, s)
         assert box.shape == (2, 4)
@@ -54,23 +48,14 @@ class TestAssembly:
         b = tiny_model(seed=2).named_params()
         assert any(not np.array_equal(a[k].data, b[k].data) for k in a)
 
-    def test_head_swap_changes_only_head_params(self):
-        corner = set(tiny_model("corner").named_params())
-        query = set(tiny_model("query").named_params())
-        assert {k for k in corner if not k.startswith("head.")} == {
-            k for k in query if not k.startswith("head.")
-        }
-        assert all(k.startswith("head.") for k in corner ^ query)
-
-    @pytest.mark.parametrize("head", ["corner", "query"])
-    def test_every_parameter_moves_the_output(self, head):
+    def test_every_parameter_moves_the_output(self):
         # A parameter that softmax or the soft argmax cancels, such as a key
         # bias or a bias on a corner map, moves the output only by rounding.
         # In float64 that is at most a few 1e-16 here, while the live tensor
         # that moves it least moves it by about 3e-10.  Each tensor gets a
         # small random change in turn; the box must move, or for score.* the
         # score, which reads a fixed box so that its pooled tokens differ.
-        m = tiny_model(head)
+        m = tiny_model()
         params = m.named_params()
         for p in params.values():
             p.data = p.data.astype(np.float64)
@@ -84,8 +69,6 @@ class TestAssembly:
         box0, score0 = outputs()
         rng = np.random.default_rng(2)
         for name, p in params.items():
-            if head == "query" and not name.startswith("head."):
-                continue  # the corner case covers the shared parameters
             saved = p.data
             p.data = saved + 1e-2 * rng.standard_normal(saved.shape)
             box, score = outputs()
@@ -112,9 +95,8 @@ class TestTemplateCache:
     ONE_TEMPLATE_ATOL = 1e-6
 
     @pytest.mark.parametrize("templates", [1, 2, 3])
-    @pytest.mark.parametrize("head", ["corner", "query"])
-    def test_cached_forward_box_matches_the_joint_pass(self, head, templates):
-        m = mdl.build_model("tiny", head=head, templates=templates, seed=0)
+    def test_cached_forward_box_matches_the_joint_pass(self, templates):
+        m = mdl.build_model("tiny", templates=templates, seed=0)
         rng = np.random.default_rng(1)
         t = rng.uniform(0, 1, (1, templates, 3, 32, 32)).astype(np.float32)
         s = rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
@@ -146,9 +128,8 @@ def assert_packed(model):
 
 
 class TestArena:
-    @pytest.mark.parametrize("head", ["corner", "query"])
-    def test_parameters_view_the_arena_in_named_order(self, head):
-        assert_packed(tiny_model(head))
+    def test_parameters_view_the_arena_in_named_order(self):
+        assert_packed(tiny_model())
 
     def test_stage_params_split_the_arena_at_the_score_head(self):
         m = tiny_model()
