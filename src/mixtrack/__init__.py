@@ -17,7 +17,7 @@ from .data import (
     save_sequence,
     success_auc,
 )
-from .model import TrackModel, build_model
+from .model import TrackModel, build_model, load_model
 from .tracker import CropParams, Tracker, TrackerState
 from .train import (
     AdamW,
@@ -45,6 +45,7 @@ __all__ = [
     "build_model",
     "generate_synthetic",
     "load_checkpoint",
+    "load_model",
     "load_run_config",
     "load_sequence",
     "load_state",

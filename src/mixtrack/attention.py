@@ -102,19 +102,19 @@ class TokenLayout:
 class MixedAttention(nn.Module):
     """Multi-head mixed attention with per-region depth-wise projections."""
 
-    def __init__(self, dim, heads, rng, mode):
+    def __init__(self, dim, heads, init, mode):
         if dim % heads != 0:
             raise ConfigError(f"dim {dim} not divisible by heads {heads}")
         self.dim = dim
         self.heads = heads
         self.mode = check_mode(mode)
-        self.dw_q = nn.depthwise_kernel(dim, rng)
-        self.dw_k = nn.depthwise_kernel(dim, rng)
-        self.dw_v = nn.depthwise_kernel(dim, rng)
-        self.wq = nn.Linear(dim, dim, rng)
-        self.wk = ad.Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.wv = ad.Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.wo = nn.Linear(dim, dim, rng)
+        self.dw_q = ad.Tensor(init.depthwise_kernel(dim), requires_grad=True)
+        self.dw_k = ad.Tensor(init.depthwise_kernel(dim), requires_grad=True)
+        self.dw_v = ad.Tensor(init.depthwise_kernel(dim), requires_grad=True)
+        self.wq = nn.Linear(dim, dim, init)
+        self.wk = ad.Tensor(init.trunc_normal((dim, dim)), requires_grad=True)
+        self.wv = ad.Tensor(init.trunc_normal((dim, dim)), requires_grad=True)
+        self.wo = nn.Linear(dim, dim, init)
 
     def project(self, x, layout, kv, search):
         """(q, k, v, split) of the regions that x holds, in this order.
@@ -169,11 +169,11 @@ class MixedAttention(nn.Module):
 class MAMBlock(nn.Module):
     """Pre-norm residual block: x + Attn(LN(x)), then y + MLP(LN(y))."""
 
-    def __init__(self, dim, heads, rng, mode):
+    def __init__(self, dim, heads, init, mode):
         self.norm1 = nn.LayerNorm(dim)
-        self.attn = MixedAttention(dim, heads, rng, mode)
+        self.attn = MixedAttention(dim, heads, init, mode)
         self.norm2 = nn.LayerNorm(dim)
-        self.mlp = nn.Mlp(dim, rng)
+        self.mlp = nn.Mlp(dim, init)
 
     def __call__(self, x, layout, kv=None, search=True):
         """One block over the regions x holds (see ``MixedAttention``).

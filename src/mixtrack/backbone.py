@@ -174,8 +174,8 @@ def count_params_flops(config):
 class PatchEmbed(nn.Module):
     """Overlapped convolutional embedding followed by a token layer norm."""
 
-    def __init__(self, c_in, dim, kernel, stride, rng):
-        self.conv = nn.Conv2d(c_in, dim, kernel, stride, kernel // 2, rng)
+    def __init__(self, c_in, dim, kernel, stride, init):
+        self.conv = nn.Conv2d(c_in, dim, kernel, stride, kernel // 2, init)
         self.norm = nn.LayerNorm(dim)
 
     def __call__(self, x):
@@ -187,11 +187,11 @@ class PatchEmbed(nn.Module):
 
 
 class Stage(nn.Module):
-    def __init__(self, c_in, cfg, embed, layout, rng, mode):
+    def __init__(self, c_in, cfg, embed, layout, init, mode):
         self.layout = layout
-        self.embed = PatchEmbed(c_in, cfg.dim, *embed, rng)
+        self.embed = PatchEmbed(c_in, cfg.dim, *embed, init)
         self.block = [
-            MAMBlock(cfg.dim, cfg.heads, rng, mode=mode)
+            MAMBlock(cfg.dim, cfg.heads, init, mode=mode)
             for _ in range(cfg.blocks)
         ]
 
@@ -213,14 +213,14 @@ class TemplateCache:
 class Backbone(nn.Module):
     """The full three-stage trunk."""
 
-    def __init__(self, config, rng):
+    def __init__(self, config, init):
         self.config = config
         s1, s2, s3 = config.stages
         e1, e2, e3 = _EMBED
         l1, l2, l3 = config.stage_layouts()
-        self.stage1 = Stage(3, s1, e1, l1, rng, config.mode)
-        self.stage2 = Stage(s1.dim, s2, e2, l2, rng, config.mode)
-        self.stage3 = Stage(s2.dim, s3, e3, l3, rng, config.mode)
+        self.stage1 = Stage(3, s1, e1, l1, init, config.mode)
+        self.stage2 = Stage(s1.dim, s2, e2, l2, init, config.mode)
+        self.stage3 = Stage(s2.dim, s3, e3, l3, init, config.mode)
         self.norm = nn.LayerNorm(s3.dim)
 
     def _stages(self):

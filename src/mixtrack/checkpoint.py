@@ -10,6 +10,12 @@ held batch-norm statistics and biases that could not change an output;
 they are rejected, not converted.  A file that passes its CRC but does not
 decode (a name or config text that is not UTF-8, config values that are
 not bytes, a name that appears twice) raises ``CheckpointError``.
+
+Loading costs one copy of each payload.  ``deserialize`` returns read-only
+float32 views of the file's bytes (a big-endian host converts them), and
+either ``load_state`` copies them into a built model's arena, or a
+``Stored`` init builds the model around them (``model.load_model``): no
+random draw, one arena allocation, one copy.
 """
 
 import contextlib
@@ -20,6 +26,7 @@ import zlib
 
 import numpy as np
 
+from . import nn
 from .autodiff import Tensor
 from .errors import CheckpointError, ConfigError
 
@@ -91,7 +98,10 @@ def save_checkpoint(path, arrays, config_text):
 
 
 def deserialize(blob):
-    """Parse checkpoint bytes into (arrays, config text or None)."""
+    """Parse checkpoint bytes into (arrays, config text or None).
+
+    The arrays are read-only float32 views of ``blob``, which they keep
+    alive; only a big-endian host copies them, to convert the bytes."""
     if len(blob) < 16:
         raise CheckpointError("truncated checkpoint")
     if blob[:4] != MAGIC:
@@ -128,8 +138,8 @@ def deserialize(blob):
             raise CheckpointError(f"implausible rank {rank} for {name!r}")
         shape = tuple(u32() for _ in range(rank))
         size = math.prod(shape)  # exact, so an overflowing shape fails take()
-        # astype makes the one copy of the payload
-        arrays[name] = np.frombuffer(take(size * 4), "<f4").reshape(shape).astype(np.float32)
+        arr = np.frombuffer(take(size * 4), "<f4").reshape(shape)
+        arrays[name] = arr.astype(np.float32, copy=False)
     if pos != len(body):
         raise CheckpointError("trailing bytes after the last entry")
     config_text = None
@@ -163,13 +173,9 @@ def state_dict(model):
     return {name: np.asarray(p.data) for name, p in model.named_params().items()}
 
 
-def load_state(model, arrays):
-    """Copy named arrays into a model's existing parameter arrays.
-
-    Names and shapes must match the model exactly and every value must be
-    finite; all entries are checked before any is copied.
-    """
-    targets = model.named_params()
+def _check_state(targets, arrays):
+    """Raise CheckpointError unless ``arrays`` holds exactly the names of
+    ``targets`` (name -> Tensor), each with its shape and finite values."""
     missing = [n for n in targets if n not in arrays]
     extra = [n for n in arrays if n not in targets]
     if missing or extra:
@@ -184,7 +190,41 @@ def load_state(model, arrays):
                                   f"{arr.shape}, model {shape}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"entry {name!r} holds non-finite values")
+
+
+def load_state(model, arrays):
+    """Copy named arrays into a model's existing parameter arrays.
+
+    Names and shapes must match the model exactly and every value must be
+    finite; all entries are checked before any is copied.
+    """
+    targets = model.named_params()
+    _check_state(targets, arrays)
     for name, arr in arrays.items():
         # in place: every parameter is a view of the model's arena
         targets[name].data[...] = arr
     return model
+
+
+class Stored:
+    """The ``init`` of a model built to hold checkpoint arrays, with
+    ``nn.Draw``'s methods: the modules get read-only placeholders of the
+    right shapes, which hold no memory and draw nothing, and ``pack``
+    checks the arrays as ``load_state`` does, then copies each once into
+    the one arena."""
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+
+    def trunc_normal(self, shape):
+        return np.broadcast_to(np.float32(0.0), shape)
+
+    def he_normal(self, shape, fan_in):
+        return self.trunc_normal(shape)
+
+    def depthwise_kernel(self, dim):
+        return self.trunc_normal((dim, 3, 3))
+
+    def pack(self, named):
+        _check_state(named, self.arrays)
+        return nn.pack(list(named.values()), [self.arrays[n] for n in named])

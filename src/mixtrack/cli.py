@@ -2,11 +2,14 @@
 
 Five subcommands: train, track, eval, inspect and cost.  Every output
 file is written atomically (temp file, then rename), so an interrupted
-run never leaves a half-written artifact behind.  ``track`` and ``eval``
-map each frame of the sequence only while it is used, so their memory
-does not grow with the sequence length.  Under asymmetric attention
-``track`` computes the template features once per template set and reuses
-them on every search frame, with the same bits as the joint pass.
+run never leaves a half-written artifact behind.  ``track`` and
+``inspect`` build the model around the checkpoint's arrays, without the
+random init that ``train`` draws.  Loading a sequence reads only each
+frame's header, and ``track`` and ``eval`` map each frame only while it
+is used, so their memory does not grow with the sequence length.  Under
+asymmetric attention ``track`` computes the template features once per
+template set and reuses them on every search frame, with the same bits as
+the joint pass.
 
 Reruns are bit-identical.  The ``tiny`` preset gives the same bits at any
 BLAS thread count; the large presets repeat bit for bit only at a fixed
@@ -25,7 +28,6 @@ from .boxes import to_corners, to_xywh
 from .checkpoint import (
     atomic_write,
     load_checkpoint,
-    load_state,
     save_checkpoint,
     state_dict,
 )
@@ -72,6 +74,9 @@ def cmd_train(args):
 
 
 def _load_model(checkpoint_path, config_path):
+    """The checkpoint's model under the config that ``--config`` names, else
+    the embedded one, else the defaults.  The model is built around the
+    checkpoint's arrays, with no random draw and one copy of each."""
     arrays, text = load_checkpoint(checkpoint_path)
     if config_path is not None:
         cfg = load_run_config(config_path)
@@ -79,9 +84,7 @@ def _load_model(checkpoint_path, config_path):
         cfg = parse_run_config(text)
     else:
         cfg = RunConfig()
-    model = cfg.build_model()
-    load_state(model, arrays)
-    return model, cfg
+    return cfg.load_model(arrays), cfg
 
 
 def cmd_track(args):

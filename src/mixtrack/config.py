@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import backbone as bb
 from .data import _read_text
 from .errors import ConfigError, ParseError
-from .model import build_model
+from .model import build_model, load_model
 from .tracker import _check_update
 from .train import TrainConfig
 
@@ -57,6 +57,12 @@ class RunConfig(TrainConfig):
     def build_model(self):
         return build_model(self.preset, mode=self.attention,
                            templates=self.templates, seed=self.seed)
+
+    def load_model(self, arrays):
+        """This config's model holding checkpoint ``arrays``, with no random
+        draw (``model.load_model``)."""
+        return load_model(arrays, self.preset, mode=self.attention,
+                          templates=self.templates)
 
 
 def _convert(key, value, kind):

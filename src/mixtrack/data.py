@@ -7,11 +7,13 @@ On-disk sequences follow the common directory convention: zero-padded
 numbered frames plus a ``groundtruth.txt`` of one ``x,y,w,h`` line per frame
 (pixels, top-left origin).  Images are 8-bit RGB PPM so no codec is needed.
 
-A loaded sequence reads no pixels up front: its frames are an immutable
-sequence of PPM paths, and each frame is memory-mapped when it is indexed.
-A mapped frame is a read-only view of its file, so the crops fault in only
-the pages they sample and memory does not grow with the sequence length.
-A frame file must not shrink while its frame is in use.
+A loaded sequence reads no pixels up front.  Loading checks each frame
+with one short read of its header and the file's size, and maps none; its
+frames are an immutable sequence of PPM paths, and each frame is
+memory-mapped, and its size checked again, when it is indexed.  A mapped
+frame is a read-only view of its file, so the crops fault in only the
+pages they sample and memory does not grow with the sequence length.  A
+frame file must not shrink while its frame is in use.
 """
 
 import mmap
@@ -32,9 +34,9 @@ _PRECISION_PX = 20.0  # center-distance threshold of the precision metric
 class Sequence:
     """Ordered frames with per-frame ground-truth boxes (x, y, w, h).
 
-    ``frames`` is a list of [H, W, 3] uint8 arrays, or the ``FrameFiles``
-    of a loaded sequence, whose frames are read-only mapped views; either
-    way every frame's shape is checked here.
+    ``frames`` is a list of [H, W, 3] uint8 arrays, whose shapes are
+    checked here, or the ``FrameFiles`` of a loaded sequence, whose frames
+    are read-only mapped views and whose shape was checked at load.
     """
 
     frames: list
@@ -51,6 +53,8 @@ class Sequence:
                 f"ground-truth count {len(self.gt)} matches neither frame "
                 f"count {len(self.frames)} nor the single-line test form"
             )
+        if isinstance(self.frames, FrameFiles):
+            return
         shape = self.frames[0].shape
         for i, f in enumerate(self.frames):
             if f.shape != shape or f.ndim != 3 or f.shape[2] != 3:
@@ -59,6 +63,8 @@ class Sequence:
     @property
     def size(self):
         """(height, width) of the frames."""
+        if isinstance(self.frames, FrameFiles):
+            return self.frames.shape[:2]
         return self.frames[0].shape[:2]
 
     def gt_corners(self, i):
@@ -182,6 +188,35 @@ _PPM_SEP = rb"(?:\s|#[^\n]*\n)+"
 _PPM_HEADER = re.compile(
     rb"P6" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)" + _PPM_SEP + rb"(\d+)\s"
 )
+# a start of a header that may go on past the bytes read so far
+_PPM_OPEN = re.compile(rb"P6(?:\s|\d|#[^\n]*\n)*(?:#[^\n]*)?")
+_HEADER_READ = 64  # bytes read first for a header; a frame's is about 15
+
+
+def _ppm_header(path, head, size):
+    """(h, w, pixel offset) of the P6 file of ``size`` bytes that starts
+    with the bytes ``head``, or None if the header may run past them.
+
+    A malformed header, or a size too small for its pixels, is a
+    ParseError naming ``path``."""
+    if head[:2] != b"P6":
+        raise ParseError(f"{path}: not a binary PPM file")
+    header = _PPM_HEADER.match(head)
+    if header is None:
+        if len(head) < size and _PPM_OPEN.fullmatch(head):
+            return None
+        raise ParseError(f"{path}: malformed PPM header")
+    try:
+        w, h, maxval = (int(f) for f in header.groups())
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{path}: PPM header number too long") from None
+    if w < 1 or h < 1:
+        raise ParseError(f"{path}: image size {w}x{h} is empty")
+    if maxval != 255:
+        raise ParseError(f"{path}: only maxval 255 supported, got {maxval}")
+    if size < header.end() + w * h * 3:
+        raise ParseError(f"{path}: truncated pixel data")
+    return h, w, header.end()
 
 
 def read_ppm(path):
@@ -200,47 +235,62 @@ def read_ppm(path):
         raise ParseError(f"{path}: empty file, not a binary PPM") from None
     finally:
         os.close(fd)  # the mapping holds its own duplicate
-    if data[:2] != b"P6":
-        raise ParseError(f"{path}: not a binary PPM file")
-    header = _PPM_HEADER.match(data)
-    if header is None:
-        raise ParseError(f"{path}: malformed PPM header")
-    try:
-        w, h, maxval = (int(f) for f in header.groups())
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"{path}: PPM header number too long") from None
-    pos = header.end()
-    if w < 1 or h < 1:
-        raise ParseError(f"{path}: image size {w}x{h} is empty")
-    if maxval != 255:
-        raise ParseError(f"{path}: only maxval 255 supported, got {maxval}")
-    if len(data) < pos + w * h * 3:
-        raise ParseError(f"{path}: truncated pixel data")
+    h, w, pos = _ppm_header(path, data, len(data))
     return np.frombuffer(data, np.uint8, w * h * 3, pos).reshape(h, w, 3)
 
 
+def _frame_shape(path):
+    """[H, W, 3] of a PPM frame file, from its header and its size: the
+    checks of ``read_ppm`` without mapping the file.  The read grows only
+    when the header runs past it, as a long comment can."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        n, parsed = _HEADER_READ, None
+        while parsed is None:
+            head = os.pread(fd, n, 0)
+            if len(head) < n:  # the whole file, even if it shrank since fstat
+                size = len(head)
+            parsed = _ppm_header(path, head, size)
+            n *= 2
+    finally:
+        os.close(fd)
+    return parsed[0], parsed[1], 3
+
+
 class FrameFiles(_SequenceABC):
-    """The frames of a loaded sequence: an immutable sequence of PPM paths.
+    """The frames of a loaded sequence: an immutable sequence of PPM paths
+    whose headers all gave ``shape``.
 
     Indexing maps the frame with ``read_ppm`` and returns its read-only
-    view; a slice returns a list of such views.  Nothing is cached, so a
-    frame's mapping is released as soon as its array is dropped.  Each
-    live frame holds a file descriptor, so hold only the frames in use: a
-    slice longer than the process's descriptor limit raises OSError.
+    view; a slice returns a list of such views.  A frame whose file no
+    longer has ``shape`` is a ParseError.  Nothing is cached, so a frame's
+    mapping is released as soon as its array is dropped.  Each live frame
+    holds a file descriptor, so hold only the frames in use: a slice longer
+    than the process's descriptor limit raises OSError.
     """
 
-    __slots__ = ("paths",)
+    __slots__ = ("paths", "shape")
 
-    def __init__(self, paths):
+    def __init__(self, paths, shape):
         self.paths = tuple(paths)
+        self.shape = tuple(shape)
 
     def __len__(self):
         return len(self.paths)
 
+    def _read(self, path):
+        frame = read_ppm(path)
+        if frame.shape != self.shape:
+            raise ParseError(
+                f"{path}: frame is {frame.shape}, was {self.shape} at load"
+            )
+        return frame
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [read_ppm(p) for p in self.paths[index]]
-        return read_ppm(self.paths[index])
+            return [self._read(p) for p in self.paths[index]]
+        return self._read(self.paths[index])
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +307,21 @@ def _read_text(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+_FRAME_NAME = re.compile(r"(\d{8})\.ppm", re.ASCII)  # as save_sequence names them
+
+
 def save_sequence(directory, seq):
-    """Write frames as 8-digit numbered PPMs plus groundtruth.txt."""
+    """Write frames as 8-digit numbered PPMs plus groundtruth.txt.
+
+    Numbered frames beyond this sequence's count, left by a longer one
+    saved there before, are removed; no other file is touched."""
     os.makedirs(directory, exist_ok=True)
     for i, frame in enumerate(seq.frames):
         write_ppm(os.path.join(directory, f"{i + 1:08d}.ppm"), frame)
+    for name in os.listdir(directory):
+        stale = _FRAME_NAME.fullmatch(name)
+        if stale and int(stale.group(1)) > len(seq.frames):
+            os.remove(os.path.join(directory, name))
     with open(os.path.join(directory, "groundtruth.txt"), "w") as fh:
         for x, y, w, h in seq.gt:
             fh.write(f"{x},{y},{w},{h}\n")
@@ -302,12 +362,13 @@ def load_sequence(directory):
     """Open a sequence directory written by save_sequence (or compatible);
     the sequence is named after the directory.
 
-    No pixels are read: the frames are ``FrameFiles``, mapped on access.
-    Every frame's header and size are still checked here, so a malformed
-    or short frame file is a ParseError at load, and so is a ground-truth
-    line that cannot be scored (see ``_box_rows``).  That includes the NaN
-    rows that UAV123 writes for an absent target: absence is out of
-    scope."""
+    No pixels are read and no frame is mapped: each frame's header is read
+    and its size taken from the file system, and the frames are
+    ``FrameFiles``, mapped on access.  So a missing, malformed or short
+    frame file is a ParseError at load, a frame whose shape differs from
+    the first is a ShapeError, and so is a ground-truth line that cannot
+    be scored (see ``_box_rows``).  That includes the NaN rows that UAV123
+    writes for an absent target: absence is out of scope."""
     gt_path = os.path.join(directory, "groundtruth.txt")
     if not os.path.exists(gt_path):
         raise ParseError(f"{directory}: no groundtruth.txt")
@@ -320,14 +381,19 @@ def load_sequence(directory):
     if not names:
         raise ParseError(f"{directory}: no .ppm frames")
     width = len(os.path.splitext(names[0])[0])
-    paths = []
+    paths, shape = [], None
     count = max(len(names), len(gt) if len(gt) > 1 else len(names))
     for i in range(1, count + 1):
         path = os.path.join(directory, f"{i:0{width}d}.ppm")
-        if not os.path.exists(path):
-            raise ParseError(f"{directory}: missing frame {i}")
+        try:
+            frame_shape = _frame_shape(path)
+        except FileNotFoundError:
+            raise ParseError(f"{directory}: missing frame {i}") from None
+        shape = shape or frame_shape
+        if frame_shape != shape:
+            raise ShapeError(f"{path}: frame shape {frame_shape}, expected {shape}")
         paths.append(path)
-    frames = FrameFiles(paths)
+    frames = FrameFiles(paths, shape)
     if len(gt) not in (1, len(frames)):
         raise ParseError(
             f"{directory}: {len(gt)} ground-truth lines for {len(frames)} frames"

@@ -48,8 +48,8 @@ def _soft_argmax_batched(maps):
 class ConvBNRelu(nn.Module):
     # replicate padding so a featureless (constant) map stays constant and
     # scores every position equally
-    def __init__(self, c_in, c_out, rng):
-        w = nn.he_normal(rng, (c_out, c_in, 3, 3), c_in * 9)
+    def __init__(self, c_in, c_out, init):
+        w = init.he_normal((c_out, c_in, 3, 3), c_in * 9)
         self.w = Tensor(w, requires_grad=True)
         self.bn = nn.BatchNormFrozen(c_out)
 
@@ -57,22 +57,22 @@ class ConvBNRelu(nn.Module):
         return ad.relu(self.bn(ad.conv2d(ad.edge_pad(x), self.w)))
 
 
-def _corner_stack(dim, rng):
+def _corner_stack(dim, init):
     chans = [dim, dim // 2, dim // 4, dim // 8, dim // 16]
-    stack = [ConvBNRelu(chans[i], chans[i + 1], rng) for i in range(4)]
-    w = nn.he_normal(rng, (1, chans[4], 1, 1), chans[4])
+    stack = [ConvBNRelu(chans[i], chans[i + 1], init) for i in range(4)]
+    w = init.he_normal((1, chans[4], 1, 1), chans[4])
     return stack + [Tensor(w, requires_grad=True)]
 
 
 class CornerHead(nn.Module):
     """Two convolution stacks scoring top-left and bottom-right corners."""
 
-    def __init__(self, dim, rng):
+    def __init__(self, dim, init):
         if dim % 16 != 0 or dim < 16:
             raise ConfigError(f"corner head needs dim divisible by 16, got {dim}")
         self.dim = dim
-        self.tl = _corner_stack(dim, rng)
-        self.br = _corner_stack(dim, rng)
+        self.tl = _corner_stack(dim, init)
+        self.br = _corner_stack(dim, init)
 
     def _score_map(self, stack, x):
         *layers, w_out = stack

@@ -75,12 +75,12 @@ class CrossAttnBlock(nn.Module):
     one as a constant that ``wo``'s bias already covers.
     """
 
-    def __init__(self, dim, rng):
+    def __init__(self, dim, init):
         self.dim = dim
-        self.wq = nn.Linear(dim, dim, rng)
-        self.wk = Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.wv = Tensor(nn.trunc_normal(rng, (dim, dim)), requires_grad=True)
-        self.wo = nn.Linear(dim, dim, rng)
+        self.wq = nn.Linear(dim, dim, init)
+        self.wk = Tensor(init.trunc_normal((dim, dim)), requires_grad=True)
+        self.wv = Tensor(init.trunc_normal((dim, dim)), requires_grad=True)
+        self.wo = nn.Linear(dim, dim, init)
         self.norm = nn.LayerNorm(dim)
 
     def __call__(self, queries, keys):
@@ -99,15 +99,15 @@ class ScorePredictor(nn.Module):
     are read, so online-template rows cannot influence the score.
     """
 
-    def __init__(self, dim, per_template, rng):
+    def __init__(self, dim, per_template, init):
         self.dim = dim
         self.per_template = per_template
-        self.token = Tensor(nn.trunc_normal(rng, (1, dim)), requires_grad=True)
-        self.block_a = CrossAttnBlock(dim, rng)
-        self.block_b = CrossAttnBlock(dim, rng)
-        self.fc1 = nn.Linear(dim, dim, rng)
-        self.fc2 = nn.Linear(dim, dim, rng)
-        self.out = nn.Linear(dim, 1, rng)
+        self.token = Tensor(init.trunc_normal((1, dim)), requires_grad=True)
+        self.block_a = CrossAttnBlock(dim, init)
+        self.block_b = CrossAttnBlock(dim, init)
+        self.fc1 = nn.Linear(dim, dim, init)
+        self.fc2 = nn.Linear(dim, dim, init)
+        self.out = nn.Linear(dim, 1, init)
 
     def __call__(self, search_feat, box, template_tokens):
         """Scalar confidence for ``box`` over [C, h, w] search features and

@@ -128,13 +128,16 @@ def _bilinear_crop(frame, left, top, side, out_size):
         taps[rows_out] = mean
         taps[:, cols_out] = mean
 
-    n = out_size
-    wx = fx[None, :, None]
-    wy = fy[:, None, None]
-    top_row = taps[:n, :n] * (1 - wx) + taps[:n, n:] * wx
-    bot_row = taps[n:, :n] * (1 - wx) + taps[n:, n:] * wx
+    # blend on the [2n, 2n * 3] row view, each column weight repeated per
+    # channel: the same products and sums as on [2n, 2n, 3], in long rows
+    n, c = out_size, out_size * 3
+    taps = taps.reshape(2 * n, 2 * c)
+    wx = np.repeat(fx, 3)
+    wy = fy[:, None]
+    top_row = taps[:n, :c] * (1 - wx) + taps[:n, c:] * wx
+    bot_row = taps[n:, :c] * (1 - wx) + taps[n:, c:] * wx
     patch = top_row * (1 - wy) + bot_row * wy
-    return np.ascontiguousarray(patch.transpose(2, 0, 1))
+    return np.ascontiguousarray(patch.reshape(n, n, 3).transpose(2, 0, 1))
 
 
 def _square_side(box, factor, name):

@@ -3,6 +3,7 @@ import pytest
 
 from mixtrack import attention as att
 from mixtrack import autodiff as ad
+from mixtrack import nn
 from mixtrack.autodiff import Tensor
 from mixtrack.errors import ConfigError, LayoutError, ShapeError
 
@@ -82,7 +83,7 @@ def projections(attn, x, grids):
 
 def test_conv_projection_extents():
     rng = np.random.default_rng(1)
-    attn = att.MixedAttention(dim=4, heads=1, rng=rng, mode=att.FULL_MIXED)
+    attn = att.MixedAttention(dim=4, heads=1, init=nn.Draw(rng), mode=att.FULL_MIXED)
     tokens = Tensor(rng.normal(size=(2, 3 * 400 + 36, 4)).astype(np.float32))
     q, k, v = projections(attn, tokens, [(3, 20, 20)])
     assert q.shape == (2, 3 * 400, 4)
@@ -95,7 +96,7 @@ def test_conv_projection_extents():
 def test_template_projections_independent():
     rng = np.random.default_rng(2)
     lay = small_layout()
-    attn = att.MixedAttention(dim=lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+    attn = att.MixedAttention(dim=lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
     x = rng.normal(size=(1, lay.template_total, lay.dim)).astype(np.float32)
     x2 = x.copy()
     x2[:, lay.tokens_per_template :] = 0.0
@@ -133,7 +134,7 @@ def test_constant_value_row_shifts_the_output_by_itself(split):
 def one_head(lay, mode, seed):
     """One-head attention whose output projection is the identity, so its
     output rows are the attention rows themselves."""
-    attn = att.MixedAttention(lay.dim, 1, np.random.default_rng(seed), mode=mode)
+    attn = att.MixedAttention(lay.dim, 1, nn.Draw(np.random.default_rng(seed)), mode=mode)
     attn.wo.w.data[:] = np.eye(lay.dim, dtype=np.float32)
     attn.wo.b.data[:] = 0.0
     return attn
@@ -218,7 +219,7 @@ def test_mixed_attention_shape_errors():
         # key/value token counts disagree
         ad.attention(q, Tensor(np.zeros((3, 4), dtype=np.float32)), q, 1)
     lay = small_layout()
-    attn = att.MixedAttention(lay.dim, 2, np.random.default_rng(0), mode=att.ASYMMETRIC)
+    attn = att.MixedAttention(lay.dim, 2, nn.Draw(np.random.default_rng(0)), mode=att.ASYMMETRIC)
     x = Tensor(np.zeros((1, lay.search_total, lay.dim), dtype=np.float32))
     kt = lay.halved().template_total
     k = Tensor(np.zeros((1, kt, lay.dim), dtype=np.float32))
@@ -236,10 +237,10 @@ def test_asymmetric_search_branch_matches_mixed():
     lay = small_layout()
     x = Tensor(random_tokens(rng, lay))
     y_full, _ = att.MixedAttention(
-        lay.dim, 2, np.random.default_rng(5), mode=att.FULL_MIXED
+        lay.dim, 2, nn.Draw(np.random.default_rng(5)), mode=att.FULL_MIXED
     )(x, lay)
     y_asym, _ = att.MixedAttention(
-        lay.dim, 2, np.random.default_rng(5), mode=att.ASYMMETRIC
+        lay.dim, 2, nn.Draw(np.random.default_rng(5)), mode=att.ASYMMETRIC
     )(x, lay)
     lt = lay.template_total
     np.testing.assert_array_equal(y_full.numpy()[:, lt:], y_asym.numpy()[:, lt:])
@@ -261,7 +262,7 @@ def test_asymmetric_single_template_token_passthrough():
 def test_asymmetric_template_ignores_search():
     rng = np.random.default_rng(7)
     lay = small_layout()
-    attn = att.MixedAttention(lay.dim, 2, rng, mode=att.ASYMMETRIC)
+    attn = att.MixedAttention(lay.dim, 2, nn.Draw(rng), mode=att.ASYMMETRIC)
     x = random_tokens(rng, lay)
     x2 = x.copy()
     x2[:, lay.template_total :] = rng.normal(size=(lay.search_total, lay.dim))
@@ -277,7 +278,7 @@ def test_asymmetric_template_ignores_search():
 def test_template_only_and_cached_passes_match_joint_pass():
     rng = np.random.default_rng(20)
     lay = small_layout()
-    attn = att.MixedAttention(lay.dim, 2, rng, mode=att.ASYMMETRIC)
+    attn = att.MixedAttention(lay.dim, 2, nn.Draw(rng), mode=att.ASYMMETRIC)
     x = Tensor(random_tokens(rng, lay))
     lt, kt = lay.template_total, lay.halved().template_total
     y, (k, v) = attn(x, lay)
@@ -330,7 +331,7 @@ def former_joint_attention(attn, x, lay):
 def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch):
     rng = np.random.default_rng(23)
     lay = small_layout(dim=16)
-    attn = att.MixedAttention(lay.dim, 2, rng, mode=mode)
+    attn = att.MixedAttention(lay.dim, 2, nn.Draw(rng), mode=mode)
     x0 = rng.normal(size=(batch, lay.total, lay.dim)).astype(np.float32)
     params = attn.named_params()
 
@@ -352,7 +353,7 @@ def test_joint_pass_matches_the_former_op_chain_bit_for_bit(mode, batch):
 
 def test_template_only_and_cached_passes_need_asymmetric_mode():
     lay = small_layout()
-    attn = att.MixedAttention(lay.dim, 2, np.random.default_rng(21), mode=att.FULL_MIXED)
+    attn = att.MixedAttention(lay.dim, 2, nn.Draw(np.random.default_rng(21)), mode=att.FULL_MIXED)
     x = Tensor(np.zeros((1, lay.template_total, lay.dim), dtype=np.float32))
     with pytest.raises(ConfigError):
         attn(x, lay, search=False)
@@ -393,7 +394,7 @@ def test_heads_attend_their_own_columns():
 def test_block_preserves_length():
     rng = np.random.default_rng(10)
     for lay in [small_layout(), att.TokenLayout(1, 3, 5, 8)]:
-        block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+        block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
         x = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
         y, _ = block(x, lay)
         assert y.shape == x.shape
@@ -402,7 +403,7 @@ def test_block_preserves_length():
 def test_block_layout_mismatch_raises():
     rng = np.random.default_rng(11)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
     with pytest.raises(LayoutError):
         block(Tensor(np.zeros((1, lay.total + 3, lay.dim), dtype=np.float32)), lay)
 
@@ -410,7 +411,7 @@ def test_block_layout_mismatch_raises():
 def test_block_zero_output_projection_leaves_mlp_path():
     rng = np.random.default_rng(12)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
     block.attn.wo.w.data[:] = 0.0
     block.attn.wo.b.data[:] = 0.0
     x = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
@@ -422,7 +423,7 @@ def test_block_zero_output_projection_leaves_mlp_path():
 def test_block_asymmetric_template_rows_ignore_search():
     rng = np.random.default_rng(13)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.ASYMMETRIC)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.ASYMMETRIC)
     x = rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32)
     y1 = block(Tensor(x), lay)[0].numpy()
     x2 = x.copy()
@@ -435,7 +436,7 @@ def test_block_asymmetric_template_rows_ignore_search():
 def test_block_full_gradients_match_finite_differences():
     rng = np.random.default_rng(15)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
     params = block.named_params()
     for p in params.values():
         p.data = p.data.astype(np.float64)
@@ -456,7 +457,7 @@ def test_block_full_gradients_match_finite_differences():
 def test_dump_slices_partition_each_query_row():
     rng = np.random.default_rng(16)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
     tokens = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == set(att.DUMP_NAMES)
@@ -473,7 +474,7 @@ def test_dump_slices_partition_each_query_row():
 def test_dump_asymmetric_template_weights_cover_templates_only():
     rng = np.random.default_rng(17)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.ASYMMETRIC)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.ASYMMETRIC)
     tokens = Tensor(rng.normal(size=(1, lay.total, lay.dim)).astype(np.float32))
     q, k, _, split = block.attn.project(block.norm1(tokens), lay, None, True)
     wt, ws = ad.attention_weights(q, k, block.attn.heads, split)
@@ -486,7 +487,7 @@ def test_dump_asymmetric_template_weights_cover_templates_only():
 def test_dump_uniform_tokens_give_uniform_maps():
     rng = np.random.default_rng(18)
     lay = small_layout()
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
     tokens = Tensor(np.full((1, lay.total, lay.dim), 0.25, dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     for name, m in maps.items():
@@ -496,7 +497,7 @@ def test_dump_uniform_tokens_give_uniform_maps():
 def test_dump_online_maps_need_two_templates():
     rng = np.random.default_rng(19)
     lay = att.TokenLayout(1, 2, 4, 8)
-    block = att.MAMBlock(lay.dim, heads=2, rng=rng, mode=att.FULL_MIXED)
+    block = att.MAMBlock(lay.dim, heads=2, init=nn.Draw(rng), mode=att.FULL_MIXED)
     tokens = Tensor(np.zeros((1, lay.total, lay.dim), dtype=np.float32))
     maps = att.attention_weights_dump(block, tokens, lay)
     assert set(maps) == {"search_to_template", "search_to_search"}

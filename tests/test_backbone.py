@@ -3,6 +3,7 @@ import pytest
 
 from mixtrack import autodiff as ad
 from mixtrack import backbone as bb
+from mixtrack import nn
 from mixtrack.attention import ASYMMETRIC, FULL_MIXED
 from mixtrack.autodiff import Tape
 from mixtrack.errors import ConfigError, ShapeError
@@ -10,7 +11,7 @@ from mixtrack.errors import ConfigError, ShapeError
 
 def tiny_net(seed=0, mode=ASYMMETRIC, templates=2):
     cfg = bb.preset("tiny", templates=templates, mode=mode)
-    return cfg, bb.Backbone(cfg, np.random.default_rng(seed))
+    return cfg, bb.Backbone(cfg, nn.Draw(np.random.default_rng(seed)))
 
 
 def tiny_inputs(cfg, seed=1, batch=1):
@@ -97,13 +98,13 @@ class TestPresets:
 
 class TestPatchEmbed:
     def test_stage1_extent(self):
-        pe = bb.PatchEmbed(3, 8, 7, 4, np.random.default_rng(0))
+        pe = bb.PatchEmbed(3, 8, 7, 4, nn.Draw(np.random.default_rng(0)))
         x = np.zeros((1, 3, 128, 128), dtype=np.float32)
         tok = pe(x)
         assert tok.shape == (1, 32 * 32, 8)
 
     def test_tokens_are_normalized_per_position(self):
-        pe = bb.PatchEmbed(3, 6, 3, 2, np.random.default_rng(0))
+        pe = bb.PatchEmbed(3, 6, 3, 2, nn.Draw(np.random.default_rng(0)))
         x = np.random.default_rng(1).standard_normal((1, 3, 8, 8)).astype(np.float32)
         tok = pe(x)
         m = tok.numpy().mean(axis=-1)
@@ -253,7 +254,7 @@ class TestCost:
     def test_param_formula_matches_instance(self):
         for name in ("tiny", "mixformer"):
             cfg = bb.preset(name, templates=2, mode=ASYMMETRIC)
-            net = bb.Backbone(cfg, np.random.default_rng(0))
+            net = bb.Backbone(cfg, nn.Draw(np.random.default_rng(0)))
             count = sum(p.size for p in net.named_params().values())
             assert bb.count_params_flops(cfg)["params"] == count, name
 

@@ -300,6 +300,7 @@ def crafted_checkpoint(ckpt, case):
         # 288 wraps to a space in uint8, which the parser would accept
         codes[text.index(" ")] = 288.0
     elif case.startswith("nan "):
+        arrays[case[4:]] = arrays[case[4:]].copy()  # loaded arrays are read-only
         arrays[case[4:]].flat[0] = np.nan
     blob = bytearray(ck.serialize({**arrays, ck.CONFIG_KEY: codes}, None)[:-4])
     if case == "undecodable name":

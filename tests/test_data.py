@@ -228,7 +228,11 @@ class TestStreamedFrames:
         lambda raw: b"P5" + raw[2:],
         lambda raw: raw.replace(b"\n255\n", b"\n65535\n", 1),
         lambda raw: raw[: len(raw) // 2],
-    ], ids=["empty", "bad-magic", "bad-maxval", "truncated-pixels"])
+        lambda raw: b"P6 x" + raw[4:],
+        lambda raw: b"P6\n#" + b"c" * 500,
+        lambda raw: b"P6\n" + b"9" * 5000 + raw[3:],
+    ], ids=["empty", "bad-magic", "bad-maxval", "truncated-pixels",
+            "bad-header", "comment-to-the-end", "number-too-long"])
     def test_bad_frame_file_fails_at_load(self, tmp_path, damage):
         _, d = saved_sequence(tmp_path)
         p = d / "00000003.ppm"
@@ -245,6 +249,57 @@ class TestStreamedFrames:
         with pytest.raises(ParseError, match="truncated"):
             back.frames[1]
         assert np.array_equal(back.frames[2], seq.frames[2])
+
+    def test_load_maps_no_frame(self, tmp_path, monkeypatch):
+        seq, d = saved_sequence(tmp_path)
+
+        def no_map(*args, **kwargs):
+            raise AssertionError("a frame was mapped at load")
+
+        monkeypatch.setattr(data.mmap, "mmap", no_map)
+        back = data.load_sequence(d)
+        assert back.size == (48, 64) and len(back.frames) == len(seq.frames)
+        monkeypatch.undo()
+        assert np.array_equal(back.frames[1], seq.frames[1])
+
+    @pytest.mark.parametrize("comment", [10, 100, 5000])
+    def test_header_comment_past_the_first_read_loads(self, tmp_path, comment):
+        seq, d = saved_sequence(tmp_path)
+        p = d / "00000002.ppm"
+        raw = p.read_bytes()
+        assert raw.startswith(b"P6\n64 48\n")
+        p.write_bytes(b"P6\n#" + b"c" * comment + b"\n" + raw[3:])
+        back = data.load_sequence(d)
+        assert np.array_equal(back.frames[1], seq.frames[1])
+
+    def test_frame_of_another_shape_fails_at_load(self, tmp_path):
+        _, d = saved_sequence(tmp_path)
+        data.write_ppm(d / "00000003.ppm", np.zeros((48, 63, 3), np.uint8))
+        with pytest.raises(ShapeError, match="00000003.ppm"):
+            data.load_sequence(d)
+
+    def test_frame_replaced_by_another_shape_fails_on_access(self, tmp_path):
+        seq, d = saved_sequence(tmp_path)
+        back = data.load_sequence(d)
+        data.write_ppm(d / "00000002.ppm", np.zeros((47, 64, 3), np.uint8))
+        with pytest.raises(ParseError, match="00000002.ppm"):
+            back.frames[1]
+        assert np.array_equal(back.frames[2], seq.frames[2])
+
+    @pytest.mark.parametrize("gt_lines", ["every frame", "one"])
+    def test_saving_a_shorter_sequence_removes_stale_frames(self, tmp_path, gt_lines):
+        _, d = saved_sequence(tmp_path, frames=6)
+        (d / "notes.txt").write_text("kept")
+        short = data.generate_synthetic(small_cfg(frames=4), 3)
+        if gt_lines == "one":
+            short = data.Sequence(short.frames, short.gt[:1])
+        data.save_sequence(d, short)
+        assert sorted(os.listdir(d)) == [f"{i:08d}.ppm" for i in range(1, 5)] + [
+            "groundtruth.txt", "notes.txt"]
+        back = data.load_sequence(d)
+        assert len(back.frames) == 4 and back.gt == short.gt
+        for got, want in zip(back.frames, short.frames):
+            assert np.array_equal(got, want)
 
     def test_saving_a_loaded_sequence_over_itself_keeps_it(self, tmp_path):
         seq, d = saved_sequence(tmp_path)

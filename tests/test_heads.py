@@ -3,6 +3,7 @@ import pytest
 
 from mixtrack import autodiff as ad
 from mixtrack import heads, losses
+from mixtrack import nn
 from mixtrack.autodiff import Tensor
 from mixtrack.errors import ConfigError, ShapeError
 
@@ -98,10 +99,10 @@ def test_conv_bias_before_batch_norm_is_a_shift_of_its_bias():
 class TestCornerHead:
     def test_dim_must_divide_16(self):
         with pytest.raises(ConfigError):
-            heads.CornerHead(24, np.random.default_rng(0))
+            heads.CornerHead(24, nn.Draw(np.random.default_rng(0)))
 
     def test_constant_features_give_center_point_box(self):
-        head = heads.CornerHead(16, np.random.default_rng(1))
+        head = heads.CornerHead(16, nn.Draw(np.random.default_rng(1)))
         feat = Tensor(np.full((1, 16, 5, 5), 0.7, dtype=np.float32))
         box = head(feat).numpy()[0]
         assert np.allclose(box, [0.5, 0.5, 0.5, 0.5], atol=1e-6)
@@ -109,21 +110,21 @@ class TestCornerHead:
     @pytest.mark.parametrize("seed", range(10))
     def test_box_stays_in_unit_square(self, seed):
         rng = np.random.default_rng(seed)
-        head = heads.CornerHead(16, rng)
+        head = heads.CornerHead(16, nn.Draw(rng))
         feat = Tensor(rng.normal(size=(2, 16, 4, 6)).astype(np.float32))
         b = head(feat).numpy()
         assert (b >= 0.0).all() and (b <= 1.0).all()
 
     def test_corners_are_ordered(self):
         rng = np.random.default_rng(11)
-        head = heads.CornerHead(16, rng)
+        head = heads.CornerHead(16, nn.Draw(rng))
         feat = Tensor(rng.normal(size=(4, 16, 4, 4)).astype(np.float32))
         b = head(feat).numpy()
         assert (b[:, 2] >= b[:, 0]).all()
         assert (b[:, 3] >= b[:, 1]).all()
 
     def test_wrong_channel_count(self):
-        head = heads.CornerHead(16, np.random.default_rng(2))
+        head = heads.CornerHead(16, nn.Draw(np.random.default_rng(2)))
         with pytest.raises(ShapeError):
             head(Tensor(np.zeros((1, 8, 4, 4), dtype=np.float32)))
 
@@ -133,7 +134,7 @@ class TestCornerHead:
         # leaves the same head over 8 channels, with ~800, every one checked.
         # seed chosen so no relu pre-activation sits within the FD step of 0
         rng = np.random.default_rng(16)
-        head = heads.CornerHead(16, rng)
+        head = heads.CornerHead(16, nn.Draw(rng))
         for stack in (head.tl, head.br):
             del stack[0]
         head.dim = 8
@@ -153,7 +154,7 @@ class TestCornerHead:
         # feature gradient, which the two stacks' pads fold back in another
         # association, to rounding
         rng = np.random.default_rng(17)
-        head = heads.CornerHead(32, rng)
+        head = heads.CornerHead(32, nn.Draw(rng))
         for blk in head.tl[:-1] + head.br[:-1]:
             c = blk.bn.gain.size
             blk.bn.gain.data = rng.uniform(0.5, 1.5, c).astype(np.float32)

@@ -4,6 +4,7 @@ import pytest
 from mixtrack import checkpoint as ck
 from mixtrack import model as mdl
 from mixtrack.data import SyntheticConfig, generate_synthetic
+from mixtrack.errors import CheckpointError
 from mixtrack.train import AdamW, TrainConfig, train_stage1, train_stage2_spm
 
 
@@ -169,3 +170,71 @@ class TestArena:
         unchanged()
         for name, p in m.named_params().items():
             assert np.array_equal(p.data, other[name]), name
+
+
+def checkpoint_arrays(model, tmp_path):
+    """The arrays ``load_checkpoint`` returns for a saved ``model``."""
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(path, ck.state_dict(model), None)
+    return ck.load_checkpoint(path)[0]
+
+
+class TestLoadModel:
+    """``load_model`` builds without the random draw and copies each array
+    once, into a model equal bit for bit to ``build_model`` + ``load_state``."""
+
+    @pytest.mark.parametrize("mode", ["full", "asymmetric"])
+    @pytest.mark.parametrize("templates", [1, 2, 3])
+    def test_matches_build_and_load_state(self, tmp_path, mode, templates):
+        saved = mdl.build_model("tiny", mode=mode, templates=templates, seed=3)
+        arrays = checkpoint_arrays(saved, tmp_path)
+        built = mdl.build_model("tiny", mode=mode, templates=templates, seed=4)
+        ck.load_state(built, arrays)
+        loaded = mdl.load_model(arrays, "tiny", mode=mode, templates=templates)
+        assert_packed(loaded)
+        assert loaded.arena.tobytes() == built.arena.tobytes()
+        for score in (False, True):
+            (a, a_tensors), (b, b_tensors) = (
+                m.stage_params(score) for m in (loaded, built))
+            assert a.tobytes() == b.tobytes()
+            assert [t.shape for t in a_tensors] == [t.shape for t in b_tensors]
+        rng = np.random.default_rng(5)
+        t = rng.uniform(0, 1, (1, templates, 3, 32, 32)).astype(np.float32)
+        s = rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
+        outs = [m.forward_box(t, s) for m in (loaded, built)]
+        for a, b in zip(*outs):
+            assert a.numpy().tobytes() == b.numpy().tobytes()
+        scores = [m.predict_score(feat[0], tuple(box.numpy()[0]), tmpl[0]).numpy()
+                  for m, (box, feat, tmpl) in zip((loaded, built), outs)]
+        assert scores[0].tobytes() == scores[1].tobytes()
+
+    def test_checkpoint_arrays_are_read_only_and_not_shared(self, tmp_path):
+        arrays = checkpoint_arrays(tiny_model(seed=2), tmp_path)
+        name = next(iter(arrays))
+        assert all(not a.flags.writeable for a in arrays.values())
+        with pytest.raises(ValueError):
+            arrays[name][...] = 0.0
+        for m in (mdl.load_model(arrays, "tiny", mode="asymmetric", templates=2),
+                  ck.load_state(tiny_model(), arrays)):
+            assert not any(np.shares_memory(m.arena, a) for a in arrays.values())
+
+    @pytest.mark.parametrize("damage", ["missing", "unexpected", "shape", "nan"])
+    def test_rejects_what_load_state_rejects(self, damage):
+        arrays = ck.state_dict(tiny_model(seed=1))
+        name = "backbone.stage2.block0.attn.wq.w"
+        if damage == "missing":
+            del arrays[name]
+        elif damage == "unexpected":
+            arrays["bogus.w"] = np.zeros(3, np.float32)
+        elif damage == "shape":
+            arrays[name] = np.zeros((1, 1), np.float32)
+        else:
+            arrays[name] = np.full_like(arrays[name], np.nan)
+        messages = []
+        for load in (lambda: ck.load_state(tiny_model(), arrays),
+                     lambda: mdl.load_model(arrays, "tiny", mode="asymmetric",
+                                            templates=2)):
+            with pytest.raises(CheckpointError) as info:
+                load()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]

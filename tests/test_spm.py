@@ -3,6 +3,7 @@ import pytest
 
 from mixtrack import autodiff as ad
 from mixtrack import losses, spm
+from mixtrack import nn
 from mixtrack.autodiff import Tensor
 from mixtrack.errors import ShapeError
 
@@ -74,7 +75,7 @@ class TestRoiTokens:
 
 
 def make_spm(dim=8, seed=0, per_template=4):
-    return spm.ScorePredictor(dim, per_template, np.random.default_rng(seed))
+    return spm.ScorePredictor(dim, per_template, nn.Draw(np.random.default_rng(seed)))
 
 
 def make_inputs(dim=8, seed=10, tokens=6):

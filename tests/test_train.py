@@ -142,7 +142,8 @@ class PerTensorAdamW:
 
 def packed_adamw(params, weight_decay, clip_norm):
     """AdamW over a dict of tensors, packed into their own arena."""
-    arena = nn.pack(list(params.values()))
+    tensors = list(params.values())
+    arena = nn.pack(tensors, [t.data for t in tensors])
     return AdamW(arena, params.values(), weight_decay, clip_norm)
 
 
@@ -218,7 +219,8 @@ class TestAdamW:
         rng = np.random.default_rng(6)
         params = self.make_params(rng)
         before = np.concatenate([p.data.ravel() for p in params.values()])
-        arena = nn.pack(list(params.values()))
+        tensors = list(params.values())
+        arena = nn.pack(tensors, [t.data for t in tensors])
         assert all(p.data.base is arena for p in params.values())
         assert np.array_equal(arena, before)
         data = [p.data for p in params.values()]
@@ -268,7 +270,7 @@ class TestAdamW:
             "rng = np.random.default_rng(11)\n"
             "p = Tensor(np.zeros(238403, np.float32), requires_grad=True)\n"
             "p.grad = rng.normal(size=p.shape).astype(np.float32)\n"
-            "opt = AdamW(pack([p]), [p], weight_decay=1e-4, clip_norm=1e9)\n"
+            "opt = AdamW(pack([p], [p.data]), [p], weight_decay=1e-4, clip_norm=1e9)\n"
             "print(opt.step(1e-4).hex())\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(mixtrack.__file__)))
