@@ -25,8 +25,8 @@ Each op carries a hand-written vector-Jacobian product; a composition gets
 its gradient from the chain rule.  Add an op only where no composition of
 existing ops gives the same bits forward and backward: a clamp is
 ``minimum(maximum(x, lo), hi)`` and a negation is ``mul(x, -1.0)``.  ``sub``,
-``linear``'s bias, ``batch_norm_frozen`` and ``attention`` equal compositions
-too, and stay fused for the ops or memory they save on hot paths.
+``linear``'s bias, ``edge_pad`` and ``attention`` equal compositions too, and
+stay fused for the ops or memory they save on hot paths.
 """
 
 import itertools
@@ -39,7 +39,7 @@ from .errors import ConfigError, ShapeError, UsageError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
-_NORM_EPS = 1e-5  # variance floor of layer_norm and batch_norm_frozen
+_NORM_EPS = 1e-5  # variance floor of layer_norm
 
 
 class _ThreadTapes(threading.local):
@@ -353,7 +353,7 @@ def transpose(x, axes):
     return _record("transpose", out, (x,), vjp)
 
 
-def concat(tensors, axis=0):
+def concat(tensors, axis):
     tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
 
@@ -637,32 +637,6 @@ def layer_norm(x, gain, bias):
         return gx.astype(x.dtype, copy=False), ggain, gbias
 
     return _record("layer_norm", out, (x, gain, bias), vjp)
-
-
-def batch_norm_frozen(x, gain, bias):
-    """Inference-form batch norm over channel axis 1 of [B, C, H, W].
-
-    The statistics are the identity (mean 0, variance 1), so one tape entry
-    computes ``x * (gain * inv) + bias`` with ``inv = 1 / sqrt(1 + eps)``
-    in x's dtype; gain and bias are the differentiable parameters.
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    inv = 1.0 / np.sqrt(np.ones(1, dtype=x.dtype) + _NORM_EPS)
-    scale = (gain.data * inv).reshape(1, -1, 1, 1)
-    y = x.data * scale
-    y += bias.data.reshape(1, -1, 1, 1)
-    out = Tensor(y)
-
-    def vjp(g):
-        gx = g * scale if x.requires_grad else None
-        ggain = gbias = None
-        if gain.requires_grad:
-            ggain = _unbroadcast(g * x.data, scale.shape).reshape(-1) * inv
-        if bias.requires_grad:
-            gbias = _unbroadcast(g, scale.shape).reshape(-1)
-        return gx, ggain, gbias
-
-    return _record("batch_norm_frozen", out, (x, gain, bias), vjp)
 
 
 def edge_pad(x):

@@ -22,6 +22,7 @@ from . import autodiff as ad
 from . import nn
 from .attention import ASYMMETRIC, MAMBlock, TokenLayout, check_mode
 from .autodiff import Tensor, _conv_out_extent
+from .checkpoint import Stored
 from .errors import ConfigError, ShapeError
 
 PRESET_NAMES = ("mixformer", "mixformer_l", "tiny")
@@ -118,36 +119,25 @@ def preset(name, templates, mode):
 def count_params_flops(config):
     """Parameter count and multiply-accumulate estimate for one forward.
 
-    Parameters are exact.  The flops figure counts multiply-accumulates of
-    convolutions, attention matmuls and linear layers (norms, softmax and
-    activations are omitted); one fused multiply-add counts as one flop.
-    Returns totals plus a per-stage breakdown.
+    Parameters are exact: they are counted off a backbone built around
+    ``checkpoint.Stored`` placeholders, which hold no memory and draw
+    nothing.  The flops figure counts multiply-accumulates of convolutions,
+    attention matmuls and linear layers (norms, softmax and activations are
+    omitted); one fused multiply-add counts as one flop.  Returns totals
+    plus a per-stage breakdown.
     """
-    layouts = config.stage_layouts()
-    c_in = 3
+    net = Backbone(config, Stored({}))
     stages_out = []
-    total_params = 0
     total_flops = 0
-    for idx, (stage, layout, (kernel, _)) in enumerate(
-        zip(config.stages, layouts, _EMBED), start=1
-    ):
-        d = stage.dim
-        k2 = kernel * kernel
+    for idx, stage in enumerate(net._stages(), start=1):
+        layout = stage.layout
+        d = layout.dim
         half = layout.halved()
         n_q = layout.total
         n_kt, n_ks = half.template_total, half.search_total
         n_k = n_kt + n_ks
 
-        params = d * c_in * k2 + d          # embed conv
-        params += 2 * d                     # embed norm
-        per_block = 4 * d                   # the two block norms
-        per_block += 3 * d * 9              # depth-wise q/k/v (kernel 3), no bias
-        per_block += 4 * d * d + 2 * d      # wq, wk, wv, wo; only wq, wo have a bias
-        hidden = nn.MLP_RATIO * d
-        per_block += d * hidden + hidden + hidden * d + d
-        params += stage.blocks * per_block
-
-        flops = n_q * d * c_in * k2                 # embed conv, one per token
+        flops = n_q * stage.embed.conv.w.size       # embed conv, one per token
         per_block_f = n_q * d * 9                   # stride-1 depth-wise q
         per_block_f += 2 * n_k * d * 9              # stride-2 depth-wise k, v
         per_block_f += 2 * n_q * d * d              # wq, wo
@@ -157,17 +147,14 @@ def count_params_flops(config):
         else:
             attended = n_q * n_k
         per_block_f += 2 * attended * d             # q.kT and weights.v
-        per_block_f += 2 * n_q * d * hidden         # the two mlp linears
-        flops += stage.blocks * per_block_f
+        per_block_f += 2 * n_q * d * nn.MLP_RATIO * d   # the two mlp linears
+        flops += len(stage.block) * per_block_f
 
-        stages_out.append(
-            {"name": f"stage{idx}", "params": params, "flops": flops}
-        )
-        total_params += params
+        params = sum(p.size for p in stage.named_params().values())
+        stages_out.append({"name": f"stage{idx}", "params": params, "flops": flops})
         total_flops += flops
-        c_in = d
 
-    total_params += 2 * config.out_dim              # final sequence norm
+    total_params = sum(p.size for p in net.named_params().values())
     return {"params": total_params, "flops": total_flops, "stages": stages_out}
 
 

@@ -308,6 +308,7 @@ def _read_text(path):
 
 
 _FRAME_NAME = re.compile(r"(\d{8})\.ppm", re.ASCII)  # as save_sequence names them
+_NUMBERED = re.compile(r"\d+\.ppm", re.ASCII)  # the frames load_sequence counts
 
 
 def save_sequence(directory, seq):
@@ -360,7 +361,8 @@ def _box_rows(path, form):
 
 def load_sequence(directory):
     """Open a sequence directory written by save_sequence (or compatible);
-    the sequence is named after the directory.
+    the sequence is named after the directory.  Its frames are the files
+    named by a number, such as ``00000001.ppm``; any other file is ignored.
 
     No pixels are read and no frame is mapped: each frame's header is read
     and its size taken from the file system, and the frames are
@@ -375,11 +377,9 @@ def load_sequence(directory):
     gt = [tuple(row) for _, row in _box_rows(gt_path, "x,y,w,h")]
     if not gt:
         raise ParseError(f"{gt_path}: empty ground truth")
-    names = sorted(
-        f for f in os.listdir(directory) if f.endswith(".ppm")
-    )
+    names = sorted(f for f in os.listdir(directory) if _NUMBERED.fullmatch(f))
     if not names:
-        raise ParseError(f"{directory}: no .ppm frames")
+        raise ParseError(f"{directory}: no numbered .ppm frames")
     width = len(os.path.splitext(names[0])[0])
     paths, shape = [], None
     count = max(len(names), len(gt) if len(gt) > 1 else len(names))

@@ -4,12 +4,13 @@ It turns the map into two probability fields (top-left and bottom-right)
 and reads each corner off with a soft argmax, so the box is a
 differentiable expectation over positions.
 
-A corner stack is four conv, batch norm and ReLU layers, the norm in
-inference form with identity statistics (a per-channel scale and shift),
-then a 1x1 conv to one channel.  No conv carries a bias.  Before a norm, a
-per-channel bias b equals the norm's shift moved by b times its scale,
-so the shift already covers it; and the soft argmax ignores a constant
-added to its map, so a bias on the last conv could never move a corner.
+A corner stack is four 3x3 conv and ReLU layers, then a 1x1 conv to one
+channel.  STARK's stack puts a batch norm after each 3x3 conv; with frozen
+identity statistics that norm is a per-channel scale, which the conv's
+weight already gives, and a shift, which is the conv's bias, so each conv
+carries its bias and no norm follows.  The last conv has no bias: the soft
+argmax ignores a constant added to its map, so one could never move a
+corner.
 
 Coordinates are normalized to [0, 1] over the search crop; position (i, j)
 of an h x w map sits at (j / (w-1), i / (h-1)).
@@ -45,21 +46,9 @@ def _soft_argmax_batched(maps):
     return x, y
 
 
-class ConvBNRelu(nn.Module):
-    # replicate padding so a featureless (constant) map stays constant and
-    # scores every position equally
-    def __init__(self, c_in, c_out, init):
-        w = init.he_normal((c_out, c_in, 3, 3), c_in * 9)
-        self.w = Tensor(w, requires_grad=True)
-        self.bn = nn.BatchNormFrozen(c_out)
-
-    def __call__(self, x):
-        return ad.relu(self.bn(ad.conv2d(ad.edge_pad(x), self.w)))
-
-
 def _corner_stack(dim, init):
     chans = [dim, dim // 2, dim // 4, dim // 8, dim // 16]
-    stack = [ConvBNRelu(chans[i], chans[i + 1], init) for i in range(4)]
+    stack = [nn.Conv2d(chans[i], chans[i + 1], 3, 1, 0, init) for i in range(4)]
     w = init.he_normal((1, chans[4], 1, 1), chans[4])
     return stack + [Tensor(w, requires_grad=True)]
 
@@ -76,8 +65,10 @@ class CornerHead(nn.Module):
 
     def _score_map(self, stack, x):
         *layers, w_out = stack
-        for layer in layers:
-            x = layer(x)
+        for conv in layers:
+            # replicate padding so a featureless (constant) map stays
+            # constant and scores every position equally
+            x = ad.relu(conv(ad.edge_pad(x)))
         x = ad.conv2d(x, w_out)
         b, _, h, w = x.shape
         return ad.reshape(x, (b, h, w))

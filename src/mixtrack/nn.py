@@ -115,9 +115,10 @@ class LayerNorm(Module):
 
 
 class Conv2d(Module):
-    """2-D convolution with a per-channel bias.  Its one user, the patch
-    embedding, feeds a layer norm over each token's channels, which keeps a
-    per-channel offset, so the bias is live there."""
+    """2-D convolution with a per-channel bias.  The bias is live in both
+    users: the patch embedding feeds a layer norm over each token's
+    channels, which keeps a per-channel offset, and each 3x3 corner-head
+    conv feeds a ReLU, whose cut a per-channel offset moves."""
 
     def __init__(self, c_in, c_out, kernel, stride, pad, init):
         fan_in = c_in * kernel * kernel
@@ -131,17 +132,6 @@ class Conv2d(Module):
 
     def __call__(self, x):
         return ad.conv2d(x, self.w, self.b, stride=self.stride, pad=self.pad)
-
-
-class BatchNormFrozen(Module):
-    """Batch norm in inference form with identity statistics (mean 0, var 1)."""
-
-    def __init__(self, dim):
-        self.gain = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
-
-    def __call__(self, x):
-        return ad.batch_norm_frozen(x, self.gain, self.bias)
 
 
 class Mlp(Module):

@@ -179,7 +179,7 @@ class TestModelState:
         ("score.out.b", np.nan),
         ("backbone.stage3.block0.mlp.fc2.w", np.nan),
         ("backbone.stage1.embed.conv.w", np.inf),
-        ("head.br0.bn.bias", -np.inf),
+        ("head.br0.b", -np.inf),
     ])
     def test_non_finite_entry_rejected_before_any_copy(self, name, value):
         model = build_model("tiny", seed=0)

@@ -280,6 +280,27 @@ class TestTrack:
         assert_user_error(capsys, rc, "truncated checkpoint")
         assert not out.exists()
 
+    def test_checkpoint_with_corner_batch_norms_fails(self, work, ckpt, seq_dir, capsys):
+        # the layout written while a frozen batch norm followed each corner
+        # conv: bias-free convs, then the norm's gain and bias; no converter
+        # reads it
+        arrays, text = load_checkpoint(ckpt)
+        former = {}
+        for name, a in arrays.items():
+            stem, _, leaf = name.rpartition(".")
+            if stem.startswith("head.") and leaf == "b":
+                former[f"{stem}.bn.gain"] = np.ones_like(a)
+                former[f"{stem}.bn.bias"] = a
+            else:
+                former[name] = a
+        path = work / "batch_norm.ckpt"
+        ck.save_checkpoint(path, former, text)
+        out = work / "batch_norm.csv"
+        rc = cli.main(["track", "--checkpoint", str(path),
+                       "--sequence", str(seq_dir), "--out", str(out)])
+        assert_user_error(capsys, rc, "state mismatch")
+        assert not out.exists()
+
     def test_truncated_checkpoint_fails(self, work, ckpt, seq_dir, capsys):
         broken = work / "broken.ckpt"
         broken.write_bytes(ckpt.read_bytes()[:-9])

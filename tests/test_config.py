@@ -190,7 +190,7 @@ class TestParsing:
 # The package's settable values: parameters with a default, plus dataclass
 # fields.  A change that adds an option raises this ceiling in its own diff
 # and gives the reason in CHANGES.md.
-SETTABLE_CEILING = 88
+SETTABLE_CEILING = 87
 
 
 def settable_values():

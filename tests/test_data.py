@@ -301,6 +301,21 @@ class TestStreamedFrames:
         for got, want in zip(back.frames, short.frames):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", ["cover.ppm", "00000005a.ppm", "x00000005.ppm"])
+    def test_a_ppm_not_named_by_a_number_is_not_a_frame(self, tmp_path, name):
+        seq, d = saved_sequence(tmp_path)
+        data.write_ppm(d / name, np.zeros((8, 8, 3), np.uint8))
+        back = data.load_sequence(d)
+        assert len(back.frames) == 4 and back.size == (48, 64)
+        for got, want in zip(back.frames, seq.frames):
+            assert np.array_equal(got, want)
+
+    def test_a_gap_in_the_numbered_frames_is_a_missing_frame(self, tmp_path):
+        _, d = saved_sequence(tmp_path)
+        (d / "00000003.ppm").rename(d / "00000007.ppm")
+        with pytest.raises(ParseError, match="missing frame 3"):
+            data.load_sequence(d)
+
     def test_saving_a_loaded_sequence_over_itself_keeps_it(self, tmp_path):
         seq, d = saved_sequence(tmp_path)
         data.save_sequence(d, data.load_sequence(d))

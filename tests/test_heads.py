@@ -72,28 +72,17 @@ def pad_by_concat(x):
     return ad.concat([x[:, :, :1, :], x, x[:, :, -1:, :]], axis=2)
 
 
-def batch_norm_chain(x, gain, bias, eps=1e-5):
-    """Frozen batch norm with identity statistics as elementwise ops: five
-    tape entries."""
-    inv = 1.0 / np.sqrt(np.ones(gain.shape, dtype=x.dtype) + eps)
-    scale = ad.mul(gain, Tensor(inv))
-    xn = ad.mul(x, ad.reshape(scale, (1, -1, 1, 1)))
-    return ad.add(xn, ad.reshape(bias, (1, -1, 1, 1)))
-
-
-def test_conv_bias_before_batch_norm_is_a_shift_of_its_bias():
-    """The premise that lets the corner convs drop their bias: a per-channel
-    b added to the conv output before the frozen batch norm equals the
-    norm's bias moved by b * gain * inv, inv = 1 / sqrt(1 + eps)."""
+def test_frozen_batch_norm_folds_into_the_conv_weight_and_bias():
+    """The premise that lets each corner conv stand without a batch norm:
+    a frozen norm's per-channel scale s and shift beta after a bias-free
+    conv equal the conv with its weight scaled by s and beta as its bias."""
     rng = np.random.default_rng(39)
     x = Tensor(rng.normal(size=(2, 3, 6, 5)))
-    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
-    gain, bias, b = (rng.normal(size=4) for _ in range(3))
-    inv = 1.0 / np.sqrt(1.0 + 1e-5)
-    y = ad.conv2d(x, w)
-    with_b = ad.batch_norm_frozen(ad.add(y, Tensor(b.reshape(1, 4, 1, 1))), gain, bias)
-    shifted = ad.batch_norm_frozen(y, gain, bias + b * gain * inv)
-    np.testing.assert_allclose(with_b.numpy(), shifted.numpy(), rtol=1e-12, atol=1e-12)
+    w = rng.normal(size=(4, 3, 3, 3))
+    s, beta = rng.normal(size=4), rng.normal(size=4)
+    normed = ad.conv2d(x, Tensor(w)).numpy() * s.reshape(1, 4, 1, 1) + beta.reshape(1, 4, 1, 1)
+    folded = ad.conv2d(x, Tensor(w * s[:, None, None, None]), Tensor(beta))
+    np.testing.assert_allclose(folded.numpy(), normed, rtol=1e-12, atol=1e-12)
 
 
 class TestCornerHead:
@@ -149,16 +138,14 @@ class TestCornerHead:
         assert max(report.values()) < 1e-4, report
 
     def test_fused_ops_match_the_op_chains_bit_for_bit(self, monkeypatch):
-        # edge_pad and batch_norm_frozen against the chains of smaller ops the
-        # head was built from: same boxes and head gradients bit for bit; the
-        # feature gradient, which the two stacks' pads fold back in another
-        # association, to rounding
+        # edge_pad against the slices and concats the head was built from:
+        # same boxes and head gradients bit for bit; the feature gradient,
+        # which the two stacks' pads fold back in another association, to
+        # rounding.  Nonzero biases move the ReLU cuts off their init.
         rng = np.random.default_rng(17)
         head = heads.CornerHead(32, nn.Draw(rng))
-        for blk in head.tl[:-1] + head.br[:-1]:
-            c = blk.bn.gain.size
-            blk.bn.gain.data = rng.uniform(0.5, 1.5, c).astype(np.float32)
-            blk.bn.bias.data = rng.normal(size=c).astype(np.float32)
+        for conv in head.tl[:-1] + head.br[:-1]:
+            conv.b.data = rng.normal(size=conv.b.size).astype(np.float32)
         feat = rng.normal(size=(4, 32, 4, 4)).astype(np.float32)
         tgt = np.tile([[0.2, 0.25, 0.7, 0.8]], (4, 1))
 
@@ -175,7 +162,6 @@ class TestCornerHead:
         box, grads, gfeat = run()
         with monkeypatch.context() as m:
             m.setattr(ad, "edge_pad", pad_by_concat)
-            m.setattr(ad, "batch_norm_frozen", batch_norm_chain)
             ref_box, ref_grads, ref_gfeat = run()
         assert np.array_equal(box, ref_box)
         for k in ref_grads:

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,23 @@ class TestAssembly:
 
     def test_tokens_per_template(self):
         assert tiny_model().score.per_template == 4
+
+    def test_build_keeps_the_draw_of_every_drawn_parameter(self):
+        # sha256 over each entry's name, shape and bytes in named order,
+        # taken before the corner stacks' frozen batch norms (which drew
+        # nothing) gave way to conv biases; the biases draw nothing either
+        # and start at zero
+        conv_bias = re.compile(r"head\.(tl|br)[0-3]\.b")
+        digest = hashlib.sha256()
+        for name, a in ck.state_dict(tiny_model()).items():
+            if conv_bias.fullmatch(name):
+                assert not a.any(), name
+                continue
+            digest.update(name.encode())
+            digest.update(repr(a.shape).encode())
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == (
+            "f49354a012c05ace2cfd0d071e6e3bcef29882ea17e228252f361adf3341712e")
 
 
 class TestTemplateCache:
